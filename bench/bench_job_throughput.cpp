@@ -48,8 +48,7 @@ double run_inline(const Pipeline& pipeline,
                   const std::vector<std::vector<FastqRecord>>& batches) {
   WallTimer timer;
   for (const auto& batch : batches) {
-    const auto outcome = map_records_over(pipeline.index(), pipeline.reference(),
-                                          PipelineConfig{}, batch);
+    const auto outcome = map_records_over(*pipeline.stored(), PipelineConfig{}, batch);
     (void)outcome;
   }
   return timer.milliseconds();
@@ -80,10 +79,8 @@ double run_pooled(const Pipeline& pipeline,
       ids.push_back(manager.submit(
           "bench",
           [&pipeline, &batch, &stages_mutex, &stages](const CancelToken& cancel) {
-            const auto outcome = map_records_over(pipeline.index(),
-                                                  pipeline.reference(),
-                                                  PipelineConfig{}, batch, nullptr,
-                                                  nullptr, &cancel);
+            const auto outcome = map_records_over(*pipeline.stored(), PipelineConfig{},
+                                                  batch, nullptr, &cancel);
             {
               std::lock_guard<std::mutex> lock(stages_mutex);
               stages += outcome.stages;

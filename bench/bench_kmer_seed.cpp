@@ -119,10 +119,11 @@ int main(int argc, char** argv) {
   // observability subsystem tracks (no job layer here, so queue wait is 0).
   ReferenceSet reference;
   reference.add("bench_ref", genome);
+  const StoredIndex stored{std::move(reference), std::move(index), nullptr, nullptr,
+                           LoadMode::kCopy};
   PipelineConfig map_config;
   map_config.engine = MappingEngine::kCpu;
-  const MappingOutcome outcome =
-      map_records_over(index, reference, map_config, reads_to_fastq(reads));
+  const MappingOutcome outcome = map_records_over(stored, map_config, reads_to_fastq(reads));
   std::printf("seeded full-map stage split: seed %.1f ms, search %.1f ms, "
               "locate %.1f ms, sam %.1f ms\n",
               outcome.stages.seed_ms, outcome.stages.search_ms,

@@ -41,20 +41,18 @@ std::uint64_t result_checksum(const std::vector<QueryResult>& results) {
   return sum;
 }
 
-/// Best-of-N wall time of one search mode over the whole batch (single
+/// Best-of-N wall time of one search order over the whole batch (single
 /// thread: the per-core effect is what the scheduler changes; sharding
-/// multiplies both modes equally). Returns ms, fills checksum + stats.
+/// multiplies both orders equally). Returns ms, fills checksum + stats.
 template <typename Occ>
-double best_of(const FmIndex<Occ>& index, const ReadBatch& batch, SearchMode mode,
+double best_of(const FmIndex<Occ>& index, const ReadBatch& batch, bool sweep,
                std::uint64_t& checksum, SweepStats& stats) {
   double best = 0.0;
   for (int rep = 0; rep < kRepetitions; ++rep) {
     SoftwareMapReport report;
     WallTimer timer;
-    const auto results =
-        mode == SearchMode::kSweep
-            ? detail::sweep_map_batch(index, batch, /*threads=*/1, &report)
-            : detail::map_batch(index, batch, /*threads=*/1, &report);
+    const auto results = sweep ? detail::sweep_map_batch(index, batch, /*threads=*/1, &report)
+                               : detail::map_batch(index, batch, /*threads=*/1, &report);
     const double ms = timer.milliseconds();
     checksum = result_checksum(results);
     stats = report.sweep;
@@ -75,8 +73,8 @@ ModeRow run_engine(const char* name, const FmIndex<Occ>& index,
   ModeRow row;
   std::uint64_t per_read_sum = 0, sweep_sum = 0;
   SweepStats ignored, stats;
-  row.per_read_ms = best_of(index, batch, SearchMode::kPerRead, per_read_sum, ignored);
-  row.sweep_ms = best_of(index, batch, SearchMode::kSweep, sweep_sum, stats);
+  row.per_read_ms = best_of(index, batch, /*sweep=*/false, per_read_sum, ignored);
+  row.sweep_ms = best_of(index, batch, /*sweep=*/true, sweep_sum, stats);
   row.speedup = row.per_read_ms / (row.sweep_ms > 0.0 ? row.sweep_ms : 1.0);
   if (per_read_sum != sweep_sum) {
     std::printf("!! %s: per-read/sweep result checksum mismatch (%llu vs %llu)\n",
@@ -106,10 +104,9 @@ int main(int argc, char** argv) {
   });
   index.build_seed_table(genome, KmerSeedTable::kDefaultK);
 
-  // The registry's derived-engine path: vector/sampled Occ structures over
-  // the same BWT/SA/seed table (searches are interval-identical).
-  const VectorMapper vector_mapper(
-      index, [](std::span<const std::uint8_t> bwt) { return VectorOcc(bwt); });
+  // The registry's derived-engine path: a vector Occ structure over the
+  // same BWT/SA/C array/seed table (searches are interval-identical).
+  const VectorMapper vector_mapper(index, VectorOcc(index.bwt().symbols));
 
   ReadSimConfig rconfig;
   rconfig.num_reads = scaled(30000, setup.scale);

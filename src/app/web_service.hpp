@@ -9,6 +9,8 @@
 //   POST /reference     — body: FASTA or FASTA.gz; runs steps 1+2 and
 //                         registers (and, with a store directory, persists)
 //                         the index. `?name=X` overrides the reference name
+//                         (the first header line); a malformed FASTA or an
+//                         invalid name is a 400, before any build
 //   POST /map           — body: FASTQ or FASTQ.gz; queued as a mapping job
 //                         like /jobs but waited on inline, then the SAM is
 //                         returned. Shares admission control: 503 +

@@ -38,9 +38,6 @@ struct MapRequest {
   /// Registry engine name overriding the backend's configured engine
   /// ("" = backend default); forwarded end to end like the request id.
   std::string engine;
-  /// Search-scheduling name ("per-read"/"sweep") overriding the backend's
-  /// configured mode ("" = backend default); forwarded like `engine`.
-  std::string search_mode;
   /// Per-job deadline forwarded to the backend (0 = backend default).
   std::chrono::milliseconds timeout{0};
 };

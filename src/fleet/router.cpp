@@ -357,8 +357,11 @@ std::string RouterService::map_shard(const MapRequest& request, std::size_t shar
         if (won) race->give_up.store(true, std::memory_order_relaxed);
         race->cv.notify_all();
       } catch (const TransportError& error) {
-        // A kCancelled loss is this race's own doing, not a backend fault.
-        if (error.kind() != TransportErrorKind::kCancelled) {
+        // A kCancelled loss is this race's own doing and a kBadRequest the
+        // client's (every replica rejects it alike): neither is a backend
+        // fault, so neither may push a healthy replica out of the ring.
+        if (error.kind() != TransportErrorKind::kCancelled &&
+            error.kind() != TransportErrorKind::kBadRequest) {
           note_failure(*backend, error.kind());
         }
         {
@@ -479,11 +482,9 @@ HttpResponse RouterService::handle_map(const HttpRequest& request) {
   if (ref.empty()) {
     return HttpResponse::text(400, "select a reference with ?ref=NAME\n");
   }
-  // The client's engine and search-mode choices are forwarded verbatim to
-  // every shard's backend (which validates them); the router itself is
-  // engine-agnostic.
+  // The client's engine choice is forwarded verbatim to every shard's
+  // backend (which validates it); the router itself is engine-agnostic.
   const std::string engine = request.query_param("engine");
-  const std::string search_mode = request.query_param("search_mode");
   if (request.body.empty()) {
     return HttpResponse::text(400, "empty read upload\n");
   }
@@ -512,7 +513,6 @@ HttpResponse RouterService::handle_map(const HttpRequest& request) {
     shard_request.request_id = request.request_id() + "-s" + std::to_string(shard);
     shard_request.tenant = tenant;
     shard_request.engine = engine;
-    shard_request.search_mode = search_mode;
     shard_request.timeout = options_.map_timeout;
     shard_threads.emplace_back([this, shard, shard_request = std::move(shard_request),
                                 &results, &failures, &failure_status] {

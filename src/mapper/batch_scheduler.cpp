@@ -12,18 +12,6 @@
 
 namespace bwaver {
 
-std::optional<SearchMode> parse_search_mode(std::string_view name) {
-  if (name == "per-read") return SearchMode::kPerRead;
-  if (name == "sweep") return SearchMode::kSweep;
-  return std::nullopt;
-}
-
-const char* search_mode_name(SearchMode mode) {
-  return mode == SearchMode::kSweep ? "sweep" : "per-read";
-}
-
-const char* search_mode_choices() { return "per-read|sweep"; }
-
 namespace detail {
 
 template <typename Occ>
@@ -92,8 +80,7 @@ std::vector<QueryResult> sweep_map_batch(const FmIndex<Occ>& index,
                           static_cast<std::uint32_t>(remaining), iv});
       }
 
-      sweep_execute(index, states, pattern_base.data(), final_iv.data(),
-                    /*out_remaining=*/nullptr, &stats);
+      sweep_execute(index, states, pattern_base.data(), final_iv.data(), &stats);
 
       for (std::size_t k = 0; k < count; ++k) {
         const SaInterval fwd = final_iv[2 * k];

@@ -29,9 +29,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "fmindex/fm_index.hpp"
@@ -42,20 +40,6 @@
 namespace bwaver {
 
 struct SoftwareMapReport;
-
-/// Execution order of the software engines' backward search. The modeled
-/// FPGA engine ignores this: its kernel already streams query packets
-/// through on-chip memory, which is the hardware form of the same sweep.
-enum class SearchMode {
-  kPerRead,  ///< each read searched to completion before the next
-  kSweep,    ///< all reads advanced step-synchronously in index order
-};
-
-/// Canonical names ("per-read", "sweep"); nullopt for anything else.
-std::optional<SearchMode> parse_search_mode(std::string_view name);
-const char* search_mode_name(SearchMode mode);
-/// "per-read|sweep" — for flag help and 400 messages.
-const char* search_mode_choices();
 
 /// Occupancy counters of one or more sweep runs (exported as
 /// bwaver_sweep_* metrics — see docs/observability.md).
@@ -87,17 +71,15 @@ struct SweepState {
 
 /// Runs every state in `states` to completion (interval empty or pattern
 /// consumed), step-synchronously; consumes the vector. Finished intervals
-/// land in out_iv[slot]; out_remaining[slot] (optional) receives the codes
-/// left unconsumed when the search died — callers derive executed step
-/// counts from it. `pattern_base[slot]` points at the 2-bit code array the
-/// state is searching (the next step consumes pattern_base[slot][remaining
-/// - 1]). Each state executes exactly the step sequence the per-read
-/// recurrence would, so out_iv is byte-identical to per-read search
-/// regardless of scheduling.
+/// land in out_iv[slot]. `pattern_base[slot]` points at the 2-bit code
+/// array the state is searching (the next step consumes
+/// pattern_base[slot][remaining - 1]). Each state executes exactly the step
+/// sequence the per-read recurrence would, so out_iv is byte-identical to
+/// per-read search regardless of scheduling.
 template <typename Occ>
 void sweep_execute(const FmIndex<Occ>& index, std::vector<SweepState>& states,
                    const std::uint8_t* const* pattern_base, SaInterval* out_iv,
-                   std::uint32_t* out_remaining, SweepStats* stats) {
+                   SweepStats* stats) {
   // Deep enough to cover a line fetch at two lines per state, shallow
   // enough that prefetched lines survive in L1 until their step.
   constexpr std::size_t kLookahead = 8;
@@ -110,7 +92,6 @@ void sweep_execute(const FmIndex<Occ>& index, std::vector<SweepState>& states,
     for (SweepState& state : states) {
       if (state.remaining == 0 || state.iv.empty()) {
         out_iv[state.slot] = state.iv;
-        if (out_remaining != nullptr) out_remaining[state.slot] = state.remaining;
       } else {
         states[kept++] = state;
       }

@@ -1,0 +1,92 @@
+#include "mapper/engine_set.hpp"
+
+#include <stdexcept>
+#include <string>
+#include <utility>
+
+#include "mapper/batch_scheduler.hpp"
+#include "mapper/software_mapper.hpp"
+#include "store/index_archive.hpp"
+
+namespace bwaver {
+
+namespace {
+
+/// Checkpoint width of the `sampled` engine: 4 words (128 bases) per block,
+/// the Bowtie2-like baseline's default.
+constexpr unsigned kSampledCheckpointWords = 4;
+
+/// An FM-index searched in its engine's registry order. `derived` owns the
+/// index for engines whose Occ structure is derived from the loaded BWT;
+/// `rrr` leaves it null and searches the loaded index in place.
+template <typename Occ>
+class OccEngine final : public HostEngine {
+ public:
+  OccEngine(const FmIndex<Occ>& index, bool sweep) : index_(index), sweep_(sweep) {}
+
+  OccEngine(const FmIndex<RrrWaveletOcc>& base, Occ occ, bool sweep)
+      : derived_(std::make_unique<const DerivedOccMapper<Occ>>(base, std::move(occ))),
+        index_(derived_->index()),
+        sweep_(sweep) {}
+
+  std::vector<QueryResult> map(const ReadBatch& batch, unsigned threads,
+                               SoftwareMapReport* report) const override {
+    return sweep_ ? detail::sweep_map_batch(index_, batch, threads, report)
+                  : detail::map_batch(index_, batch, threads, report);
+  }
+
+  std::size_t heap_bytes() const noexcept override {
+    if (derived_ == nullptr) return 0;
+    const Occ& occ = index_.occ_backend();
+    if constexpr (requires { occ.heap_size_in_bytes(); }) {
+      return occ.heap_size_in_bytes();
+    } else {
+      return occ.size_in_bytes();
+    }
+  }
+
+ private:
+  std::unique_ptr<const DerivedOccMapper<Occ>> derived_;
+  const FmIndex<Occ>& index_;
+  bool sweep_;
+};
+
+std::unique_ptr<const HostEngine> build_engine(MappingEngine engine,
+                                               const StoredIndex& stored) {
+  const FmIndex<RrrWaveletOcc>& base = stored.index;
+  const std::span<const std::uint8_t> bwt = base.bwt().symbols;
+  const bool sweep = kernels::engine_spec(engine).sweep;
+  switch (engine) {
+    case MappingEngine::kCpu:
+      return std::make_unique<OccEngine<RrrWaveletOcc>>(base, sweep);
+    case MappingEngine::kBowtie2Like:
+      return std::make_unique<OccEngine<SampledOcc>>(
+          base, SampledOcc(bwt, kSampledCheckpointWords), sweep);
+    case MappingEngine::kVector:
+      return std::make_unique<OccEngine<VectorOcc>>(base, VectorOcc(bwt), sweep);
+    case MappingEngine::kEpr: {
+      // The archive's dictionary is aliased when it indexes this BWT;
+      // otherwise (v1..v3 archives, in-memory builds) the BWT is transposed.
+      const bool adopt = stored.epr != nullptr && stored.epr->size() == bwt.size();
+      return std::make_unique<OccEngine<EprOcc>>(
+          base, adopt ? EprOcc::view_of(*stored.epr) : EprOcc(bwt), sweep);
+    }
+    case MappingEngine::kFpga:
+      break;
+  }
+  throw std::invalid_argument(std::string("no host engine '") +
+                              kernels::engine_spec(engine).name + "'");
+}
+
+}  // namespace
+
+const HostEngine& EngineSet::get(MappingEngine engine, const StoredIndex& owner) const {
+  Slot& slot = slots_.at(static_cast<std::size_t>(engine));
+  std::call_once(slot.once, [&] {
+    slot.engine = build_engine(engine, owner);
+    builds_.fetch_add(1);
+  });
+  return *slot.engine;
+}
+
+}  // namespace bwaver

@@ -1,12 +1,12 @@
 #include "mapper/map_service.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 
 #include "mapper/fpga_mapper.hpp"
 #include "mapper/pipeline.hpp"
 #include "mapper/read_batch.hpp"
+#include "mapper/software_mapper.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -52,34 +52,25 @@ std::vector<double> stage_time_bounds() {
 
 /// Records the per-stage split into the ambient metrics registry (if one is
 /// installed) and appends aggregated stage spans under `parent` (if the
-/// ambient trace is live). `mode` labels the series with the effective
-/// search-scheduling order; `sweep` (non-zero only under sweep mode) feeds
-/// the bwaver_sweep_* scheduler counters. `fpga` optionally adds the
-/// modeled device-phase children under the search span.
+/// ambient trace is live). `sweep` (non-zero only for engines that search
+/// in sweep order) feeds the bwaver_sweep_* scheduler counters. `fpga`
+/// optionally adds the modeled device-phase children under the search span.
 void publish_stages(const obs::ObsContext& ctx, std::uint32_t parent,
                     const MappingStageTimings& stages, const char* engine,
-                    const char* mode, const SweepStats& sweep,
-                    const FpgaMapReport* fpga) {
+                    const SweepStats& sweep, const FpgaMapReport* fpga) {
   if (ctx.metrics != nullptr) {
     static constexpr const char* kName = "bwaver_map_stage_seconds";
-    static constexpr const char* kHelp =
-        "Per-stage mapping time, by engine, search mode and stage";
-    ctx.metrics
-        ->histogram(kName, kHelp, stage_time_bounds(),
-                    {{"engine", engine}, {"search_mode", mode}, {"stage", "seed"}})
-        .observe_ms(stages.seed_ms);
-    ctx.metrics
-        ->histogram(kName, kHelp, stage_time_bounds(),
-                    {{"engine", engine}, {"search_mode", mode}, {"stage", "search"}})
-        .observe_ms(stages.search_ms);
-    ctx.metrics
-        ->histogram(kName, kHelp, stage_time_bounds(),
-                    {{"engine", engine}, {"search_mode", mode}, {"stage", "locate"}})
-        .observe_ms(stages.locate_ms);
-    ctx.metrics
-        ->histogram(kName, kHelp, stage_time_bounds(),
-                    {{"engine", engine}, {"search_mode", mode}, {"stage", "sam"}})
-        .observe_ms(stages.sam_ms);
+    static constexpr const char* kHelp = "Per-stage mapping time, by engine and stage";
+    const auto observe = [&](const char* stage, double ms) {
+      ctx.metrics
+          ->histogram(kName, kHelp, stage_time_bounds(),
+                      {{"engine", engine}, {"stage", stage}})
+          .observe_ms(ms);
+    };
+    observe("seed", stages.seed_ms);
+    observe("search", stages.search_ms);
+    observe("locate", stages.locate_ms);
+    observe("sam", stages.sam_ms);
     if (sweep.batches != 0) {
       const obs::Labels labels{{"engine", engine}};
       ctx.metrics
@@ -177,13 +168,9 @@ void resolve_query_results(const ReferenceSet& reference,
   }
 }
 
-MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
-                                const ReferenceSet& reference,
-                                const PipelineConfig& config,
+MappingOutcome map_records_over(const StoredIndex& stored, const PipelineConfig& config,
                                 const std::vector<FastqRecord>& records,
-                                const Bowtie2LikeMapper* bowtie,
-                                double* mapping_seconds,
-                                const CancelToken* cancel, const EprOcc* epr) {
+                                double* mapping_seconds, const CancelToken* cancel) {
   if (cancel != nullptr) cancel->throw_if_stopped();
 
   // Ambient observability: a no-op unless a job/CLI run installed a context.
@@ -192,85 +179,22 @@ MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
   obs::TraceSpan map_span("map_records");
   const obs::ObsContext obs_ctx = obs::current_context();
 
-  // Engines are constructed once (the FPGA model is programmed once, a
-  // derived engine's Occ structure is re-encoded once) and fed chunk by
-  // chunk: with no cancel token everything goes in one chunk, exactly the
-  // pre-async behaviour; with a token each chunk boundary is a checkpoint.
-  // Every software engine funnels through one `software_map` callable so
-  // the sharded and chunked paths below stay engine-agnostic.
+  // A host engine comes from the index's engine table: built by the first
+  // call that needs it, then shared. The FPGA model is programmed once for
+  // this call and fed chunk by chunk: with no cancel token everything goes
+  // in one chunk, exactly the pre-async behaviour; with a token each chunk
+  // boundary is a checkpoint.
+  const kernels::EngineSpec& spec = kernels::engine_spec(config.engine);
   std::unique_ptr<BwaverFpgaMapper> fpga;
-  std::unique_ptr<BwaverCpuMapper> cpu;
-  std::unique_ptr<Bowtie2LikeMapper> transient;
-  std::unique_ptr<PlainWaveletMapper> plain;
-  std::unique_ptr<VectorMapper> vector;
-  std::unique_ptr<EprMapper> epr_mapper;
-  std::function<std::vector<QueryResult>(const ReadBatch&, unsigned,
-                                         SoftwareMapReport*)>
-      software_map;
-  const SearchMode mode = config.search_mode;
-  switch (config.engine) {
-    case MappingEngine::kFpga:
-      fpga = std::make_unique<BwaverFpgaMapper>(index, config.device, 8192,
-                                                config.fpga_verify_stride);
-      break;
-    case MappingEngine::kCpu:
-      cpu = std::make_unique<BwaverCpuMapper>(index);
-      software_map = [&cpu, mode](const ReadBatch& batch, unsigned threads,
-                                  SoftwareMapReport* report) {
-        return cpu->map(batch, threads, report, mode);
-      };
-      break;
-    case MappingEngine::kBowtie2Like:
-      if (bowtie == nullptr) {
-        transient = std::make_unique<Bowtie2LikeMapper>(reference.concatenated());
-        bowtie = transient.get();
-      }
-      software_map = [bowtie, mode](const ReadBatch& batch, unsigned threads,
-                                    SoftwareMapReport* report) {
-        return bowtie->map(batch, threads, report, mode);
-      };
-      break;
-    case MappingEngine::kPlainWavelet:
-      plain = std::make_unique<PlainWaveletMapper>(
-          index, [](std::span<const std::uint8_t> bwt) {
-            return PlainWaveletOcc(bwt);
-          });
-      software_map = [&plain, mode](const ReadBatch& batch, unsigned threads,
-                                    SoftwareMapReport* report) {
-        return plain->map(batch, threads, report, mode);
-      };
-      break;
-    case MappingEngine::kVector:
-      vector = std::make_unique<VectorMapper>(
-          index,
-          [](std::span<const std::uint8_t> bwt) { return VectorOcc(bwt); });
-      software_map = [&vector, mode](const ReadBatch& batch, unsigned threads,
-                                     SoftwareMapReport* report) {
-        return vector->map(batch, threads, report, mode);
-      };
-      break;
-    case MappingEngine::kEpr:
-      // Alias the archive-loaded dictionary when the caller supplied one of
-      // the right size; otherwise transpose the BWT transiently.
-      epr_mapper = std::make_unique<EprMapper>(
-          index, [epr, &index](std::span<const std::uint8_t> bwt) {
-            if (epr != nullptr && epr->size() == index.bwt().symbols.size()) {
-              return EprOcc::view_of(*epr);
-            }
-            return EprOcc(bwt);
-          });
-      software_map = [&epr_mapper, mode](const ReadBatch& batch, unsigned threads,
-                                         SoftwareMapReport* report) {
-        return epr_mapper->map(batch, threads, report, mode);
-      };
-      break;
+  const HostEngine* host = nullptr;
+  if (spec.device_model) {
+    fpga = std::make_unique<BwaverFpgaMapper>(stored.index, config.device, 8192,
+                                              config.fpga_verify_stride);
+  } else {
+    host = &stored.engine(config.engine);
   }
-  const char* engine_name = kernels::engine_spec(config.engine).name;
-  // The FPGA kernel already streams query packets — the scheduling flag is
-  // a documented no-op there, and its series stay labeled per-read.
-  const char* mode_name = config.engine == MappingEngine::kFpga
-                              ? search_mode_name(SearchMode::kPerRead)
-                              : search_mode_name(mode);
+  const ReferenceSet& reference = stored.reference;
+  const std::span<const std::uint32_t> suffix_array = stored.index.suffix_array();
 
   MappingOutcome outcome;
   std::vector<SamAlignment> alignments;
@@ -285,8 +209,7 @@ MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
   // every counter are byte-identical to the sequential path regardless of
   // completion order. The FPGA model stays sequential: its modeled runtime
   // mutates device state per batch.
-  const bool sharded = config.engine != MappingEngine::kFpga && config.threads > 1 &&
-                       records.size() > 1;
+  const bool sharded = host != nullptr && config.threads > 1 && records.size() > 1;
   if (sharded) {
     const std::size_t shard_size = effective_shard_size(
         records.size(), config.threads, config.shard_size, cancel != nullptr);
@@ -318,12 +241,12 @@ MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
         shards[s].outcome.stages.seed_ms = stage_timer.milliseconds();
         stage_timer.reset();
         SoftwareMapReport report;
-        std::vector<QueryResult> results = software_map(batch, 1, &report);
+        std::vector<QueryResult> results = host->map(batch, 1, &report);
         shards[s].outcome.stages.search_ms = stage_timer.milliseconds();
         shards[s].outcome.sweep = report.sweep;
         stage_timer.reset();
         shards[s].alignments.reserve(results.size());
-        resolve_query_results(reference, index.suffix_array(), chunk, results,
+        resolve_query_results(reference, suffix_array, chunk, results,
                               config.max_hits_per_read, shards[s].outcome,
                               shards[s].alignments, cancel);
         shards[s].outcome.stages.locate_ms = stage_timer.milliseconds();
@@ -346,8 +269,8 @@ MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
     WallTimer sam_timer;
     outcome.sam = format_sam(sam_sequences_for(reference), alignments);
     outcome.stages.sam_ms = sam_timer.milliseconds();
-    publish_stages(obs_ctx, map_span.id(), outcome.stages, engine_name, mode_name,
-                   outcome.sweep, nullptr);
+    publish_stages(obs_ctx, map_span.id(), outcome.stages, spec.name, outcome.sweep,
+                   nullptr);
     return outcome;
   }
 
@@ -366,7 +289,7 @@ MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
     stage_timer.reset();
 
     std::vector<QueryResult> results;
-    if (config.engine == MappingEngine::kFpga) {
+    if (fpga != nullptr) {
       FpgaMapReport report;
       results = fpga->map(batch, &report);
       seconds += report.total_seconds();
@@ -377,13 +300,13 @@ MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
       fpga_total.kernel_seconds += report.kernel_seconds;
     } else {
       SoftwareMapReport report;
-      results = software_map(batch, config.threads, &report);
+      results = host->map(batch, config.threads, &report);
       seconds += report.seconds;
       outcome.stages.search_ms += stage_timer.milliseconds();
       outcome.sweep += report.sweep;
     }
     stage_timer.reset();
-    resolve_query_results(reference, index.suffix_array(), chunk, results,
+    resolve_query_results(reference, suffix_array, chunk, results,
                           config.max_hits_per_read, outcome, alignments, cancel);
     outcome.stages.locate_ms += stage_timer.milliseconds();
   }
@@ -392,9 +315,8 @@ MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
   WallTimer sam_timer;
   outcome.sam = format_sam(sam_sequences_for(reference), alignments);
   outcome.stages.sam_ms = sam_timer.milliseconds();
-  publish_stages(obs_ctx, map_span.id(), outcome.stages, engine_name, mode_name,
-                 outcome.sweep,
-                 config.engine == MappingEngine::kFpga ? &fpga_total : nullptr);
+  publish_stages(obs_ctx, map_span.id(), outcome.stages, spec.name, outcome.sweep,
+                 fpga != nullptr ? &fpga_total : nullptr);
   return outcome;
 }
 

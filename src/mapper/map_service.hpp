@@ -1,23 +1,22 @@
-// Engine dispatch + result resolution over *borrowed* index state.
+// Engine dispatch + result resolution over a loaded index.
 //
-// Pipeline owns its index and maps against it; the multi-tenant web service
-// instead borrows refcounted read handles from the IndexRegistry and must
-// run many mapping requests concurrently against shared, immutable indexes.
-// Both paths funnel through these free functions so their SAM output is
-// byte-identical by construction.
+// Pipeline holds its index through the same shared StoredIndex handle the
+// multi-tenant web service borrows from the IndexRegistry, and both run
+// their mapping requests through these free functions — concurrently
+// against shared, immutable indexes whose engines are built once
+// (StoredIndex::engines) — so their SAM output is byte-identical by
+// construction.
 #pragma once
 
 #include <span>
 #include <string>
 #include <vector>
 
-#include "fmindex/fm_index.hpp"
-#include "fmindex/occ_backends.hpp"
 #include "fmindex/reference_set.hpp"
 #include "fpga/query_packet.hpp"
 #include "io/fastq.hpp"
 #include "io/sam.hpp"
-#include "mapper/software_mapper.hpp"
+#include "store/index_archive.hpp"
 #include "util/cancellation.hpp"
 
 namespace bwaver {
@@ -39,29 +38,19 @@ void resolve_query_results(const ReferenceSet& reference,
                            std::vector<SamAlignment>& alignments,
                            const CancelToken* cancel = nullptr);
 
-/// Maps `records` against a borrowed index/reference pair with the engine
-/// selected in `config` and renders the SAM document. `bowtie` supplies a
-/// prebuilt baseline mapper for MappingEngine::kBowtie2Like; when null one
-/// is built transiently from the reference (expensive — callers holding an
-/// index long-term should cache it). If `mapping_seconds` is non-null it
-/// receives the engine's wall-clock (software) or modeled (FPGA) time.
+/// Maps `records` against a loaded index with the engine selected in
+/// `config` and renders the SAM document. Host engines come from the
+/// index's engine table (built on first use, then shared); the FPGA model
+/// is programmed afresh for the call. If `mapping_seconds` is non-null it
+/// receives the engine's wall-clock (host) or modeled (FPGA) time.
 ///
 /// A non-null `cancel` token is polled at cooperative checkpoints (before
 /// each engine sub-batch and per chunk of result resolution); once it
 /// reports a stop the call unwinds with OperationCancelled. The job
 /// subsystem uses this for DELETE /jobs/{id} and deadline enforcement.
-///
-/// `epr` optionally supplies a prebuilt EPR dictionary for
-/// MappingEngine::kEpr (the format-v4 archive section, zero-copy aliased);
-/// when null (or sized for a different BWT) the engine re-transposes the
-/// index's BWT transiently.
-MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
-                                const ReferenceSet& reference,
-                                const PipelineConfig& config,
+MappingOutcome map_records_over(const StoredIndex& stored, const PipelineConfig& config,
                                 const std::vector<FastqRecord>& records,
-                                const Bowtie2LikeMapper* bowtie = nullptr,
                                 double* mapping_seconds = nullptr,
-                                const CancelToken* cancel = nullptr,
-                                const EprOcc* epr = nullptr);
+                                const CancelToken* cancel = nullptr);
 
 }  // namespace bwaver

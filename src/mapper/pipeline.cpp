@@ -106,10 +106,11 @@ std::string Pipeline::compute_bwt_sa(const std::string& fasta_path,
 }
 
 void Pipeline::encode(const std::string& index_path) {
+  ReferenceSet reference;
   Bwt bwt;
   std::vector<std::uint32_t> sa;
-  load_index_file(index_path, reference_, bwt, sa);
-  build_index(std::move(bwt), std::move(sa));
+  load_index_file(index_path, reference, bwt, sa);
+  build_index(std::move(reference), std::move(bwt), std::move(sa));
 }
 
 void Pipeline::build_from_sequence(const std::string& name, const std::string& bases) {
@@ -126,27 +127,25 @@ void Pipeline::build_from_records(const std::vector<FastaRecord>& records) {
   const auto sa = build_suffix_array(reference.concatenated());
   Bwt bwt = build_bwt(reference.concatenated(), sa);
   timings_.bwt_sa_seconds = timer.seconds();
-  reference_ = std::move(reference);
-  build_index(std::move(bwt), std::move(sa));
+  build_index(std::move(reference), std::move(bwt), std::move(sa));
 }
 
-void Pipeline::build_index(Bwt bwt, std::vector<std::uint32_t> sa) {
+void Pipeline::build_index(ReferenceSet reference, Bwt bwt,
+                           std::vector<std::uint32_t> sa) {
   WallTimer timer;
   const RrrParams params = config_.rrr;
   // The seed table needs the SA before it moves into the index; its build
   // is a single O(n) scan, charged to encode_seconds like the rest of the
   // succinct construction.
   auto seeds = std::make_shared<const KmerSeedTable>(
-      KmerSeedTable::build(reference_.concatenated(), sa, config_.seed_k));
-  index_ = std::make_unique<FmIndex<RrrWaveletOcc>>(
+      KmerSeedTable::build(reference.concatenated(), sa, config_.seed_k));
+  FmIndex<RrrWaveletOcc> index(
       std::move(bwt), std::move(sa), [params](std::span<const std::uint8_t> symbols) {
         return RrrWaveletOcc(symbols, params);
       });
-  index_->set_seed_table(std::move(seeds));
-  if (config_.engine == MappingEngine::kBowtie2Like) {
-    // The baseline builds its own index over the same concatenated text.
-    bowtie_ = std::make_unique<Bowtie2LikeMapper>(reference_.concatenated());
-  }
+  index.set_seed_table(std::move(seeds));
+  stored_ = std::make_shared<const StoredIndex>(StoredIndex{
+      std::move(reference), std::move(index), nullptr, nullptr, LoadMode::kCopy});
   timings_.encode_seconds = timer.seconds();
 }
 
@@ -164,28 +163,14 @@ MappingOutcome Pipeline::map_records(const std::vector<FastqRecord>& records) {
   if (!ready()) {
     throw std::logic_error("Pipeline: map before encode()/build_from_sequence()");
   }
-  return map_records_over(*index_, reference_, config_, records, bowtie_.get(),
-                          &timings_.mapping_seconds, /*cancel=*/nullptr,
-                          epr_.get());
-}
-
-void Pipeline::resolve_results(const std::vector<FastqRecord>& records,
-                               std::span<const QueryResult> results,
-                               MappingOutcome& outcome,
-                               std::vector<SamAlignment>& alignments) const {
-  resolve_query_results(reference_, index_->suffix_array(), records, results,
-                        config_.max_hits_per_read, outcome, alignments);
-}
-
-std::vector<SamSequence> Pipeline::sam_sequences() const {
-  return sam_sequences_for(reference_);
+  return map_records_over(*stored_, config_, records, &timings_.mapping_seconds);
 }
 
 void Pipeline::save_index(const std::string& path) const {
   if (!ready()) {
     throw std::logic_error("Pipeline: save_index before encode()/build_from_sequence()");
   }
-  write_index_archive(path, reference_, *index_);
+  write_index_archive(path, stored_->reference, stored_->index);
 }
 
 BuildArchiveResult Pipeline::build_archive(
@@ -251,17 +236,9 @@ BuildArchiveResult Pipeline::build_archive(
 
 Pipeline Pipeline::from_archive(const std::string& path, PipelineConfig config,
                                 LoadMode load_mode) {
-  StoredIndex stored = read_index_archive(path, load_mode);
   Pipeline pipeline(config);
-  pipeline.reference_ = std::move(stored.reference);
-  pipeline.index_ =
-      std::make_unique<FmIndex<RrrWaveletOcc>>(std::move(stored.index));
-  pipeline.archive_backing_ = std::move(stored.backing);
-  pipeline.epr_ = std::move(stored.epr);
-  if (config.engine == MappingEngine::kBowtie2Like) {
-    pipeline.bowtie_ =
-        std::make_unique<Bowtie2LikeMapper>(pipeline.reference_.concatenated());
-  }
+  pipeline.stored_ =
+      std::make_shared<const StoredIndex>(read_index_archive(path, load_mode));
   return pipeline;
 }
 
@@ -275,76 +252,23 @@ MappingOutcome Pipeline::map_reads_streaming(const std::string& fastq_path,
     throw std::invalid_argument("Pipeline: batch_records must be >= 1");
   }
 
-  // One engine instance for the whole stream: the FPGA model is programmed
-  // once (and a derived engine's Occ structure is encoded once), so the
-  // fixed overhead amortizes over all batches.
+  // One engine instance for the whole stream: the index's host engine, or
+  // an FPGA model programmed once, so the fixed overhead amortizes over all
+  // batches.
   std::unique_ptr<BwaverFpgaMapper> fpga;
-  std::unique_ptr<BwaverCpuMapper> cpu;
-  std::unique_ptr<PlainWaveletMapper> plain;
-  std::unique_ptr<VectorMapper> vector;
-  std::unique_ptr<EprMapper> epr_mapper;
-  std::function<std::vector<QueryResult>(const ReadBatch&, unsigned,
-                                         SoftwareMapReport*)>
-      software_map;
-  switch (config_.engine) {
-    case MappingEngine::kFpga:
-      fpga = std::make_unique<BwaverFpgaMapper>(*index_, config_.device, 8192,
-                                                config_.fpga_verify_stride);
-      break;
-    case MappingEngine::kCpu:
-      cpu = std::make_unique<BwaverCpuMapper>(*index_);
-      software_map = [&cpu](const ReadBatch& batch, unsigned threads,
-                            SoftwareMapReport* report) {
-        return cpu->map(batch, threads, report);
-      };
-      break;
-    case MappingEngine::kBowtie2Like:
-      if (bowtie_ == nullptr) {
-        bowtie_ = std::make_unique<Bowtie2LikeMapper>(reference_.concatenated());
-      }
-      software_map = [this](const ReadBatch& batch, unsigned threads,
-                            SoftwareMapReport* report) {
-        return bowtie_->map(batch, threads, report);
-      };
-      break;
-    case MappingEngine::kPlainWavelet:
-      plain = std::make_unique<PlainWaveletMapper>(
-          *index_,
-          [](std::span<const std::uint8_t> bwt) { return PlainWaveletOcc(bwt); });
-      software_map = [&plain](const ReadBatch& batch, unsigned threads,
-                              SoftwareMapReport* report) {
-        return plain->map(batch, threads, report);
-      };
-      break;
-    case MappingEngine::kVector:
-      vector = std::make_unique<VectorMapper>(
-          *index_,
-          [](std::span<const std::uint8_t> bwt) { return VectorOcc(bwt); });
-      software_map = [&vector](const ReadBatch& batch, unsigned threads,
-                               SoftwareMapReport* report) {
-        return vector->map(batch, threads, report);
-      };
-      break;
-    case MappingEngine::kEpr:
-      epr_mapper = std::make_unique<EprMapper>(
-          *index_, [this](std::span<const std::uint8_t> bwt) {
-            if (epr_ != nullptr && epr_->size() == index_->bwt().symbols.size()) {
-              return EprOcc::view_of(*epr_);
-            }
-            return EprOcc(bwt);
-          });
-      software_map = [&epr_mapper](const ReadBatch& batch, unsigned threads,
-                                   SoftwareMapReport* report) {
-        return epr_mapper->map(batch, threads, report);
-      };
-      break;
+  const HostEngine* host = nullptr;
+  if (kernels::engine_spec(config_.engine).device_model) {
+    fpga = std::make_unique<BwaverFpgaMapper>(stored_->index, config_.device, 8192,
+                                              config_.fpga_verify_stride);
+  } else {
+    host = &stored_->engine(config_.engine);
   }
 
   std::ofstream sam;
   if (!sam_path.empty()) {
     sam.open(sam_path, std::ios::trunc);
     if (!sam) throw IoError("map_reads_streaming: cannot open " + sam_path);
-    const std::string header = format_sam(sam_sequences(), {});
+    const std::string header = format_sam(sam_sequences_for(reference()), {});
     sam << header;
   }
 
@@ -363,24 +287,25 @@ MappingOutcome Pipeline::map_reads_streaming(const std::string& fastq_path,
     const ReadBatch batch = ReadBatch::from_fastq(batch_records_vec);
 
     std::vector<QueryResult> results;
-    if (config_.engine == MappingEngine::kFpga) {
+    if (fpga != nullptr) {
       FpgaMapReport report;
       results = fpga->map(batch, &report);
       mapping_seconds += report.mapping_seconds();
     } else {
       SoftwareMapReport report;
-      results = software_map(batch, config_.threads, &report);
+      results = host->map(batch, config_.threads, &report);
       mapping_seconds += report.seconds;
     }
 
     std::vector<SamAlignment> alignments;
     alignments.reserve(results.size());
-    resolve_results(batch_records_vec, results, outcome, alignments);
+    resolve_query_results(reference(), index().suffix_array(), batch_records_vec, results,
+                          config_.max_hits_per_read, outcome, alignments);
     if (sam.is_open()) {
       sam << format_sam_alignments(alignments);
     }
   }
-  if (config_.engine == MappingEngine::kFpga && fpga) {
+  if (fpga != nullptr) {
     mapping_seconds +=
         static_cast<double>(fpga->runtime().events().front()->duration_ns()) * 1e-9;
   }

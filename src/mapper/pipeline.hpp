@@ -9,8 +9,8 @@
 //      the host, and emit SAM.
 //
 // Steps 1-2 and all memory management run on the host CPU; step 3 is
-// dispatched to the selected engine (the FPGA model, the pure-software
-// BWaveR mapper, or the Bowtie2-like baseline).
+// dispatched to the selected engine (the FPGA model, or one of the host
+// engines of the index's engine table — mapper/engine_set.hpp).
 #pragma once
 
 #include <cstdint>
@@ -47,10 +47,6 @@ struct PipelineConfig {
   /// Reads per parallel mapping shard for software engines (0 = auto-size
   /// from the batch and thread count). Only used when threads > 1.
   std::size_t shard_size = 0;
-  /// Backward-search execution order for software engines: per-read, or
-  /// the locality-aware batched sweep scheduler (batch_scheduler.hpp).
-  /// Byte-identical SAM either way; ignored by the FPGA engine.
-  SearchMode search_mode = SearchMode::kPerRead;
   /// FPGA engine only: re-derive every Nth kernel result through the
   /// host-side seeded search and fail on disagreement (0 disables). See
   /// BwaverFpgaMapper::host_verify_stride.
@@ -175,22 +171,22 @@ class Pipeline {
   /// Step 3, streaming: reads the FASTQ(.gz) in batches of `batch_records`
   /// (constant memory in the read count — required for the paper's 100 M
   /// read workloads), maps each batch on a single engine instance (the
-  /// FPGA model is programmed once, so the fixed overhead is paid once),
-  /// and appends SAM incrementally to `sam_path`.
+  /// index's host engine, or one FPGA model programmed once, so the fixed
+  /// overhead is paid once), and appends SAM incrementally to `sam_path`.
   MappingOutcome map_reads_streaming(const std::string& fastq_path,
                                      const std::string& sam_path,
                                      std::size_t batch_records = 100'000);
 
-  bool ready() const noexcept { return index_ != nullptr; }
+  bool ready() const noexcept { return stored_ != nullptr; }
   const PipelineTimings& timings() const noexcept { return timings_; }
-  const FmIndex<RrrWaveletOcc>& index() const { return *index_; }
-  const ReferenceSet& reference() const noexcept { return reference_; }
-  /// The archive's EPR dictionary (format v4+); null when the archive
-  /// predates it or the pipeline was built in memory.
-  const EprOcc* epr() const noexcept { return epr_.get(); }
+  /// The loaded index with its engine table — the same handle type the
+  /// IndexRegistry serves. Null before encode()/build_from_*()/from_archive().
+  const std::shared_ptr<const StoredIndex>& stored() const noexcept { return stored_; }
+  const FmIndex<RrrWaveletOcc>& index() const { return stored_->index; }
+  const ReferenceSet& reference() const { return stored_->reference; }
   /// Name of the first reference sequence.
   const std::string& reference_name() const {
-    return reference_.sequence(0).name;
+    return reference().sequence(0).name;
   }
 
   /// Serialized index-file helpers (exposed for tests).
@@ -200,27 +196,11 @@ class Pipeline {
                               Bwt& bwt, std::vector<std::uint32_t>& sa);
 
  private:
-  void build_index(Bwt bwt, std::vector<std::uint32_t> sa);
-
-  /// Resolves one batch's SA intervals to per-sequence SAM alignments
-  /// (boundary filtering, hit cap) and accumulates outcome counters.
-  void resolve_results(const std::vector<FastqRecord>& records,
-                       std::span<const QueryResult> results, MappingOutcome& outcome,
-                       std::vector<SamAlignment>& alignments) const;
-
-  std::vector<SamSequence> sam_sequences() const;
+  void build_index(ReferenceSet reference, Bwt bwt, std::vector<std::uint32_t> sa);
 
   PipelineConfig config_;
   PipelineTimings timings_;
-  ReferenceSet reference_;
-  std::unique_ptr<FmIndex<RrrWaveletOcc>> index_;
-  std::unique_ptr<Bowtie2LikeMapper> bowtie_;  ///< built lazily for that engine
-  /// EPR dictionary adopted from a v4 archive; the epr engine aliases it
-  /// instead of re-transposing the BWT.
-  std::shared_ptr<const EprOcc> epr_;
-  /// Keeps a zero-copy-loaded archive mapped while index_/reference_ view
-  /// into it; null for heap-owned pipelines.
-  std::shared_ptr<const MappedFile> archive_backing_;
+  std::shared_ptr<const StoredIndex> stored_;
 };
 
 }  // namespace bwaver

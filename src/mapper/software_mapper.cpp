@@ -77,9 +77,8 @@ BwaverCpuMapper::BwaverCpuMapper(std::span<const std::uint8_t> reference,
 }
 
 std::vector<QueryResult> BwaverCpuMapper::map(const ReadBatch& batch, unsigned threads,
-                                              SoftwareMapReport* report,
-                                              SearchMode mode) const {
-  return detail::map_batch_mode(*index_, batch, threads, report, mode);
+                                              SoftwareMapReport* report) const {
+  return detail::map_batch(*index_, batch, threads, report);
 }
 
 Bowtie2LikeMapper::Bowtie2LikeMapper(std::span<const std::uint8_t> reference,
@@ -89,9 +88,8 @@ Bowtie2LikeMapper::Bowtie2LikeMapper(std::span<const std::uint8_t> reference,
       }) {}
 
 std::vector<QueryResult> Bowtie2LikeMapper::map(const ReadBatch& batch, unsigned threads,
-                                                SoftwareMapReport* report,
-                                                SearchMode mode) const {
-  return detail::map_batch_mode(index_, batch, threads, report, mode);
+                                                SoftwareMapReport* report) const {
+  return detail::map_batch(index_, batch, threads, report);
 }
 
 }  // namespace bwaver

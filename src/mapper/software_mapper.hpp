@@ -6,7 +6,10 @@
 //   * Bowtie2LikeMapper — the Bowtie2 stand-in for the paper's
 //     `-a --score-min C,0,-1` configuration (all exact matches): an
 //     FM-index over a 2-bit-packed BWT with checkpointed Occ counters
-//     (the index layout CPU mappers actually use), multithreaded.
+//     (the index layout CPU mappers actually use), multithreaded. It
+//     builds its own index from raw text, as the Table I/II benches need;
+//     the registry's `sampled` engine derives the same SampledOcc from a
+//     loaded index instead (DerivedOccMapper, mapper/engine_set.hpp).
 //
 // Both return the same QueryResult records as the FPGA kernel, so results
 // can be compared bit-for-bit ("without any loss in accuracy").
@@ -14,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "fmindex/epr_occ.hpp"
@@ -33,27 +37,18 @@ struct SoftwareMapReport {
   unsigned threads = 1;
   std::uint64_t reads = 0;
   std::uint64_t mapped = 0;
-  /// Scheduler occupancy counters; all-zero under SearchMode::kPerRead.
+  /// Scheduler occupancy counters; all-zero for per-read searches.
   SweepStats sweep;
 };
 
 namespace detail {
 /// Shared implementation: forward + reverse-complement backward search of
-/// every read in `batch` over `index`, chunked across `threads` workers.
+/// every read in `batch` over `index`, each read to completion, chunked
+/// across `threads` workers. The batched alternative with identical results
+/// is sweep_map_batch (batch_scheduler.hpp).
 template <typename Occ>
 std::vector<QueryResult> map_batch(const FmIndex<Occ>& index, const ReadBatch& batch,
                                    unsigned threads, SoftwareMapReport* report);
-
-/// Mode dispatch shared by every software mapper: per-read recurrence or
-/// the batched sweep scheduler (batch_scheduler.hpp). Identical results
-/// either way.
-template <typename Occ>
-std::vector<QueryResult> map_batch_mode(const FmIndex<Occ>& index,
-                                        const ReadBatch& batch, unsigned threads,
-                                        SoftwareMapReport* report, SearchMode mode) {
-  return mode == SearchMode::kSweep ? sweep_map_batch(index, batch, threads, report)
-                                    : map_batch(index, batch, threads, report);
-}
 }  // namespace detail
 
 class BwaverCpuMapper {
@@ -65,8 +60,7 @@ class BwaverCpuMapper {
   explicit BwaverCpuMapper(const FmIndex<RrrWaveletOcc>& index) : index_(&index) {}
 
   std::vector<QueryResult> map(const ReadBatch& batch, unsigned threads = 1,
-                               SoftwareMapReport* report = nullptr,
-                               SearchMode mode = SearchMode::kPerRead) const;
+                               SoftwareMapReport* report = nullptr) const;
 
   const FmIndex<RrrWaveletOcc>& index() const noexcept { return *index_; }
 
@@ -82,8 +76,7 @@ class Bowtie2LikeMapper {
                              unsigned checkpoint_words = 4);
 
   std::vector<QueryResult> map(const ReadBatch& batch, unsigned threads = 1,
-                               SoftwareMapReport* report = nullptr,
-                               SearchMode mode = SearchMode::kPerRead) const;
+                               SoftwareMapReport* report = nullptr) const;
 
   const FmIndex<SampledOcc>& index() const noexcept { return index_; }
 
@@ -91,40 +84,38 @@ class Bowtie2LikeMapper {
   FmIndex<SampledOcc> index_;
 };
 
-/// Mapper over an Occ backend re-encoded from an existing index: the BWT,
-/// suffix array and seed table are borrowed (zero-copy views) from the
-/// base RRR index, only the Occ structure itself is rebuilt — so registry
-/// engines beyond the archive's native backend cost one O(n) encode, not a
-/// suffix-array reconstruction. Searches give identical SA intervals to
-/// the base index by construction.
+/// Mapper over an Occ backend derived from an existing index: the BWT,
+/// suffix array, C array and seed table are borrowed (zero-copy views) from
+/// the base RRR index, only the Occ structure itself is the mapper's own —
+/// so an engine beyond the archive's native backend costs at most one O(n)
+/// encode, never a suffix-array reconstruction or a rescan of the BWT.
+/// Searches give identical SA intervals to the base index by construction.
 template <typename Occ>
 class DerivedOccMapper {
  public:
-  DerivedOccMapper(const FmIndex<RrrWaveletOcc>& base,
-                   const typename FmIndex<Occ>::OccBuilder& builder)
+  /// Adopts `occ`, an Occ structure over `base`'s BWT (encoded from
+  /// base.bwt().symbols, or a view of the archive's "epr" section).
+  DerivedOccMapper(const FmIndex<RrrWaveletOcc>& base, Occ occ)
       : index_(Bwt{FlatArray<std::uint8_t>::view_of(base.bwt().symbols),
                    base.bwt().primary, base.bwt().text_length},
-               FlatArray<std::uint32_t>::view_of(base.suffix_array()), builder),
-        base_(&base) {
+               FlatArray<std::uint32_t>::view_of(base.suffix_array()), std::move(occ),
+               {base.c_array(0), base.c_array(1), base.c_array(2), base.c_array(3)}) {
     index_.set_seed_table(base.shared_seed_table());
   }
 
+  /// Per-read search of every read (the batched order is
+  /// detail::sweep_map_batch over index()).
   std::vector<QueryResult> map(const ReadBatch& batch, unsigned threads = 1,
-                               SoftwareMapReport* report = nullptr,
-                               SearchMode mode = SearchMode::kPerRead) const {
-    return detail::map_batch_mode(index_, batch, threads, report, mode);
+                               SoftwareMapReport* report = nullptr) const {
+    return detail::map_batch(index_, batch, threads, report);
   }
 
   const FmIndex<Occ>& index() const noexcept { return index_; }
-  const FmIndex<RrrWaveletOcc>& base() const noexcept { return *base_; }
 
  private:
-  FmIndex<Occ> index_;  ///< views into base_ — base_ must outlive this
-  const FmIndex<RrrWaveletOcc>* base_;
+  FmIndex<Occ> index_;  ///< views into the base index, which must outlive this
 };
 
-using PlainWaveletMapper = DerivedOccMapper<PlainWaveletOcc>;
 using VectorMapper = DerivedOccMapper<VectorOcc>;
-using EprMapper = DerivedOccMapper<EprOcc>;
 
 }  // namespace bwaver

@@ -131,90 +131,6 @@ std::uint64_t search_read_stage(const FmIndex<RrrWaveletOcc>& index,
   return std::max(fwd_stats.steps_executed, rev_stats.steps_executed);
 }
 
-/// The exact stage for all pending reads at once through the sweep
-/// scheduler. Seeding replicates exact_count_steps (an empty seed-table
-/// entry finishes the search immediately — unlike count()'s unseeded
-/// fallback), and the per-read executed-step counts are recovered from the
-/// codes left unconsumed, so results, aligned sets and modeled cycle
-/// charges are identical to the per-read loop.
-struct ExactStageOutcome {
-  std::vector<SaInterval> intervals;        ///< fwd at 2k, rc at 2k + 1
-  std::vector<std::uint64_t> steps;         ///< executed steps per pending read
-};
-
-ExactStageOutcome exact_stage_sweep(const FmIndex<RrrWaveletOcc>& index,
-                                    const ReadBatch& batch,
-                                    std::span<const std::size_t> pending) {
-  const std::size_t count = pending.size();
-  ExactStageOutcome outcome;
-  outcome.intervals.assign(2 * count, SaInterval{});
-  outcome.steps.assign(count, 0);
-
-  std::vector<std::uint8_t> rc_codes;
-  std::vector<std::size_t> rc_offsets(count + 1, 0);
-  for (std::size_t k = 0; k < count; ++k) {
-    rc_offsets[k + 1] = rc_offsets[k] + batch.read(pending[k]).size();
-  }
-  rc_codes.resize(rc_offsets[count]);
-  for (std::size_t k = 0; k < count; ++k) {
-    const auto codes = batch.read(pending[k]);
-    std::uint8_t* out = rc_codes.data() + rc_offsets[k];
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      out[i] = dna_complement(codes[codes.size() - 1 - i]);
-    }
-  }
-  const auto rc_read = [&](std::size_t k) {
-    return std::span<const std::uint8_t>(rc_codes.data() + rc_offsets[k],
-                                         rc_offsets[k + 1] - rc_offsets[k]);
-  };
-
-  const KmerSeedTable* seeds = index.seed_table();
-  const unsigned k_seed = seeds != nullptr ? seeds->k() : 0;
-  const auto seed_exact = [&](std::span<const std::uint8_t> codes,
-                              std::size_t& next) {
-    next = codes.size();
-    SaInterval iv = index.full_interval();
-    if (k_seed != 0 && codes.size() >= k_seed) {
-      if (const auto seed = seeds->lookup(codes.last(k_seed))) {
-        iv = *seed;
-        next = codes.size() - k_seed;
-      }
-    }
-    return iv;
-  };
-
-  std::vector<detail::SweepState> states;
-  states.reserve(2 * count);
-  std::vector<const std::uint8_t*> pattern_base(2 * count);
-  std::vector<std::uint32_t> initial_remaining(2 * count);
-  std::vector<std::uint32_t> final_remaining(2 * count);
-  for (std::size_t k = 0; k < count; ++k) {
-    pattern_base[2 * k] = batch.read(pending[k]).data();
-    pattern_base[2 * k + 1] = rc_codes.data() + rc_offsets[k];
-    std::size_t next = 0;
-    SaInterval iv = seed_exact(batch.read(pending[k]), next);
-    initial_remaining[2 * k] = static_cast<std::uint32_t>(next);
-    states.push_back({static_cast<std::uint32_t>(2 * k),
-                      static_cast<std::uint32_t>(next), iv});
-    iv = seed_exact(rc_read(k), next);
-    initial_remaining[2 * k + 1] = static_cast<std::uint32_t>(next);
-    states.push_back({static_cast<std::uint32_t>(2 * k + 1),
-                      static_cast<std::uint32_t>(next), iv});
-  }
-
-  detail::sweep_execute(index, states, pattern_base.data(),
-                        outcome.intervals.data(), final_remaining.data(),
-                        /*stats=*/nullptr);
-
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint64_t fwd = initial_remaining[2 * k] - final_remaining[2 * k];
-    const std::uint64_t rev =
-        initial_remaining[2 * k + 1] - final_remaining[2 * k + 1];
-    outcome.steps[k] = std::max(fwd, rev);
-  }
-  return outcome;
-}
-
 }  // namespace
 
 StagedFpgaMapper::StagedFpgaMapper(const FmIndex<RrrWaveletOcc>& index, DeviceSpec spec,
@@ -248,8 +164,7 @@ StagedFpgaMapper::StagedFpgaMapper(const FmIndex<RrrWaveletOcc>& index, DeviceSp
 }
 
 std::vector<StagedReadResult> StagedFpgaMapper::map(const ReadBatch& batch,
-                                                    StagedMapReport* report,
-                                                    SearchMode mode) const {
+                                                    StagedMapReport* report) const {
   std::vector<StagedReadResult> results(batch.size());
   std::vector<std::size_t> pending(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) pending[i] = i;
@@ -271,54 +186,24 @@ std::vector<StagedReadResult> StagedFpgaMapper::map(const ReadBatch& batch,
 
     std::vector<std::size_t> still_pending;
     std::uint64_t stage_cycles = spec_.pipeline_fill_cycles;
-    if (stage == 0 && mode == SearchMode::kSweep) {
-      // Batched exact stage: one sweep over all pending reads, then the
-      // identical per-read bookkeeping in pending order.
-      const ExactStageOutcome sweep = exact_stage_sweep(*index_, batch, pending);
-      for (std::size_t k = 0; k < pending.size(); ++k) {
-        const std::size_t read_index = pending[k];
-        StagedReadResult& result = results[read_index];
-        const SaInterval& fwd_iv = sweep.intervals[2 * k];
-        const SaInterval& rev_iv = sweep.intervals[2 * k + 1];
-        if (!fwd_iv.empty() || !rev_iv.empty()) {
-          result.stage = 0;
-          result.reverse_strand = fwd_iv.empty();
-          for (int strand = 0; strand < 2; ++strand) {
-            const SaInterval& hit = strand == 0 ? fwd_iv : rev_iv;
-            for (std::uint32_t row = hit.lo; row < hit.hi; ++row) {
-              result.positions.push_back(index_->suffix_array()[row]);
-            }
-          }
-        }
-        const std::uint64_t steps = sweep.steps[k];
-        stage_cycles += spec_.query_issue_overhead + steps * step_ii_;
-        stage_report.steps_executed += steps;
-        if (result.stage != StagedReadResult::kUnaligned) {
-          ++stage_report.reads_aligned;
-        } else {
-          still_pending.push_back(read_index);
-        }
-      }
-    } else {
-      for (std::size_t read_index : pending) {
-        StagedReadResult& result = results[read_index];
-        ApproxStats read_stats;
-        const std::uint64_t steps =
-            search_read_stage(*index_, bidir_, approx_mode_, hit_cap_,
-                              batch.read(read_index), stage, result, &read_stats);
-        approx_totals.steps_executed += read_stats.steps_executed;
-        approx_totals.branches_pruned += read_stats.branches_pruned;
-        approx_totals.hits += read_stats.hits;
-        stage_cycles += spec_.query_issue_overhead + steps * step_ii_;
-        stage_report.steps_executed += steps;
-        stage_report.branches_pruned += read_stats.branches_pruned;
-        stage_report.hits += read_stats.hits;
-        if (read_stats.truncated) ++stage_report.truncated_reads;
-        if (result.stage != StagedReadResult::kUnaligned) {
-          ++stage_report.reads_aligned;
-        } else {
-          still_pending.push_back(read_index);
-        }
+    for (std::size_t read_index : pending) {
+      StagedReadResult& result = results[read_index];
+      ApproxStats read_stats;
+      const std::uint64_t steps =
+          search_read_stage(*index_, bidir_, approx_mode_, hit_cap_,
+                            batch.read(read_index), stage, result, &read_stats);
+      approx_totals.steps_executed += read_stats.steps_executed;
+      approx_totals.branches_pruned += read_stats.branches_pruned;
+      approx_totals.hits += read_stats.hits;
+      stage_cycles += spec_.query_issue_overhead + steps * step_ii_;
+      stage_report.steps_executed += steps;
+      stage_report.branches_pruned += read_stats.branches_pruned;
+      stage_report.hits += read_stats.hits;
+      if (read_stats.truncated) ++stage_report.truncated_reads;
+      if (result.stage != StagedReadResult::kUnaligned) {
+        ++stage_report.reads_aligned;
+      } else {
+        still_pending.push_back(read_index);
       }
     }
     stage_report.kernel_seconds = spec_.cycles_to_seconds(stage_cycles);

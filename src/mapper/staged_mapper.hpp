@@ -26,7 +26,6 @@
 #include "fmindex/occ_backends.hpp"
 #include "fpga/device_spec.hpp"
 #include "fpga/hls_kernel.hpp"
-#include "mapper/batch_scheduler.hpp"
 #include "mapper/read_batch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -81,15 +80,9 @@ class StagedFpgaMapper {
                    const BidirFmIndex<RrrWaveletOcc>* bidir = nullptr,
                    std::size_t hit_cap = kDefaultApproxHitCap);
 
-  /// Maps every read; results indexed by read. Report is optional. `mode`
-  /// selects the exact (budget-0) stage's execution order: kSweep runs it
-  /// through the batched sweep scheduler (batch_scheduler.hpp) — identical
-  /// results and modeled step counts, better host-side locality. The
-  /// mismatch stages always run per-read (their search-tree descent is
-  /// data-dependent, not step-synchronous).
+  /// Maps every read; results indexed by read. Report is optional.
   std::vector<StagedReadResult> map(const ReadBatch& batch,
-                                    StagedMapReport* report = nullptr,
-                                    SearchMode mode = SearchMode::kPerRead) const;
+                                    StagedMapReport* report = nullptr) const;
 
   unsigned max_mismatches() const noexcept { return max_mismatches_; }
 

@@ -49,7 +49,7 @@
 //            so serving with --engine epr adopts the constant-time rank
 //            structure straight from the file instead of re-transposing the
 //            BWT at load. v3 archives (no such section) still load; the epr
-//            engine then re-encodes transiently.
+//            engine then transposes the BWT once per loaded index.
 //
 // A v3/v4 archive can therefore be loaded two ways (LoadMode):
 //
@@ -77,6 +77,7 @@
 #include "fmindex/reference_set.hpp"
 #include "io/byte_io.hpp"
 #include "io/mapped_file.hpp"
+#include "mapper/engine_set.hpp"
 
 namespace bwaver {
 
@@ -102,7 +103,7 @@ struct StoredIndex {
   FmIndex<RrrWaveletOcc> index;
   /// The v4 "epr" section, when present: the EPR dictionary over the same
   /// BWT, served zero-copy (mmap loads alias the file). Null for v1..v3
-  /// archives — the epr engine then re-encodes transiently.
+  /// archives — the epr engine then transposes the BWT once, when built.
   std::shared_ptr<const EprOcc> epr;
   /// Keeps the mapped archive alive while any structure views into it;
   /// null for heap-owned (copy/v1/v2) loads. Destroying the last reference
@@ -111,6 +112,14 @@ struct StoredIndex {
   /// Mode the index was actually loaded with (kCopy for v1/v2 archives
   /// regardless of the requested mode).
   LoadMode load_mode = LoadMode::kCopy;
+  /// The host engines over this index, each built once on first use.
+  /// Declared last so the engines are destroyed before what they view.
+  EngineSet engines{};
+
+  /// The host engine `engine` over this index (see EngineSet::get).
+  const HostEngine& engine(MappingEngine engine) const {
+    return engines.get(engine, *this);
+  }
 };
 
 /// Resident footprint of a loaded index, split by where the bytes live.

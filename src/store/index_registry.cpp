@@ -17,7 +17,9 @@ namespace {
 
 constexpr const char* kManifestName = "manifest.tsv";
 
-bool valid_reference_name(const std::string& name) {
+}  // namespace
+
+bool IndexRegistry::valid_name(const std::string& name) {
   if (name.empty() || name.size() > 256) return false;
   for (const char c : name) {
     if (std::isspace(static_cast<unsigned char>(c)) || c == '/' || c == '\0') {
@@ -26,8 +28,6 @@ bool valid_reference_name(const std::string& name) {
   }
   return true;
 }
-
-}  // namespace
 
 IndexRegistry::IndexRegistry(std::string store_dir, std::size_t memory_budget_bytes,
                              LoadMode load_mode)
@@ -180,7 +180,7 @@ IndexRegistry::Handle IndexRegistry::acquire(const std::string& name) {
 }
 
 IndexRegistry::Handle IndexRegistry::add(const std::string& name, StoredIndex stored) {
-  if (!valid_reference_name(name)) {
+  if (!valid_name(name)) {
     throw std::invalid_argument("IndexRegistry: invalid reference name '" + name + "'");
   }
   auto handle = std::make_shared<const StoredIndex>(std::move(stored));
@@ -213,7 +213,7 @@ IndexRegistry::Handle IndexRegistry::add(const std::string& name, StoredIndex st
 }
 
 void IndexRegistry::adopt(const std::string& name, const std::string& archive_file) {
-  if (!valid_reference_name(name)) {
+  if (!valid_name(name)) {
     throw std::invalid_argument("IndexRegistry: invalid reference name '" + name + "'");
   }
   if (store_dir_.empty()) {

@@ -76,9 +76,13 @@ class IndexRegistry {
 
   /// Registers a freshly built index under `name` (replacing any previous
   /// entry), persists it to the store directory when one is configured, and
-  /// returns a read handle. Names must be non-empty and free of whitespace
-  /// and '/' (they become manifest keys and file names).
+  /// returns a read handle. Throws std::invalid_argument unless
+  /// valid_name(name).
   Handle add(const std::string& name, StoredIndex stored);
+
+  /// Whether `name` can name a reference: non-empty, at most 256 bytes, and
+  /// free of whitespace and '/' (names become manifest keys and file names).
+  static bool valid_name(const std::string& name);
 
   /// Replaces `name` with a new index generation without a serving gap.
   /// The archive for generation N+1 is written to `<name>.g<N+1>.bwva` and

@@ -253,5 +253,16 @@ TEST_F(CliTest, MapMissingArgumentsShowsUsage) {
   EXPECT_EQ(run("map"), 2);
 }
 
+TEST_F(CliTest, PlainEngineIsRejected) {
+  // `plain` is an ablation backend, not an engine: the error names
+  // the five that are.
+  EXPECT_EQ(run("map --index " + path("x.bwvr") + " --reads " + path("x.fq") +
+                " --engine plain"),
+            1);
+  EXPECT_NE(log_contents().find("unknown engine: plain (fpga|rrr|sampled|vector|epr)"),
+            std::string::npos)
+      << log_contents();
+}
+
 }  // namespace
 }  // namespace bwaver

@@ -467,10 +467,40 @@ TEST_F(WebServiceTest, EmptyUploadRejected) {
   EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos);
 }
 
-TEST_F(WebServiceTest, MalformedFastaIs500) {
+TEST_F(WebServiceTest, UnknownEngineIs400ListingTheEngines) {
+  http_request(service_.port(), "POST", "/reference", fasta_text_);
+  const std::string response =
+      http_request(service_.port(), "POST", "/map?engine=plain", fastq_text_);
+  EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos);
+  EXPECT_NE(response.find("unknown engine 'plain' (fpga|rrr|sampled|vector|epr)"),
+            std::string::npos)
+      << response;
+}
+
+TEST_F(WebServiceTest, MalformedFastaIs400) {
+  // A client's mistake, not a server fault.
   const std::string response =
       http_request(service_.port(), "POST", "/reference", "garbage not fasta");
-  EXPECT_NE(response.find("HTTP/1.1 500"), std::string::npos);
+  EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos);
+  EXPECT_NE(response.find("bad FASTA"), std::string::npos);
+}
+
+TEST_F(WebServiceTest, DescriptionHeaderWithoutNameIs400) {
+  // The first header line would become the reference name, and a
+  // description makes it an invalid one: rejected before any index build.
+  const FastaRecord ref{"chr21 Homo sapiens chromosome 21",
+                        dna_decode_string(genome_codes_)};
+  const std::string fasta = format_fasta(std::span<const FastaRecord>(&ref, 1));
+  const std::string response = http_request(service_.port(), "POST", "/reference", fasta);
+  EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos);
+  EXPECT_NE(response.find("?name="), std::string::npos);
+  EXPECT_EQ(service_.registry().size(), 0u);
+
+  // The same upload with an explicit name is indexed.
+  const std::string named =
+      http_request(service_.port(), "POST", "/reference?name=chr21", fasta);
+  EXPECT_NE(named.find("200 OK"), std::string::npos);
+  EXPECT_TRUE(service_.registry().contains("chr21"));
 }
 
 }  // namespace

@@ -393,17 +393,16 @@ TEST_F(JobsHttpTest, MetricsEndpointServesPrometheusAndCountersMove) {
             run_count);
   const double seed_count =
       metric_value(text,
-                   "bwaver_map_stage_seconds_count{engine=\"fpga\","
-                   "search_mode=\"per-read\",stage=\"seed\"}");
+                   "bwaver_map_stage_seconds_count{engine=\"fpga\",stage=\"seed\"}");
   EXPECT_GE(seed_count, 2.0);
   EXPECT_EQ(metric_value(text,
                          "bwaver_map_stage_seconds_bucket{engine=\"fpga\","
-                         "search_mode=\"per-read\",stage=\"seed\",le=\"+Inf\"}"),
+                         "stage=\"seed\",le=\"+Inf\"}"),
             seed_count);
   for (const char* stage : {"search", "locate", "sam"}) {
     EXPECT_GE(metric_value(text,
                            std::string("bwaver_map_stage_seconds_count{engine=\"fpga\","
-                                       "search_mode=\"per-read\",stage=\"") +
+                                       "stage=\"") +
                                stage + "\"}"),
               2.0)
         << stage;

@@ -167,6 +167,30 @@ TEST_F(FleetRouterTest, NoHealthyBackendsIsAnUpstreamError) {
   router.stop();
 }
 
+TEST_F(FleetRouterTest, ClientErrorsLeaveBackendsInTheRing) {
+  auto replica_a = start_replica();
+  auto replica_b = start_replica();
+  RouterOptions options = router_options({replica_a->port(), replica_b->port()});
+  options.shard_reads = 8;  // every bad request fails 4 shards on the replicas
+  RouterService router(options);
+  router.start(0);
+
+  for (int i = 0; i < 3; ++i) {
+    const ClientResponse bad = router_map(router, "refA&engine=bogus", fastq_);
+    EXPECT_EQ(bad.status, 400) << bad.body;
+  }
+  for (const BackendSnapshot& backend : router.backends()) {
+    EXPECT_TRUE(backend.up) << backend.key << " left the ring over a client's mistake";
+  }
+  const ClientResponse good = router_map(router, "refA", fastq_);
+  EXPECT_EQ(good.status, 200) << good.body;
+  EXPECT_EQ(good.body, expected_sam_);
+
+  router.stop();
+  replica_a->stop();
+  replica_b->stop();
+}
+
 TEST_F(FleetRouterTest, HedgesSlowPrimaryAndCancelsTheLoser) {
   auto fast_replica = start_replica();
 

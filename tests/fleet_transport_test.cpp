@@ -195,6 +195,33 @@ TEST_F(FleetHttpTransportTest, HttpUnknownRefIsKBadRequestWith404) {
   }
 }
 
+TEST_F(FleetHttpTransportTest, HttpFailedJobErrorArrivesWhole) {
+  // A memory-only replica cannot reload an evicted reference, so a job on
+  // one fails at run time with an error that quotes the name — here a name
+  // holding a quote and a backslash, which the replica's JSON escapes.
+  const std::string name = "q\"uote\\back";
+  FastaRecord ref{"refB", dna_decode_string(genome_)};
+  const std::string fasta = format_fasta(std::span<const FastaRecord>(&ref, 1));
+  const ClientResponse upload = client_->request(
+      "127.0.0.1", service_->port(), "POST", "/reference?name=q%22uote%5Cback", fasta);
+  ASSERT_EQ(upload.status, 200) << upload.body;
+  const ClientResponse evict =
+      client_->request("127.0.0.1", service_->port(), "POST", "/evict?ref=q%22uote%5Cback");
+  ASSERT_EQ(evict.status, 200) << evict.body;
+
+  HttpMapTransport transport(client_, "127.0.0.1", service_->port());
+  transport.set_poll_interval(std::chrono::milliseconds(1), std::chrono::milliseconds(5));
+  try {
+    transport.map(request(name));
+    FAIL() << "a job on an evicted memory-only reference must fail";
+  } catch (const TransportError& error) {
+    EXPECT_EQ(error.kind(), TransportErrorKind::kFailed);
+    EXPECT_NE(std::string(error.what()).find("reference '" + name + "' was evicted"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST_F(FleetHttpTransportTest, HttpGiveUpCancelsTheReplicaJob) {
   // Pin both replica workers so the submitted job stays queued until the
   // give-up DELETE lands.

@@ -305,16 +305,16 @@ class MapCancellationTest : public ::testing::Test {
 TEST_F(MapCancellationTest, PreCancelledTokenAbortsBeforeMapping) {
   CancelToken cancel;
   cancel.request_cancel();
-  EXPECT_THROW(map_records_over(pipeline_.index(), pipeline_.reference(),
-                                PipelineConfig{}, records_, nullptr, nullptr, &cancel),
+  EXPECT_THROW(map_records_over(*pipeline_.stored(), PipelineConfig{}, records_, nullptr,
+                                &cancel),
                OperationCancelled);
 }
 
 TEST_F(MapCancellationTest, ExpiredDeadlineAbortsMapping) {
   CancelToken cancel;
   cancel.set_deadline(std::chrono::steady_clock::now() - 1ms);
-  EXPECT_THROW(map_records_over(pipeline_.index(), pipeline_.reference(),
-                                PipelineConfig{}, records_, nullptr, nullptr, &cancel),
+  EXPECT_THROW(map_records_over(*pipeline_.stored(), PipelineConfig{}, records_, nullptr,
+                                &cancel),
                OperationCancelled);
 }
 
@@ -327,8 +327,7 @@ TEST_F(MapCancellationTest, CancellationMidMapThroughJobManager) {
     // map_records_over whenever the cancel lands.
     for (;;) {
       const auto outcome =
-          map_records_over(pipeline_.index(), pipeline_.reference(), PipelineConfig{},
-                           records_, nullptr, nullptr, &cancel);
+          map_records_over(*pipeline_.stored(), PipelineConfig{}, records_, nullptr, &cancel);
       (void)outcome;
     }
     return std::string{};
@@ -344,11 +343,9 @@ TEST_F(MapCancellationTest, NullTokenMapsIdenticallyToTokenised) {
   // The chunked (cancellable) execution path must produce byte-identical
   // SAM to the single-batch path.
   CancelToken cancel;  // never triggered
-  const auto plain = map_records_over(pipeline_.index(), pipeline_.reference(),
-                                      PipelineConfig{}, records_);
+  const auto plain = map_records_over(*pipeline_.stored(), PipelineConfig{}, records_);
   const auto chunked =
-      map_records_over(pipeline_.index(), pipeline_.reference(), PipelineConfig{},
-                       records_, nullptr, nullptr, &cancel);
+      map_records_over(*pipeline_.stored(), PipelineConfig{}, records_, nullptr, &cancel);
   EXPECT_EQ(plain.sam, chunked.sam);
   EXPECT_EQ(plain.reads, chunked.reads);
   EXPECT_EQ(plain.mapped, chunked.mapped);

@@ -1,9 +1,9 @@
 // The shared engine-correctness testbed.
 //
 // One simulated reference + read workload runs through every engine the
-// registry enumerates — the modeled FPGA and all four software Occ
-// backends — via the same map_records_over entry point the pipeline and
-// the web service use. The paper's "no loss in accuracy" claim, promoted
+// registry enumerates — the modeled FPGA and all four host engines, each in
+// its own search order — via the same map_records_over entry point the
+// pipeline and the web service use. The paper's "no loss in accuracy" claim, promoted
 // to a registry-wide invariant: byte-identical SAM and identical outcome
 // counters from every engine.
 #include <gtest/gtest.h>
@@ -43,8 +43,8 @@ class EngineTestbed : public ::testing::TestWithParam<kernels::EngineSpec> {
 
     PipelineConfig reference_config;
     reference_config.engine = MappingEngine::kCpu;
-    reference_sam_ = new MappingOutcome(map_records_over(
-        pipeline_->index(), pipeline_->reference(), reference_config, *records_));
+    reference_sam_ = new MappingOutcome(
+        map_records_over(*pipeline_->stored(), reference_config, *records_));
   }
 
   static void TearDownTestSuite() {
@@ -72,8 +72,7 @@ MappingOutcome* EngineTestbed::reference_sam_ = nullptr;
 TEST_P(EngineTestbed, SamIsByteIdenticalToTheReferenceEngine) {
   PipelineConfig config;
   config.engine = GetParam().engine;
-  const MappingOutcome outcome = map_records_over(
-      pipeline_->index(), pipeline_->reference(), config, *records_);
+  const MappingOutcome outcome = map_records_over(*pipeline_->stored(), config, *records_);
   EXPECT_EQ(outcome.reads, reference_sam_->reads);
   EXPECT_EQ(outcome.mapped, reference_sam_->mapped);
   EXPECT_EQ(outcome.occurrences, reference_sam_->occurrences);
@@ -88,8 +87,7 @@ TEST_P(EngineTestbed, ShardedPathMatchesSequential) {
   config.engine = GetParam().engine;
   config.threads = 3;
   config.shard_size = 100;
-  const MappingOutcome sharded = map_records_over(
-      pipeline_->index(), pipeline_->reference(), config, *records_);
+  const MappingOutcome sharded = map_records_over(*pipeline_->stored(), config, *records_);
   EXPECT_GT(sharded.shards, 1u);
   EXPECT_EQ(sharded.sam, reference_sam_->sam) << "engine " << GetParam().name;
 }
@@ -98,8 +96,7 @@ TEST_P(EngineTestbed, TimedRunReportsEngineSeconds) {
   PipelineConfig config;
   config.engine = GetParam().engine;
   double seconds = -1.0;
-  map_records_over(pipeline_->index(), pipeline_->reference(), config, *records_,
-                   nullptr, &seconds);
+  map_records_over(*pipeline_->stored(), config, *records_, &seconds);
   EXPECT_GE(seconds, 0.0);
 }
 
@@ -111,8 +108,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(EngineTestbedMappers, DerivedMappersShareBaseIndexState) {
-  // The derived mappers borrow the base index's BWT/SA/seed table rather
-  // than rebuilding them; intervals must match the base engine exactly.
+  // The derived mappers borrow the base index's BWT/SA/C array/seed table
+  // rather than rebuilding them; intervals must match the base engine
+  // exactly.
   GenomeSimConfig genome_config;
   genome_config.length = 30000;
   genome_config.seed = 5;
@@ -124,13 +122,9 @@ TEST(EngineTestbedMappers, DerivedMappersShareBaseIndexState) {
   const ReadBatch batch = ReadBatch::from_simulated(reads);
 
   const BwaverCpuMapper cpu(genome, RrrParams{15, 50});
-  const VectorMapper vector(cpu.index(), [](std::span<const std::uint8_t> bwt) {
-    return VectorOcc(bwt);
-  });
-  const PlainWaveletMapper plain(cpu.index(),
-                                 [](std::span<const std::uint8_t> bwt) {
-                                   return PlainWaveletOcc(bwt);
-                                 });
+  const std::span<const std::uint8_t> bwt = cpu.index().bwt().symbols;
+  const VectorMapper vector(cpu.index(), VectorOcc(bwt));
+  const DerivedOccMapper<PlainWaveletOcc> plain(cpu.index(), PlainWaveletOcc(bwt));
   EXPECT_EQ(vector.index().size(), cpu.index().size());
 
   const auto want = cpu.map(batch);

@@ -13,13 +13,13 @@ namespace {
 
 TEST(EngineRegistry, EnumeratesEveryEngineInEnumOrder) {
   const auto specs = engines();
-  ASSERT_EQ(specs.size(), 6u);
+  ASSERT_EQ(specs.size(), 5u);
   EXPECT_EQ(specs[0].engine, MappingEngine::kFpga);
   EXPECT_EQ(specs[1].engine, MappingEngine::kCpu);
   EXPECT_EQ(specs[2].engine, MappingEngine::kBowtie2Like);
-  EXPECT_EQ(specs[3].engine, MappingEngine::kPlainWavelet);
-  EXPECT_EQ(specs[4].engine, MappingEngine::kVector);
-  EXPECT_EQ(specs[5].engine, MappingEngine::kEpr);
+  EXPECT_EQ(specs[3].engine, MappingEngine::kVector);
+  EXPECT_EQ(specs[4].engine, MappingEngine::kEpr);
+  EXPECT_EQ(engine_choices(), "fpga|rrr|sampled|vector|epr");
 
   std::set<std::string> names;
   for (const EngineSpec& spec : specs) {
@@ -47,12 +47,23 @@ TEST(EngineRegistry, ParseAcceptsCanonicalNamesAndAliases) {
   EXPECT_EQ(parse_engine_name("cpu"), MappingEngine::kCpu);
   EXPECT_EQ(parse_engine_name("sampled"), MappingEngine::kBowtie2Like);
   EXPECT_EQ(parse_engine_name("bowtie2like"), MappingEngine::kBowtie2Like);
-  EXPECT_EQ(parse_engine_name("plain"), MappingEngine::kPlainWavelet);
   EXPECT_EQ(parse_engine_name("vector"), MappingEngine::kVector);
   EXPECT_EQ(parse_engine_name("epr"), MappingEngine::kEpr);
   EXPECT_FALSE(parse_engine_name("").has_value());
   EXPECT_FALSE(parse_engine_name("FPGA").has_value());
   EXPECT_FALSE(parse_engine_name("simd").has_value());
+  // The ablation-only wavelet tree is not an engine.
+  EXPECT_FALSE(parse_engine_name("plain").has_value());
+}
+
+TEST(EngineRegistry, SearchOrderIsAnEngineProperty) {
+  // Sweep only where the Occ layout makes a rank's address computable up
+  // front; the paper's software baseline order everywhere else.
+  for (const EngineSpec& spec : engines()) {
+    const bool sweep =
+        spec.engine == MappingEngine::kVector || spec.engine == MappingEngine::kEpr;
+    EXPECT_EQ(spec.sweep, sweep) << spec.name;
+  }
 }
 
 TEST(EngineRegistry, DefaultEngineHonoursEnvironment) {

@@ -9,6 +9,7 @@
 #include "fmindex/dna.hpp"
 #include "io/fasta.hpp"
 #include "io/fastq.hpp"
+#include "kernels/registry.hpp"
 #include "sim/genome_sim.hpp"
 #include "sim/read_sim.hpp"
 
@@ -235,20 +236,27 @@ TEST_F(PipelineTest, MultiChromosomeIndexFileRoundTripsThroughDisk) {
 }
 
 TEST_F(PipelineTest, StreamingMapMatchesWholeFileMap) {
-  Pipeline pipeline;
-  pipeline.build_from_sequence("ref", dna_decode_string(genome_));
-
+  // Every registry engine, each streamed through the same engine instance
+  // the whole-file map uses (the index's host engine, or one FPGA model).
   const std::string whole_sam_path = (dir_ / "whole.sam").string();
   const std::string stream_sam_path = (dir_ / "stream.sam").string();
-  const MappingOutcome whole = pipeline.map_reads(fastq_path_, whole_sam_path);
-  // Tiny batch size to force many chunks through the streaming path.
-  const MappingOutcome streamed =
-      pipeline.map_reads_streaming(fastq_path_, stream_sam_path, 17);
+  for (const kernels::EngineSpec& spec : kernels::engines()) {
+    SCOPED_TRACE(spec.name);
+    PipelineConfig config;
+    config.engine = spec.engine;
+    Pipeline pipeline(config);
+    pipeline.build_from_sequence("ref", dna_decode_string(genome_));
 
-  EXPECT_EQ(streamed.reads, whole.reads);
-  EXPECT_EQ(streamed.mapped, whole.mapped);
-  EXPECT_EQ(streamed.occurrences, whole.occurrences);
-  EXPECT_EQ(read_file(stream_sam_path), read_file(whole_sam_path));
+    const MappingOutcome whole = pipeline.map_reads(fastq_path_, whole_sam_path);
+    // Tiny batch size to force many chunks through the streaming path.
+    const MappingOutcome streamed =
+        pipeline.map_reads_streaming(fastq_path_, stream_sam_path, 17);
+
+    EXPECT_EQ(streamed.reads, whole.reads);
+    EXPECT_EQ(streamed.mapped, whole.mapped);
+    EXPECT_EQ(streamed.occurrences, whole.occurrences);
+    EXPECT_EQ(read_file(stream_sam_path), read_file(whole_sam_path));
+  }
 }
 
 TEST_F(PipelineTest, StreamingMapFpgaProgramsOnce) {

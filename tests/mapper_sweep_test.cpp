@@ -3,10 +3,11 @@
 //
 // The sweep only reorders WHICH in-flight read advances next; every read
 // still executes the exact interval sequence per-read search would, so the
-// rendered SAM must be byte-identical — across every registered engine,
-// under sharded execution, and for adversarial batch shapes (empty,
-// single-read, randomized sizes, reads whose searches die at every depth).
-// Any divergence here is a scheduler bug by definition.
+// rendered SAM must be byte-identical — over every Occ backend (whatever
+// order its registry engine runs in production), across worker threads, and
+// for adversarial batch shapes (empty, single-read, randomized sizes, reads
+// whose searches die at every depth). Any divergence here is a scheduler
+// bug by definition.
 #include "mapper/batch_scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -15,11 +16,14 @@
 #include <vector>
 
 #include "fmindex/dna.hpp"
+#include "fmindex/epr_occ.hpp"
 #include "fmindex/fm_index.hpp"
 #include "fmindex/kmer_table.hpp"
 #include "fmindex/occ_backends.hpp"
 #include "io/fastq.hpp"
 #include "kernels/registry.hpp"
+#include "kernels/vector_occ.hpp"
+#include "mapper/map_service.hpp"
 #include "mapper/pipeline.hpp"
 #include "mapper/read_batch.hpp"
 #include "mapper/software_mapper.hpp"
@@ -29,17 +33,6 @@
 
 namespace bwaver {
 namespace {
-
-TEST(SearchModeNames, ParseAndFormatRoundTrip) {
-  EXPECT_EQ(parse_search_mode("per-read"), SearchMode::kPerRead);
-  EXPECT_EQ(parse_search_mode("sweep"), SearchMode::kSweep);
-  EXPECT_EQ(parse_search_mode("Sweep"), std::nullopt);
-  EXPECT_EQ(parse_search_mode(""), std::nullopt);
-  EXPECT_EQ(parse_search_mode("per_read"), std::nullopt);
-  EXPECT_STREQ(search_mode_name(SearchMode::kPerRead), "per-read");
-  EXPECT_STREQ(search_mode_name(SearchMode::kSweep), "sweep");
-  EXPECT_STREQ(search_mode_choices(), "per-read|sweep");
-}
 
 std::vector<std::uint8_t> test_genome(std::size_t length, std::uint64_t seed) {
   GenomeSimConfig config;
@@ -76,21 +69,69 @@ std::vector<FastqRecord> depth_sweep_records(const std::vector<std::uint8_t>& ge
   return records;
 }
 
-MappingOutcome run_mode(const std::vector<std::uint8_t>& genome,
-                        const std::vector<FastqRecord>& records,
-                        MappingEngine engine, SearchMode mode, unsigned threads = 1,
-                        std::size_t shard_size = 0) {
-  PipelineConfig config;
-  config.engine = engine;
-  config.search_mode = mode;
-  config.threads = threads;
-  if (shard_size != 0) config.shard_size = shard_size;
-  Pipeline pipeline(config);
-  pipeline.build_from_sequence("ref", dna_decode_string(genome));
-  return pipeline.map_records(records);
-}
+/// Every Occ backend the scheduler runs over, numbered like MappingEngine;
+/// the ablation-only plain backend takes the value no engine uses.
+enum class OccBackend { kRrr = 1, kSampled = 2, kPlain = 3, kVector = 4, kEpr = 5 };
 
-class SweepEngineTest : public ::testing::TestWithParam<MappingEngine> {};
+/// Renders SAM for reads searched per-read (detail::map_batch) or by the
+/// sweep scheduler (detail::sweep_map_batch) over one Occ backend derived
+/// from an RRR index of `genome`, chunked across `threads` workers.
+class SearchOrderRunner {
+ public:
+  explicit SearchOrderRunner(const std::vector<std::uint8_t>& genome) {
+    pipeline_.build_from_sequence("ref", dna_decode_string(genome));
+  }
+
+  std::string sam(const std::vector<FastqRecord>& records, OccBackend backend,
+                  bool sweep, unsigned threads = 1) const {
+    const ReadBatch batch = ReadBatch::from_fastq(records);
+    const FmIndex<RrrWaveletOcc>& base = pipeline_.index();
+    const std::span<const std::uint8_t> bwt = base.bwt().symbols;
+    std::vector<QueryResult> results;
+    switch (backend) {
+      case OccBackend::kRrr:
+        results = search(base, batch, sweep, threads);
+        break;
+      case OccBackend::kSampled:
+        results = search(base, SampledOcc(bwt), batch, sweep, threads);
+        break;
+      case OccBackend::kPlain:
+        results = search(base, PlainWaveletOcc(bwt), batch, sweep, threads);
+        break;
+      case OccBackend::kVector:
+        results = search(base, VectorOcc(bwt), batch, sweep, threads);
+        break;
+      case OccBackend::kEpr:
+        results = search(base, EprOcc(bwt), batch, sweep, threads);
+        break;
+    }
+    MappingOutcome outcome;
+    std::vector<SamAlignment> alignments;
+    resolve_query_results(pipeline_.reference(), base.suffix_array(), records, results,
+                          PipelineConfig{}.max_hits_per_read, outcome, alignments);
+    return format_sam(sam_sequences_for(pipeline_.reference()), alignments);
+  }
+
+ private:
+  template <typename Occ>
+  static std::vector<QueryResult> search(const FmIndex<Occ>& index, const ReadBatch& batch,
+                                         bool sweep, unsigned threads) {
+    return sweep ? detail::sweep_map_batch(index, batch, threads, nullptr)
+                 : detail::map_batch(index, batch, threads, nullptr);
+  }
+
+  template <typename Occ>
+  static std::vector<QueryResult> search(const FmIndex<RrrWaveletOcc>& base, Occ occ,
+                                         const ReadBatch& batch, bool sweep,
+                                         unsigned threads) {
+    const DerivedOccMapper<Occ> derived(base, std::move(occ));
+    return search(derived.index(), batch, sweep, threads);
+  }
+
+  Pipeline pipeline_;
+};
+
+class SweepEngineTest : public ::testing::TestWithParam<OccBackend> {};
 
 TEST_P(SweepEngineTest, SweepSamIsByteIdenticalToPerRead) {
   const auto genome = test_genome(30000, 17);
@@ -104,15 +145,10 @@ TEST_P(SweepEngineTest, SweepSamIsByteIdenticalToPerRead) {
   const auto depth_records = depth_sweep_records(genome, 40);
   records.insert(records.end(), depth_records.begin(), depth_records.end());
 
-  const MappingOutcome per_read =
-      run_mode(genome, records, GetParam(), SearchMode::kPerRead);
-  const MappingOutcome sweep =
-      run_mode(genome, records, GetParam(), SearchMode::kSweep);
-
-  EXPECT_EQ(sweep.reads, per_read.reads);
-  EXPECT_EQ(sweep.mapped, per_read.mapped);
-  EXPECT_EQ(sweep.occurrences, per_read.occurrences);
-  ASSERT_EQ(sweep.sam, per_read.sam);
+  const SearchOrderRunner runner(genome);
+  const std::string per_read = runner.sam(records, GetParam(), /*sweep=*/false);
+  const std::string sweep = runner.sam(records, GetParam(), /*sweep=*/true);
+  ASSERT_EQ(sweep, per_read);
 }
 
 TEST_P(SweepEngineTest, SweepMatchesPerReadUnderSharding) {
@@ -123,17 +159,12 @@ TEST_P(SweepEngineTest, SweepMatchesPerReadUnderSharding) {
   rconfig.mapping_ratio = 0.7;
   const auto records = reads_to_fastq(simulate_reads(genome, rconfig));
 
-  // Ground truth: sequential per-read. Shard size 7 forces many shards
-  // whose completion order is up to the thread pool; each shard runs its
-  // own sweep and the spliced SAM must still match byte for byte.
-  const MappingOutcome truth =
-      run_mode(genome, records, GetParam(), SearchMode::kPerRead);
-  const MappingOutcome sharded_sweep = run_mode(
-      genome, records, GetParam(), SearchMode::kSweep, /*threads=*/4,
-      /*shard_size=*/7);
-  EXPECT_GE(sharded_sweep.shards, 1u);
-  EXPECT_EQ(sharded_sweep.mapped, truth.mapped);
-  ASSERT_EQ(sharded_sweep.sam, truth.sam);
+  // Ground truth: single-thread per-read. Four workers each run their own
+  // sweep over a chunk whose completion order is up to the thread pool; the
+  // results must still match byte for byte.
+  const SearchOrderRunner runner(genome);
+  const std::string truth = runner.sam(records, GetParam(), /*sweep=*/false);
+  ASSERT_EQ(runner.sam(records, GetParam(), /*sweep=*/true, /*threads=*/4), truth);
 }
 
 TEST_P(SweepEngineTest, RandomizedBatchSizesIncludingEmptyAndSingle) {
@@ -148,27 +179,44 @@ TEST_P(SweepEngineTest, RandomizedBatchSizesIncludingEmptyAndSingle) {
   std::vector<std::size_t> sizes{0, 1, 2, all.size()};
   for (int k = 0; k < 4; ++k) sizes.push_back(1 + rng.below(all.size() - 1));
 
+  const SearchOrderRunner runner(genome);
   for (const std::size_t n : sizes) {
     const std::vector<FastqRecord> batch(all.begin(), all.begin() + n);
-    const MappingOutcome per_read =
-        run_mode(genome, batch, GetParam(), SearchMode::kPerRead);
-    const MappingOutcome sweep =
-        run_mode(genome, batch, GetParam(), SearchMode::kSweep);
-    EXPECT_EQ(sweep.reads, n);
-    ASSERT_EQ(sweep.sam, per_read.sam) << "batch size " << n;
+    ASSERT_EQ(runner.sam(batch, GetParam(), /*sweep=*/true),
+              runner.sam(batch, GetParam(), /*sweep=*/false))
+        << "batch size " << n;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllEngines, SweepEngineTest,
-    ::testing::Values(MappingEngine::kFpga, MappingEngine::kCpu,
-                      MappingEngine::kBowtie2Like, MappingEngine::kPlainWavelet,
-                      MappingEngine::kVector),
-    [](const ::testing::TestParamInfo<MappingEngine>& info) {
-      return std::string(kernels::engine_spec(info.param).name);
-    });
+std::string backend_name(const ::testing::TestParamInfo<OccBackend>& info) {
+  switch (info.param) {
+    case OccBackend::kRrr: return "rrr";
+    case OccBackend::kSampled: return "sampled";
+    case OccBackend::kPlain: return "plain";
+    case OccBackend::kVector: return "vector";
+    case OccBackend::kEpr: return "epr";
+  }
+  return "unknown";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, SweepEngineTest,
+                         ::testing::Values(OccBackend::kRrr, OccBackend::kSampled,
+                                           OccBackend::kPlain, OccBackend::kVector,
+                                           OccBackend::kEpr),
+                         backend_name);
+
+MappingOutcome map_with(const std::vector<std::uint8_t>& genome,
+                        const std::vector<FastqRecord>& records, MappingEngine engine) {
+  PipelineConfig config;
+  config.engine = engine;
+  Pipeline pipeline(config);
+  pipeline.build_from_sequence("ref", dna_decode_string(genome));
+  return pipeline.map_records(records);
+}
 
 TEST(SweepStatsCounters, PopulatedInSweepModeOnly) {
+  // The search order is the engine's: epr sweeps and reports scheduler
+  // counters, rrr searches per read and reports none.
   const auto genome = test_genome(10000, 41);
   ReadSimConfig rconfig;
   rconfig.num_reads = 50;
@@ -176,31 +224,29 @@ TEST(SweepStatsCounters, PopulatedInSweepModeOnly) {
   rconfig.mapping_ratio = 0.8;
   const auto records = reads_to_fastq(simulate_reads(genome, rconfig));
 
-  const MappingOutcome per_read =
-      run_mode(genome, records, MappingEngine::kCpu, SearchMode::kPerRead);
+  const MappingOutcome per_read = map_with(genome, records, MappingEngine::kCpu);
   EXPECT_EQ(per_read.sweep.batches, 0u);
   EXPECT_EQ(per_read.sweep.passes, 0u);
 
-  const MappingOutcome sweep =
-      run_mode(genome, records, MappingEngine::kCpu, SearchMode::kSweep);
+  const MappingOutcome sweep = map_with(genome, records, MappingEngine::kEpr);
   EXPECT_GT(sweep.sweep.batches, 0u);
   EXPECT_GT(sweep.sweep.passes, 0u);
   EXPECT_GT(sweep.sweep.state_steps, 0u);
   // Both strands of every read are in flight at the first pass.
   EXPECT_EQ(sweep.sweep.peak_active, 2 * records.size());
+  EXPECT_EQ(sweep.sam, per_read.sam);
 }
 
 TEST(SweepStatsCounters, FpgaEngineIgnoresSweepMode) {
-  // The modeled device already streams query packets; requesting sweep is
-  // a documented no-op there and must not invent scheduler counters.
+  // The modeled device streams query packets itself; it runs no host
+  // scheduler and must not invent scheduler counters.
   const auto genome = test_genome(10000, 43);
   ReadSimConfig rconfig;
   rconfig.num_reads = 30;
   rconfig.read_length = 30;
   const auto records = reads_to_fastq(simulate_reads(genome, rconfig));
-  const MappingOutcome sweep =
-      run_mode(genome, records, MappingEngine::kFpga, SearchMode::kSweep);
-  EXPECT_EQ(sweep.sweep.batches, 0u);
+  EXPECT_FALSE(kernels::engine_spec(MappingEngine::kFpga).sweep);
+  EXPECT_EQ(map_with(genome, records, MappingEngine::kFpga).sweep.batches, 0u);
 }
 
 TEST(SweepMapBatchLowLevel, RaggedReadLengthsMatchPerRead) {

@@ -214,7 +214,7 @@ TEST_F(MmapLoadTest, RegistryMmapModeCountsAndUnmapsOnEviction) {
   // The mmap-served index answers exactly like the in-memory build.
   PipelineConfig config;
   config.engine = MappingEngine::kCpu;
-  EXPECT_EQ(map_records_over(handle->index, handle->reference, config, reads_).sam,
+  EXPECT_EQ(map_records_over(*handle, config, reads_).sam,
             pipeline_->map_records(reads_).sam);
 
   // Eviction drops the registry's reference; once the last handle dies the

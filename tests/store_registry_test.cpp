@@ -213,7 +213,7 @@ TEST_F(RegistryTest, ConcurrentMappingWhileEvicting) {
     reads[name] = reads_to_fastq(simulate_reads(*genome, rc));
     const IndexRegistry::Handle handle = registry.acquire(name);
     expected_sam[name] =
-        map_records_over(handle->index, handle->reference, config, reads[name]).sam;
+        map_records_over(*handle, config, reads[name]).sam;
   }
 
   // 4 mapper threads split across alpha/beta; an evictor thread repeatedly
@@ -229,7 +229,7 @@ TEST_F(RegistryTest, ConcurrentMappingWhileEvicting) {
         try {
           const IndexRegistry::Handle handle = registry.acquire(name);
           const MappingOutcome outcome =
-              map_records_over(handle->index, handle->reference, config, reads[name]);
+              map_records_over(*handle, config, reads[name]);
           if (outcome.sam != expected_sam[name]) mismatches.fetch_add(1);
         } catch (const std::exception&) {
           errors.fetch_add(1);
