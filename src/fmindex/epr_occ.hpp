@@ -73,6 +73,36 @@ class EprOcc {
     return rank2(c, i1, i2);
   }
 
+  /// The portable saturating low-bits mask: the bits of `x` below `n`, all
+  /// of x when n >= 64 (BZHI's semantics).
+  struct LowBits {
+    std::uint64_t operator()(std::uint64_t x, unsigned n) const noexcept {
+      return n >= 64 ? x : x & ((std::uint64_t{1} << n) - 1);
+    }
+  };
+
+  /// rank(c, i) with the block count header-inline instead of dispatched
+  /// through kernel(): the block's checkpoint plus the two plane-pair match
+  /// masks, each cut to the prefix by `low_bits` (saturating like LowBits),
+  /// and two popcounts. The batched sweep compiles this once per ISA tier
+  /// (mapper/batch_scheduler.cpp); inside a POPCNT+BMI2 function with BZHI
+  /// as `low_bits` the count is four XOR/ANDs, two BZHIs and two POPCNTs.
+  template <typename LowBitsFn = LowBits>
+  std::size_t rank_inline(std::uint8_t c, std::size_t i,
+                          LowBitsFn low_bits = {}) const noexcept {
+    const Block& block = blocks_[i / kBasesPerBlock];
+    const unsigned off = static_cast<unsigned>(i % kBasesPerBlock);
+    const std::uint64_t lf = (c & 1) ? 0 : ~std::uint64_t{0};
+    const std::uint64_t hf = (c & 2) ? 0 : ~std::uint64_t{0};
+    const unsigned b0 = off < 64 ? off : 64;
+    const std::uint64_t m0 =
+        low_bits((block.planes[0] ^ lf) & (block.planes[2] ^ hf), b0);
+    const std::uint64_t m1 =
+        low_bits((block.planes[1] ^ lf) & (block.planes[3] ^ hf), off - b0);
+    return block.cum[c] + static_cast<unsigned>(__builtin_popcountll(m0)) +
+           static_cast<unsigned>(__builtin_popcountll(m1));
+  }
+
   /// rank of every symbol at once — the bidirectional-extension primitive
   /// (extendLeft needs all four occ counts per bound). Three masked
   /// popcounts per 64-base plane pair off the same cache line, against four
@@ -98,7 +128,7 @@ class EprOcc {
 
   /// Pulls the cache line holding offset `i`'s block toward L1 ahead of a
   /// rank/rank2 at that offset (the sweep scheduler's lookahead hook).
-  void prefetch(std::size_t i) const noexcept {
+  [[gnu::always_inline]] void prefetch(std::size_t i) const noexcept {
     __builtin_prefetch(&blocks_[i / kBasesPerBlock], /*rw=*/0, /*locality=*/1);
   }
 

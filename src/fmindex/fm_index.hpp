@@ -199,7 +199,10 @@ class FmIndex {
   /// step(iv, c) will touch. A no-op for backends without address-
   /// computable rank storage (the RRR wavelet tree's descent is data-
   /// dependent); checkpointed backends pull both bounds' cache lines.
-  void prefetch_step(SaInterval iv) const noexcept {
+  /// This hook and every backend's prefetch() are always_inline: GCC deems
+  /// a function whose only effect is __builtin_prefetch side-effect free
+  /// and deletes calls to it that survive early inlining.
+  [[gnu::always_inline]] void prefetch_step(SaInterval iv) const noexcept {
     if constexpr (requires(const Occ& occ) { occ.prefetch(std::size_t{}); }) {
       occ_backend_.prefetch(iv.lo <= bwt_.primary ? iv.lo : iv.lo - 1);
       occ_backend_.prefetch(iv.hi <= bwt_.primary ? iv.hi : iv.hi - 1);

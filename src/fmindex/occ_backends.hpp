@@ -197,7 +197,7 @@ class SampledOcc {
   /// Pulls the checkpoint row and the first packed word a rank at offset
   /// `i` will scan toward L1 (the sweep scheduler's lookahead hook). The
   /// two arrays are separate fetch streams, so both get a prefetch.
-  void prefetch(std::size_t i) const noexcept {
+  [[gnu::always_inline]] void prefetch(std::size_t i) const noexcept {
     const std::size_t word = i >> 5;
     __builtin_prefetch(&checkpoints_[word / checkpoint_words_], /*rw=*/0,
                        /*locality=*/1);

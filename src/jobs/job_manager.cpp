@@ -49,7 +49,7 @@ struct JobManager::Job {
   std::string label;
   std::string request_id;
   JobPriority priority = JobPriority::kNormal;
-  JobFn fn;
+  JobFn fn;  ///< empty once a worker takes it or the job ends while queued
   CancelToken cancel;
   Clock::time_point submitted;
 
@@ -130,11 +130,16 @@ void JobManager::worker_loop() {
 }
 
 void JobManager::run_job(const std::shared_ptr<Job>& job) {
+  // The closure owns the request's parsed reads; the job gives it up as it
+  // starts, and it dies before the job is published terminal, so a
+  // finished job retains only its result.
+  JobFn fn;
   {
     std::lock_guard<std::mutex> lock(job->m);
     if (is_terminal(job->state)) return;  // cancelled while queued
     if (job->cancel.deadline_passed()) {
       // Spent its whole budget waiting — never runs.
+      job->fn = nullptr;
       job->state = JobState::kTimedOut;
       job->error = "deadline expired while queued";
       job->finished = Clock::now();
@@ -147,6 +152,8 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
       job->cv.notify_all();
       return;
     }
+    fn = std::move(job->fn);
+    job->fn = nullptr;
     job->state = JobState::kRunning;
     job->started = Clock::now();
     const double wait_ms = ms_between(job->submitted, job->started);
@@ -162,24 +169,26 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
   context.metrics = stats_.metrics.get();
   obs::ScopedObsContext scoped(context);
 
+  JobState state = JobState::kDone;
+  std::string payload;
+  std::string error;
   try {
-    std::string payload;
-    {
-      obs::TraceSpan run_span("run");
-      payload = job->fn(job->cancel);
-    }
-    finish(job, JobState::kDone, std::move(payload), "");
+    obs::TraceSpan run_span("run");
+    payload = fn(job->cancel);
   } catch (const OperationCancelled&) {
     // The checkpoint fired: classify by which stop reason was raised. An
     // explicit DELETE wins over a deadline that also happens to be past.
-    const JobState state = job->cancel.cancel_requested() ? JobState::kCancelled
-                                                          : JobState::kTimedOut;
-    finish(job, state, "", to_string(state));
+    state = job->cancel.cancel_requested() ? JobState::kCancelled : JobState::kTimedOut;
+    error = to_string(state);
   } catch (const std::exception& e) {
-    finish(job, JobState::kFailed, "", e.what());
+    state = JobState::kFailed;
+    error = e.what();
   } catch (...) {
-    finish(job, JobState::kFailed, "", "unknown error");
+    state = JobState::kFailed;
+    error = "unknown error";
   }
+  fn = nullptr;
+  finish(job, state, std::move(payload), std::move(error));
 }
 
 void JobManager::finish(const std::shared_ptr<Job>& job, JobState state,
@@ -300,6 +309,7 @@ bool JobManager::cancel(std::uint64_t id, std::string reason) {
     if (job->state == JobState::kQueued) {
       // Transition immediately so polls see "cancelled" without waiting for
       // a worker to reach it; the worker skips terminal jobs on pickup.
+      job->fn = nullptr;
       job->state = JobState::kCancelled;
       job->finished = Clock::now();
       stats_.cancelled.inc();

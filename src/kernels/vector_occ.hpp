@@ -51,7 +51,7 @@ class VectorOcc {
 
   /// Pulls the cache line holding offset `i`'s block toward L1 ahead of a
   /// rank/rank2 at that offset (the sweep scheduler's lookahead hook).
-  void prefetch(std::size_t i) const noexcept {
+  [[gnu::always_inline]] void prefetch(std::size_t i) const noexcept {
     __builtin_prefetch(&blocks_[i / kBasesPerBlock], /*rw=*/0, /*locality=*/1);
   }
 

@@ -25,15 +25,19 @@
 // FmIndex::count() would (same seed-table decision, same early exit on an
 // empty interval), the resulting SA intervals — and therefore the SAM —
 // are byte-identical to per-read order by construction.
+//
+// On the EPR backend the step loop skips FmIndex::count_step and its
+// per-rank kernel call: batch_scheduler.cpp compiles the loop once per ISA
+// tier with the block count inlined (EprOcc::rank_inline; POPCNT and BZHI
+// on the avx2 tier, the baseline ISA otherwise), and sweep_map_batch picks
+// the version once per call from the EprOcc's own kernel().level.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "fmindex/fm_index.hpp"
-#include "fmindex/sa_interval.hpp"
 #include "fpga/query_packet.hpp"
 #include "mapper/read_batch.hpp"
 
@@ -59,65 +63,6 @@ struct SweepStats {
 };
 
 namespace detail {
-
-/// One in-flight backward search. `slot` routes the finished interval to
-/// the caller's output (and selects the pattern); `remaining` counts the
-/// codes not yet consumed — the next step consumes pattern[remaining - 1].
-struct SweepState {
-  std::uint32_t slot;
-  std::uint32_t remaining;
-  SaInterval iv;
-};
-
-/// Runs every state in `states` to completion (interval empty or pattern
-/// consumed), step-synchronously; consumes the vector. Finished intervals
-/// land in out_iv[slot]. `pattern_base[slot]` points at the 2-bit code
-/// array the state is searching (the next step consumes
-/// pattern_base[slot][remaining - 1]). Each state executes exactly the step
-/// sequence the per-read recurrence would, so out_iv is byte-identical to
-/// per-read search regardless of scheduling.
-template <typename Occ>
-void sweep_execute(const FmIndex<Occ>& index, std::vector<SweepState>& states,
-                   const std::uint8_t* const* pattern_base, SaInterval* out_iv,
-                   SweepStats* stats) {
-  // Deep enough to cover a line fetch at two lines per state, shallow
-  // enough that prefetched lines survive in L1 until their step.
-  constexpr std::size_t kLookahead = 8;
-
-  if (stats != nullptr) ++stats->batches;
-  for (;;) {
-    // Retire finished searches (also catches states that start final: an
-    // empty pattern, or a seed hit covering the whole read).
-    std::size_t kept = 0;
-    for (SweepState& state : states) {
-      if (state.remaining == 0 || state.iv.empty()) {
-        out_iv[state.slot] = state.iv;
-      } else {
-        states[kept++] = state;
-      }
-    }
-    states.resize(kept);
-    if (states.empty()) break;
-
-    if (stats != nullptr) {
-      ++stats->passes;
-      stats->state_steps += states.size();
-      stats->peak_active = std::max<std::uint64_t>(stats->peak_active, states.size());
-    }
-
-    // One step for every in-flight state. The states are mutually
-    // independent, so the pass is a stream of parallel line fetches — the
-    // memory-level parallelism a per-read dependent chain never exposes.
-    const std::size_t m = states.size();
-    for (std::size_t j = 0; j < m; ++j) {
-      if (j + kLookahead < m) index.prefetch_step(states[j + kLookahead].iv);
-      SweepState& state = states[j];
-      state.iv =
-          index.count_step(state.iv, pattern_base[state.slot][state.remaining - 1]);
-      --state.remaining;
-    }
-  }
-}
 
 /// Drop-in alternative to map_batch (software_mapper.hpp): forward +
 /// reverse-complement exact search of every read through the sweep

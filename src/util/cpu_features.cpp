@@ -4,18 +4,33 @@
 
 namespace bwaver {
 
+namespace {
+
+/// Clears each x86 tier whose prerequisites are missing and sets `best`.
+void settle_x86_tiers(CpuFeatures& features) {
+  features.sse42 = features.sse42 && features.popcnt;
+  features.avx2 = features.avx2 && features.popcnt && features.bmi2;
+  if (features.avx2) {
+    features.best = SimdLevel::kAvx2;
+  } else if (features.sse42) {
+    features.best = SimdLevel::kSse42;
+  } else {
+    features.best = SimdLevel::kPortable;
+  }
+}
+
+}  // namespace
+
 CpuFeatures detect_cpu_features() {
   CpuFeatures features;
 #if defined(__x86_64__) || defined(_M_X64)
   features.sse42 = __builtin_cpu_supports("sse4.2") != 0;
   features.avx2 = __builtin_cpu_supports("avx2") != 0;
+  features.popcnt = __builtin_cpu_supports("popcnt") != 0;
+  features.bmi2 = __builtin_cpu_supports("bmi2") != 0;
   features.pclmul = __builtin_cpu_supports("pclmul") != 0 &&
                     __builtin_cpu_supports("sse4.1") != 0;
-  if (features.avx2) {
-    features.best = SimdLevel::kAvx2;
-  } else if (features.sse42) {
-    features.best = SimdLevel::kSse42;
-  }
+  settle_x86_tiers(features);
 #elif defined(__aarch64__)
   // Advanced SIMD is architecturally mandatory on AArch64.
   features.neon = true;
@@ -31,23 +46,23 @@ CpuFeatures cap_cpu_features(CpuFeatures detected, SimdLevel cap) {
     // portable because the requested ISA does not exist there.
     capped.sse42 = false;
     capped.avx2 = false;
+    capped.popcnt = false;
+    capped.bmi2 = false;
     capped.pclmul = false;
     capped.best = detected.neon ? SimdLevel::kNeon : SimdLevel::kPortable;
     return capped;
   }
   capped.neon = false;
-  if (cap < SimdLevel::kAvx2) capped.avx2 = false;
+  if (cap < SimdLevel::kAvx2) {
+    capped.avx2 = false;
+    capped.bmi2 = false;
+  }
   if (cap < SimdLevel::kSse42) {
     capped.sse42 = false;
+    capped.popcnt = false;
     capped.pclmul = false;
   }
-  if (capped.avx2) {
-    capped.best = SimdLevel::kAvx2;
-  } else if (capped.sse42) {
-    capped.best = SimdLevel::kSse42;
-  } else {
-    capped.best = SimdLevel::kPortable;
-  }
+  settle_x86_tiers(capped);
   return capped;
 }
 
@@ -97,6 +112,8 @@ std::string cpu_features_string(const CpuFeatures& features) {
   if (features.avx2) add("avx2");
   if (features.sse42) add("sse42");
   if (features.neon) add("neon");
+  if (features.popcnt) add("popcnt");
+  if (features.bmi2) add("bmi2");
   if (features.pclmul) add("pclmul");
   if (out.empty()) out = "portable";
   return out;

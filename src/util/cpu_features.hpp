@@ -21,10 +21,15 @@ namespace bwaver {
 /// portable < sse42 < avx2.
 enum class SimdLevel { kPortable = 0, kSse42 = 1, kAvx2 = 2, kNeon = 3 };
 
+/// Each x86 tier flag implies what its kernels are compiled for: `sse42`
+/// means SSE4.2 + POPCNT, `avx2` means AVX2 + POPCNT + BMI2 (the EPR sweep's
+/// BZHI). Neither detection nor a cap ever reports a tier without them.
 struct CpuFeatures {
   bool sse42 = false;
   bool avx2 = false;
   bool neon = false;
+  bool popcnt = false;
+  bool bmi2 = false;
   bool pclmul = false;  ///< PCLMULQDQ + SSE4.1 (the CRC32 folding pair)
   /// Highest tier the dispatchers may select.
   SimdLevel best = SimdLevel::kPortable;
@@ -34,8 +39,10 @@ struct CpuFeatures {
 CpuFeatures detect_cpu_features();
 
 /// `detected` restricted to at most `cap`: every flag above the cap is
-/// cleared and `best` is lowered. Capping to a level the hardware lacks
-/// degrades to the best level actually present.
+/// cleared (popcnt rides with the sse42 tier, bmi2 with avx2) and `best` is
+/// lowered. Capping to a level the hardware lacks degrades to the best
+/// level actually present; a tier whose prerequisites are missing from
+/// `detected` is cleared too.
 CpuFeatures cap_cpu_features(CpuFeatures detected, SimdLevel cap);
 
 /// The process-wide snapshot: detect_cpu_features() capped by
@@ -50,8 +57,8 @@ const char* simd_level_name(SimdLevel level);
 /// Inverse of simd_level_name(); nullopt for anything else.
 std::optional<SimdLevel> parse_simd_level(std::string_view name);
 
-/// Human/JSON summary of a feature set, e.g. "avx2+sse42+pclmul" or
-/// "portable" when nothing vectorized is usable.
+/// Human/JSON summary of a feature set, e.g. "avx2+sse42+popcnt+bmi2+pclmul"
+/// or "portable" when nothing vectorized is usable.
 std::string cpu_features_string(const CpuFeatures& features);
 
 }  // namespace bwaver

@@ -34,6 +34,19 @@ TEST(EprOcc, RankMatchesBruteForceAtEveryOffset) {
   }
 }
 
+TEST(EprOcc, InlineRankMatchesBruteForceAtEveryOffset) {
+  // rank_inline is the sweep's dispatch-free count (portable mask here; the
+  // BZHI tier is checked end to end by AllEngines/SweepEngineTest.*/epr).
+  const auto text = testing::random_symbols(5 * 128 + 97, 4, 11);
+  const EprOcc occ(text);
+  for (std::uint8_t c = 0; c < 4; ++c) {
+    for (std::size_t i = 0; i <= text.size(); ++i) {
+      ASSERT_EQ(occ.rank_inline(c, i), testing::naive_rank(text, c, i))
+          << "c=" << int(c) << " i=" << i;
+    }
+  }
+}
+
 TEST(EprOcc, BlockBoundaryOffsetsAreExact) {
   const auto text = testing::random_symbols(1024, 4, 12);
   const EprOcc occ(text);

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,6 +38,47 @@ TEST(JobManager, CompletesAndRetainsResult) {
   EXPECT_EQ(manager.stats().completed.load(), 1u);
   EXPECT_EQ(manager.stats().queue_wait.count(), 1u);
   EXPECT_EQ(manager.stats().map_time.count(), 1u);
+}
+
+TEST(JobManager, FinishedJobsStopHoldingTheirClosures) {
+  // The closure owns a request's parsed reads; a retained terminal job must
+  // keep only its result. Every terminal path drops it before wait() returns.
+  JobManager manager(small_config(1));
+  const auto held = std::make_shared<int>(7);
+
+  const auto done = manager.submit(
+      "ref", [held](const CancelToken&) { return std::to_string(*held); });
+  EXPECT_EQ(manager.wait(done).state, JobState::kDone);
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(manager.result(done).value(), "7");
+
+  const auto failed = manager.submit("ref", [held](const CancelToken&) -> std::string {
+    throw std::runtime_error("boom " + std::to_string(*held));
+  });
+  EXPECT_EQ(manager.wait(failed).state, JobState::kFailed);
+  EXPECT_EQ(held.use_count(), 1);
+
+  // Cancelled and timed out while queued, behind a job pinning the worker.
+  std::atomic<bool> release{false};
+  const auto pin = manager.submit("ref", [&release](const CancelToken&) {
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+    return std::string{};
+  });
+  const auto cancelled =
+      manager.submit("ref", [held](const CancelToken&) { return std::to_string(*held); });
+  const auto expired = manager.submit(
+      "ref", [held](const CancelToken&) { return std::to_string(*held); },
+      JobPriority::kNormal, 1ms);
+  EXPECT_EQ(held.use_count(), 3);
+  ASSERT_TRUE(manager.cancel(cancelled));
+  EXPECT_EQ(manager.wait(cancelled).state, JobState::kCancelled);
+  EXPECT_EQ(held.use_count(), 2);
+  std::this_thread::sleep_for(5ms);
+  release.store(true);
+  manager.wait(pin);
+  EXPECT_EQ(manager.wait(expired).state, JobState::kTimedOut);
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(manager.retained(), 5u);
 }
 
 TEST(JobManager, FailureIsTypedAndCarriesError) {

@@ -21,6 +21,7 @@
 #include "fmindex/kmer_table.hpp"
 #include "fmindex/occ_backends.hpp"
 #include "io/fastq.hpp"
+#include "kernels/rank_kernel.hpp"
 #include "kernels/registry.hpp"
 #include "kernels/vector_occ.hpp"
 #include "mapper/map_service.hpp"
@@ -82,8 +83,11 @@ class SearchOrderRunner {
     pipeline_.build_from_sequence("ref", dna_decode_string(genome));
   }
 
+  /// `epr_kernel` pins the EPR backend's counting kernel (nullptr: the
+  /// active one); its level also picks the sweep's per-tier EPR loop.
   std::string sam(const std::vector<FastqRecord>& records, OccBackend backend,
-                  bool sweep, unsigned threads = 1) const {
+                  bool sweep, unsigned threads = 1,
+                  const kernels::RankKernel* epr_kernel = nullptr) const {
     const ReadBatch batch = ReadBatch::from_fastq(records);
     const FmIndex<RrrWaveletOcc>& base = pipeline_.index();
     const std::span<const std::uint8_t> bwt = base.bwt().symbols;
@@ -102,7 +106,7 @@ class SearchOrderRunner {
         results = search(base, VectorOcc(bwt), batch, sweep, threads);
         break;
       case OccBackend::kEpr:
-        results = search(base, EprOcc(bwt), batch, sweep, threads);
+        results = search(base, EprOcc(bwt, epr_kernel), batch, sweep, threads);
         break;
     }
     MappingOutcome outcome;
@@ -131,7 +135,21 @@ class SearchOrderRunner {
   Pipeline pipeline_;
 };
 
-class SweepEngineTest : public ::testing::TestWithParam<OccBackend> {};
+class SweepEngineTest : public ::testing::TestWithParam<OccBackend> {
+ protected:
+  /// The EPR arm runs once per available kernel, so one process checks
+  /// both of the sweep's EPR loops (POPCNT+BZHI for the avx2 kernel, the
+  /// baseline ISA for the others) against per-read search over the same
+  /// kernel; other backends run once (nullptr).
+  static std::vector<const kernels::RankKernel*> kernels_under_test() {
+    if (GetParam() != OccBackend::kEpr) return {nullptr};
+    std::vector<const kernels::RankKernel*> out;
+    for (const kernels::RankKernel& kernel : kernels::available_kernels()) {
+      out.push_back(&kernel);
+    }
+    return out;
+  }
+};
 
 TEST_P(SweepEngineTest, SweepSamIsByteIdenticalToPerRead) {
   const auto genome = test_genome(30000, 17);
@@ -146,9 +164,14 @@ TEST_P(SweepEngineTest, SweepSamIsByteIdenticalToPerRead) {
   records.insert(records.end(), depth_records.begin(), depth_records.end());
 
   const SearchOrderRunner runner(genome);
-  const std::string per_read = runner.sam(records, GetParam(), /*sweep=*/false);
-  const std::string sweep = runner.sam(records, GetParam(), /*sweep=*/true);
-  ASSERT_EQ(sweep, per_read);
+  for (const kernels::RankKernel* kernel : kernels_under_test()) {
+    SCOPED_TRACE(kernel != nullptr ? kernel->name : "backend default");
+    const std::string per_read =
+        runner.sam(records, GetParam(), /*sweep=*/false, /*threads=*/1, kernel);
+    const std::string sweep =
+        runner.sam(records, GetParam(), /*sweep=*/true, /*threads=*/1, kernel);
+    ASSERT_EQ(sweep, per_read);
+  }
 }
 
 TEST_P(SweepEngineTest, SweepMatchesPerReadUnderSharding) {
@@ -163,8 +186,13 @@ TEST_P(SweepEngineTest, SweepMatchesPerReadUnderSharding) {
   // sweep over a chunk whose completion order is up to the thread pool; the
   // results must still match byte for byte.
   const SearchOrderRunner runner(genome);
-  const std::string truth = runner.sam(records, GetParam(), /*sweep=*/false);
-  ASSERT_EQ(runner.sam(records, GetParam(), /*sweep=*/true, /*threads=*/4), truth);
+  for (const kernels::RankKernel* kernel : kernels_under_test()) {
+    SCOPED_TRACE(kernel != nullptr ? kernel->name : "backend default");
+    const std::string truth =
+        runner.sam(records, GetParam(), /*sweep=*/false, /*threads=*/1, kernel);
+    ASSERT_EQ(runner.sam(records, GetParam(), /*sweep=*/true, /*threads=*/4, kernel),
+              truth);
+  }
 }
 
 TEST_P(SweepEngineTest, RandomizedBatchSizesIncludingEmptyAndSingle) {
@@ -180,11 +208,14 @@ TEST_P(SweepEngineTest, RandomizedBatchSizesIncludingEmptyAndSingle) {
   for (int k = 0; k < 4; ++k) sizes.push_back(1 + rng.below(all.size() - 1));
 
   const SearchOrderRunner runner(genome);
-  for (const std::size_t n : sizes) {
-    const std::vector<FastqRecord> batch(all.begin(), all.begin() + n);
-    ASSERT_EQ(runner.sam(batch, GetParam(), /*sweep=*/true),
-              runner.sam(batch, GetParam(), /*sweep=*/false))
-        << "batch size " << n;
+  for (const kernels::RankKernel* kernel : kernels_under_test()) {
+    SCOPED_TRACE(kernel != nullptr ? kernel->name : "backend default");
+    for (const std::size_t n : sizes) {
+      const std::vector<FastqRecord> batch(all.begin(), all.begin() + n);
+      ASSERT_EQ(runner.sam(batch, GetParam(), /*sweep=*/true, /*threads=*/1, kernel),
+                runner.sam(batch, GetParam(), /*sweep=*/false, /*threads=*/1, kernel))
+          << "batch size " << n;
+    }
   }
 }
 
