@@ -7,15 +7,19 @@
 // in-flight read one step per pass, so each pass is a stream of mutually
 // independent rank lookups whose line fetches overlap — and backends with
 // address-computable storage (vector, sampled) pull their lines in early
-// through a software-prefetch lookahead. The rrr engine has no
-// prefetchable layout and is decode-bound, so it sits near 1.0x and is
-// reported but not enforced. The epr row is the served engine: its sweep
-// runs the per-tier inlined rank (mapper/batch_scheduler.cpp) while its
-// per-read order keeps the kernel-table rank, so the row is report-only.
-// Both orders produce identical QueryResults (cross-checked here); CI
-// holds the vector-engine speedup above the sweep_vs_per_read_speedup_min
-// floor in bench/baseline.json.
+// through a software-prefetch lookahead. The sweep also stops a search once
+// its answer is known: at one row it finishes on the text, and at an
+// absent seed k-mer it retires as no hit. The rrr engine has no
+// prefetchable layout and is decode-bound, so its ratio is reported but
+// not enforced. The epr row is the served engine: its sweep runs the
+// per-tier inlined rank (mapper/batch_scheduler.cpp) while its per-read
+// order keeps the kernel-table rank, so the row is report-only, as are its
+// step and text-finish counts. Both orders produce identical hits —
+// positions SA[row] - verified and per-strand counts, cross-checked here;
+// their raw intervals differ by design. CI holds the vector-engine speedup
+// above the sweep_vs_per_read_speedup_min floor in bench/baseline.json.
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -37,10 +41,18 @@ using namespace bwaver::bench;
 
 constexpr int kRepetitions = 3;
 
-std::uint64_t result_checksum(const std::vector<QueryResult>& results) {
+/// Order-sensitive checksum of every read's resolved hits: per strand, the
+/// hit count and each position SA[row] - verified in row order — what the
+/// SAM depends on (raw intervals differ between the orders by design).
+std::uint64_t hit_checksum(const std::vector<QueryResult>& results,
+                           std::span<const std::uint32_t> sa) {
   std::uint64_t sum = 0;
+  const auto mix = [&sum](std::uint64_t value) { sum = sum * 1000003 + value; };
   for (const QueryResult& r : results) {
-    sum += r.fwd_lo + r.fwd_hi + r.rev_lo + r.rev_hi;
+    mix(r.fwd_hi > r.fwd_lo ? r.fwd_hi - r.fwd_lo : 0);
+    for (std::uint32_t row = r.fwd_lo; row < r.fwd_hi; ++row) mix(sa[row] - r.fwd_verified);
+    mix(r.rev_hi > r.rev_lo ? r.rev_hi - r.rev_lo : 0);
+    for (std::uint32_t row = r.rev_lo; row < r.rev_hi; ++row) mix(sa[row] - r.rev_verified);
   }
   return sum;
 }
@@ -49,16 +61,18 @@ std::uint64_t result_checksum(const std::vector<QueryResult>& results) {
 /// thread: the per-core effect is what the scheduler changes; sharding
 /// multiplies both orders equally). Returns ms, fills checksum + stats.
 template <typename Occ>
-double best_of(const FmIndex<Occ>& index, const ReadBatch& batch, bool sweep,
-               std::uint64_t& checksum, SweepStats& stats) {
+double best_of(const FmIndex<Occ>& index, std::span<const std::uint8_t> text,
+               const ReadBatch& batch, bool sweep, std::uint64_t& checksum,
+               SweepStats& stats) {
   double best = 0.0;
   for (int rep = 0; rep < kRepetitions; ++rep) {
     SoftwareMapReport report;
     WallTimer timer;
-    const auto results = sweep ? detail::sweep_map_batch(index, batch, /*threads=*/1, &report)
-                               : detail::map_batch(index, batch, /*threads=*/1, &report);
+    const auto results =
+        sweep ? detail::sweep_map_batch(index, text, batch, /*threads=*/1, &report)
+              : detail::map_batch(index, batch, /*threads=*/1, &report);
     const double ms = timer.milliseconds();
-    checksum = result_checksum(results);
+    checksum = hit_checksum(results, index.suffix_array());
     stats = report.sweep;
     if (rep == 0 || ms < best) best = ms;
   }
@@ -69,29 +83,34 @@ struct ModeRow {
   double per_read_ms = 0.0;
   double sweep_ms = 0.0;
   double speedup = 0.0;
+  SweepStats stats;  ///< of the sweep runs
 };
 
 template <typename Occ>
 ModeRow run_engine(const char* name, const FmIndex<Occ>& index,
-                   const ReadBatch& batch) {
+                   std::span<const std::uint8_t> text, const ReadBatch& batch) {
   ModeRow row;
   std::uint64_t per_read_sum = 0, sweep_sum = 0;
-  SweepStats ignored, stats;
-  row.per_read_ms = best_of(index, batch, /*sweep=*/false, per_read_sum, ignored);
-  row.sweep_ms = best_of(index, batch, /*sweep=*/true, sweep_sum, stats);
+  SweepStats ignored;
+  row.per_read_ms = best_of(index, text, batch, /*sweep=*/false, per_read_sum, ignored);
+  row.sweep_ms = best_of(index, text, batch, /*sweep=*/true, sweep_sum, row.stats);
   row.speedup = row.per_read_ms / (row.sweep_ms > 0.0 ? row.sweep_ms : 1.0);
   if (per_read_sum != sweep_sum) {
-    std::printf("!! %s: per-read/sweep result checksum mismatch (%llu vs %llu)\n",
+    std::printf("!! %s: per-read/sweep hit checksum mismatch (%llu vs %llu)\n",
                 name, static_cast<unsigned long long>(per_read_sum),
                 static_cast<unsigned long long>(sweep_sum));
     std::exit(1);
   }
   const double reads_per_sec =
       1000.0 * static_cast<double>(batch.size()) / row.sweep_ms;
-  std::printf("%-8s %12.1f %12.1f %8.2fx %12.0f   (passes %llu, peak %llu)\n",
+  std::printf("%-8s %12.1f %12.1f %8.2fx %12.0f   (passes %llu, peak %llu, steps %llu, "
+              "verified %llu, seed misses %llu)\n",
               name, row.per_read_ms, row.sweep_ms, row.speedup, reads_per_sec,
-              static_cast<unsigned long long>(stats.passes),
-              static_cast<unsigned long long>(stats.peak_active));
+              static_cast<unsigned long long>(row.stats.passes),
+              static_cast<unsigned long long>(row.stats.peak_active),
+              static_cast<unsigned long long>(row.stats.state_steps),
+              static_cast<unsigned long long>(row.stats.verified),
+              static_cast<unsigned long long>(row.stats.seed_misses));
   return row;
 }
 
@@ -125,14 +144,14 @@ int main(int argc, char** argv) {
 
   std::printf("%-8s %12s %12s %9s %12s\n", "engine", "per-read[ms]", "sweep[ms]",
               "speedup", "reads/s");
-  const ModeRow rrr = run_engine("rrr", index, batch);
-  const ModeRow vector = run_engine("vector", vector_mapper.index(), batch);
-  const ModeRow epr = run_engine("epr", epr_mapper.index(), batch);
+  const ModeRow rrr = run_engine("rrr", index, genome, batch);
+  const ModeRow vector = run_engine("vector", vector_mapper.index(), genome, batch);
+  const ModeRow epr = run_engine("epr", epr_mapper.index(), genome, batch);
 
-  std::printf("\nidentical QueryResults from both orders (checksummed); the\n"
-              "enforced floor tracks the vector engine, whose interleaved\n"
-              "blocks let the sweep prefetch each step's lines ahead of use;\n"
-              "the epr row (the served engine) is report-only.\n");
+  std::printf("\nidentical hits from both orders (checksummed); the enforced\n"
+              "floor tracks the vector engine, whose interleaved blocks let\n"
+              "the sweep prefetch each step's lines ahead of use; the epr row\n"
+              "(the served engine) is report-only.\n");
 
   JsonReport report("bench_sweep_search", setup.json);
   report.metric("reads", static_cast<double>(batch.size()));
@@ -145,6 +164,8 @@ int main(int argc, char** argv) {
   report.metric("per_read_ms_epr", epr.per_read_ms);
   report.metric("sweep_ms_epr", epr.sweep_ms);
   report.metric("sweep_vs_per_read_speedup_epr", epr.speedup);
+  report.metric("state_steps_epr", static_cast<double>(epr.stats.state_steps));
+  report.metric("verified_epr", static_cast<double>(epr.stats.verified));
   report.emit();
   return 0;
 }

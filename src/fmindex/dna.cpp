@@ -26,6 +26,13 @@ std::uint8_t dna_encode(char base) noexcept {
 
 char dna_decode(std::uint8_t code) noexcept { return kDecodeTable[code & 3]; }
 
+std::uint8_t dna_substitute(std::size_t position) noexcept {
+  // Deterministic position-seeded substitution (splitmix-style hash).
+  std::uint64_t h = (position + 1) * 0x9e3779b97f4a7c15ULL;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  return static_cast<std::uint8_t>((h >> 61) & 3);
+}
+
 std::vector<std::uint8_t> dna_encode_string(std::string_view bases,
                                             bool substitute_invalid) {
   std::vector<std::uint8_t> codes;
@@ -38,10 +45,7 @@ std::vector<std::uint8_t> dna_encode_string(std::string_view bases,
                                     std::string(1, bases[i]) + "' at position " +
                                     std::to_string(i));
       }
-      // Deterministic position-seeded substitution (splitmix-style hash).
-      std::uint64_t h = (i + 1) * 0x9e3779b97f4a7c15ULL;
-      h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      code = static_cast<std::uint8_t>((h >> 61) & 3);
+      code = dna_substitute(i);
     }
     codes.push_back(code);
   }

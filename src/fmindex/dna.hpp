@@ -25,11 +25,14 @@ inline constexpr std::uint8_t dna_complement(std::uint8_t code) noexcept {
   return static_cast<std::uint8_t>(3 - (code & 3));
 }
 
+/// The code that stands in for an invalid character (e.g. N) at
+/// `position`: a pseudo-random base seeded from the position alone.
+std::uint8_t dna_substitute(std::size_t position) noexcept;
+
 /// Encodes a string of bases. Throws std::invalid_argument on the first
 /// non-ACGTU character unless `substitute_invalid` is true, in which case
-/// invalid characters (e.g. N) are deterministically replaced by
-/// pseudo-random bases seeded from their position — the standard trick for
-/// feeding ambiguous reference bases to a 2-bit index.
+/// invalid characters are replaced by dna_substitute(position) — the
+/// standard trick for feeding ambiguous reference bases to a 2-bit index.
 std::vector<std::uint8_t> dna_encode_string(std::string_view bases,
                                             bool substitute_invalid = false);
 

@@ -11,9 +11,11 @@
 // whose suffixes share a first-k prefix are contiguous in SA order, so each
 // k-mer's interval is one [run-start, run-end) range; suffixes shorter than
 // k never interrupt a run (any row between two rows sharing a k-prefix also
-// carries that prefix). Absent k-mers keep an empty interval, which callers
-// treat as "fall back to the classic recurrence" — that rule is what makes
-// the seeded search byte-identical to the unseeded one (see FmIndex::count).
+// carries that prefix). Absent k-mers keep an empty interval, which
+// FmIndex::count treats as "fall back to the classic recurrence" — that rule
+// is what makes the seeded search byte-identical to the unseeded one. The
+// sweep scheduler (mapper/batch_scheduler.hpp) instead retires such a search
+// as no hit: a pattern ending in an absent k-mer cannot occur.
 #pragma once
 
 #include <cstddef>
@@ -62,8 +64,8 @@ class KmerSeedTable {
   std::size_t entries() const noexcept { return lo_.size(); }
 
   /// Interval of the k-mer `kmer` (exactly k() codes, pattern order). An
-  /// empty interval means the k-mer does not occur — callers must fall back
-  /// to the full recurrence. Returns nullopt for out-of-alphabet codes
+  /// empty interval means the k-mer does not occur (see the file comment for
+  /// what callers do then). Returns nullopt for out-of-alphabet codes
   /// (e.g. an un-substituted N) or a length mismatch.
   std::optional<SaInterval> lookup(std::span<const std::uint8_t> kmer) const noexcept {
     if (k_ == 0 || kmer.size() != k_) return std::nullopt;
@@ -73,6 +75,21 @@ class KmerSeedTable {
       code = (code << 2) | c;
     }
     return SaInterval{lo_[code], hi_[code]};
+  }
+
+  /// Software-prefetches the two entries lookup(kmer) will read (a 4^k
+  /// table is far larger than any cache, so each lookup is two misses);
+  /// a no-op where lookup would return nullopt. always_inline for the
+  /// reason FmIndex::prefetch_step gives.
+  [[gnu::always_inline]] void prefetch(std::span<const std::uint8_t> kmer) const noexcept {
+    if (k_ == 0 || kmer.size() != k_) return;
+    std::uint32_t code = 0;
+    for (const std::uint8_t c : kmer) {
+      if (c > 3) return;
+      code = (code << 2) | c;
+    }
+    __builtin_prefetch(lo_.data() + code);
+    __builtin_prefetch(hi_.data() + code);
   }
 
   /// Payload bytes of the two interval arrays (heap or mapped).

@@ -75,12 +75,19 @@ struct QueryPacket {
 /// Per-query result returned by the kernel: the SA intervals of the read and
 /// of its reverse complement (32 bytes on the wire; positions are resolved
 /// by the host through the suffix array).
+///
+/// `*_verified` counts the strand's leading bases that were matched against
+/// the reference text instead of searched: the rows then index the
+/// remaining suffix, so each hit starts at SA[row] - verified. The sweep
+/// scheduler sets it when it finishes a one-row search on the text; every
+/// per-read search (and the kernel) consumes the whole read and leaves it 0.
 struct QueryResult {
   static constexpr unsigned kBytes = 32;
 
   std::uint32_t id = 0;
   std::uint32_t fwd_lo = 0, fwd_hi = 0;  ///< empty when lo >= hi
   std::uint32_t rev_lo = 0, rev_hi = 0;
+  std::uint32_t fwd_verified = 0, rev_verified = 0;
 
   bool fwd_mapped() const noexcept { return fwd_lo < fwd_hi; }
   bool rev_mapped() const noexcept { return rev_lo < rev_hi; }

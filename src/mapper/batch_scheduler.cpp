@@ -1,8 +1,11 @@
 #include "mapper/batch_scheduler.hpp"
 
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "fmindex/dna.hpp"
 #include "fmindex/occ_backends.hpp"
@@ -33,31 +36,49 @@ struct SweepState {
   SaInterval iv;
 };
 
-/// Runs every state in `states` to completion (interval empty or pattern
-/// consumed), step-synchronously; consumes the vector. Finished intervals
-/// land in out_iv[slot]. `pattern_base[slot]` points at the 2-bit code
-/// array the state is searching (the next step consumes
-/// pattern_base[slot][remaining - 1]). `step(iv, c)` must equal
-/// index.count_step(iv, c); each state then executes exactly the step
-/// sequence the per-read recurrence would, so out_iv is byte-identical to
-/// per-read search regardless of scheduling.
+/// One wave of searches, plus the buffers the sweep reuses across waves.
+/// Slot 2k searches read k of the wave forward, slot 2k + 1 its reverse
+/// complement.
+struct SweepWave {
+  /// pattern[slot]: the 2-bit codes the slot searches.
+  std::vector<const std::uint8_t*> pattern;
+  /// Searches in flight; the sweep consumes them.
+  std::vector<SweepState> states;
+  /// Searches retired with a one-row interval, to finish on the text.
+  std::vector<SweepState> one_row;
+  /// SA[row] of each one_row search.
+  std::vector<std::uint32_t> text_pos;
+  /// Out, per slot: the final interval, and the leading codes matched on
+  /// the text (QueryResult::fwd_verified / rev_verified).
+  std::vector<SaInterval> iv;
+  std::vector<std::uint32_t> verified;
+};
+
+/// Runs every search in wave.states until its answer is known,
+/// step-synchronously, and consumes the states. A search whose interval
+/// empties, or whose pattern is consumed, lands in wave.iv[slot]; one whose
+/// interval holds a single row is set aside in wave.one_row for
+/// finish_on_text. `step(iv, c)` must equal index.count_step(iv, c), so
+/// every search runs exactly the steps the per-read recurrence would, up to
+/// the point it retires.
 template <typename Occ, typename Step>
-void sweep_execute(const FmIndex<Occ>& index, const Step& step,
-                   std::vector<SweepState>& states,
-                   const std::uint8_t* const* pattern_base, SaInterval* out_iv,
-                   SweepStats* stats) {
+void sweep_execute(const FmIndex<Occ>& index, const Step& step, SweepWave& wave,
+                   SweepStats& stats) {
   // Deep enough to cover a line fetch at two lines per state, shallow
   // enough that prefetched lines survive in L1 until their step.
   constexpr std::size_t kLookahead = 8;
 
-  if (stats != nullptr) ++stats->batches;
+  std::vector<SweepState>& states = wave.states;
+  ++stats.batches;
   for (;;) {
     // Retire finished searches (also catches states that start final: an
-    // empty pattern, or a seed hit covering the whole read).
+    // empty pattern, an absent seed, or a seed hit covering the whole read).
     std::size_t kept = 0;
-    for (SweepState& state : states) {
+    for (const SweepState& state : states) {
       if (state.remaining == 0 || state.iv.empty()) {
-        out_iv[state.slot] = state.iv;
+        wave.iv[state.slot] = state.iv;
+      } else if (state.iv.hi - state.iv.lo == 1) {
+        wave.one_row.push_back(state);
       } else {
         states[kept++] = state;
       }
@@ -65,11 +86,9 @@ void sweep_execute(const FmIndex<Occ>& index, const Step& step,
     states.resize(kept);
     if (states.empty()) break;
 
-    if (stats != nullptr) {
-      ++stats->passes;
-      stats->state_steps += states.size();
-      stats->peak_active = std::max<std::uint64_t>(stats->peak_active, states.size());
-    }
+    ++stats.passes;
+    stats.state_steps += states.size();
+    stats.peak_active = std::max<std::uint64_t>(stats.peak_active, states.size());
 
     // One step for every in-flight state. The states are mutually
     // independent, so the pass is a stream of parallel line fetches — the
@@ -78,25 +97,88 @@ void sweep_execute(const FmIndex<Occ>& index, const Step& step,
     for (std::size_t j = 0; j < m; ++j) {
       if (j + kLookahead < m) index.prefetch_step(states[j + kLookahead].iv);
       SweepState& state = states[j];
-      state.iv = step(state.iv, pattern_base[state.slot][state.remaining - 1]);
+      state.iv = step(state.iv, wave.pattern[state.slot][state.remaining - 1]);
       --state.remaining;
     }
   }
 }
 
-/// A whole sweep over one index; sweep_map_batch runs one per wave.
+/// Finishes the wave's one-row searches against the text. A one-row
+/// interval fixes the only place the read can occur: its matched suffix
+/// starts at p = SA[row], so the read occurs iff p >= r and text[p - r, p)
+/// spells its r unconsumed codes — one comparison instead of r dependent
+/// rank steps. A hit keeps the row and records r as verified (the hit is at
+/// p - r); a miss finishes empty.
+void finish_on_text(std::span<const std::uint32_t> sa, std::span<const std::uint8_t> text,
+                    SweepWave& wave, SweepStats& stats) {
+  // The rows and text positions are scattered, so every access is a likely
+  // miss; the lookahead overlaps them.
+  constexpr std::size_t kLookahead = 8;
+
+  const std::vector<SweepState>& pending = wave.one_row;
+  const std::size_t m = pending.size();
+  wave.text_pos.resize(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    if (j + kLookahead < m) __builtin_prefetch(sa.data() + pending[j + kLookahead].iv.lo);
+    wave.text_pos[j] = sa[pending[j].iv.lo];
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    if (j + kLookahead < m) {
+      const std::uint32_t p = wave.text_pos[j + kLookahead];
+      const std::uint32_t r = pending[j + kLookahead].remaining;
+      if (p >= r) {
+        __builtin_prefetch(text.data() + (p - r));
+        __builtin_prefetch(text.data() + (p - 1));
+      }
+    }
+    const SweepState& state = pending[j];
+    const std::uint32_t p = wave.text_pos[j];
+    const std::uint32_t r = state.remaining;
+    const bool hit =
+        p >= r && std::memcmp(text.data() + (p - r), wave.pattern[state.slot], r) == 0;
+    wave.iv[state.slot] = hit ? state.iv : SaInterval{};
+    wave.verified[state.slot] = hit ? r : 0;
+  }
+  stats.verified += m;
+  wave.one_row.clear();
+}
+
+/// The sweep's first state for `pattern`: count_start's seeding, except
+/// that a pattern whose seed k-mer is absent from the table starts empty.
+/// Its final k codes never occur in the text, so neither does the read;
+/// count() restarts such a search from the full interval instead, and the
+/// sweep would spend ~k wide steps proving the same thing.
 template <typename Occ>
-using SweepFn = void (*)(const FmIndex<Occ>&, std::vector<SweepState>&,
-                         const std::uint8_t* const*, SaInterval*, SweepStats*);
+SweepState start_search(const FmIndex<Occ>& index, std::uint32_t slot,
+                        std::span<const std::uint8_t> pattern, SweepStats& stats) {
+  std::size_t remaining = 0;
+  SaInterval iv = index.count_start(pattern, remaining);
+  const KmerSeedTable* seeds = index.seed_table();
+  if (seeds != nullptr && pattern.size() >= seeds->k() && remaining == pattern.size()) {
+    ++stats.seed_misses;
+    iv = SaInterval{};
+  }
+  return {slot, static_cast<std::uint32_t>(remaining), iv};
+}
+
+/// Prefetches the seed-table entries start_search will read for `pattern`.
+/// always_inline for the reason FmIndex::prefetch_step gives: a call whose
+/// only effect is a prefetch is otherwise deleted.
+[[gnu::always_inline]] inline void prefetch_seed(const KmerSeedTable& seeds,
+                                                 std::span<const std::uint8_t> pattern) {
+  if (pattern.size() >= seeds.k()) seeds.prefetch(pattern.last(seeds.k()));
+}
+
+/// A whole sweep over one wave; sweep_map_batch runs one per wave.
+template <typename Occ>
+using SweepFn = void (*)(const FmIndex<Occ>&, SweepWave&, SweepStats&);
 
 template <typename Occ>
-void sweep_by_count_step(const FmIndex<Occ>& index, std::vector<SweepState>& states,
-                         const std::uint8_t* const* pattern_base, SaInterval* out_iv,
-                         SweepStats* stats) {
+void sweep_by_count_step(const FmIndex<Occ>& index, SweepWave& wave, SweepStats& stats) {
   const auto step = [&index](SaInterval iv, std::uint8_t c) {
     return index.count_step(iv, c);
   };
-  sweep_execute(index, step, states, pattern_base, out_iv, stats);
+  sweep_execute(index, step, wave, stats);
 }
 
 /// The backend's own step (its rank, whatever that dispatches to).
@@ -109,9 +191,7 @@ SweepFn<Occ> sweep_for(const FmIndex<Occ>& /*index*/) {
 /// EprOcc::rank_inline, each reading its own block, so a step makes no
 /// call at all once the caller's ISA tier is compiled in.
 template <typename LowBitsFn>
-void epr_sweep(const FmIndex<EprOcc>& index, std::vector<SweepState>& states,
-               const std::uint8_t* const* pattern_base, SaInterval* out_iv,
-               SweepStats* stats) {
+void epr_sweep(const FmIndex<EprOcc>& index, SweepWave& wave, SweepStats& stats) {
   const EprOcc& occ = index.occ_backend();
   const auto step = [&index, &occ](SaInterval iv, std::uint8_t c) {
     const std::uint32_t base = index.c_array(c);
@@ -121,16 +201,14 @@ void epr_sweep(const FmIndex<EprOcc>& index, std::vector<SweepState>& states,
         static_cast<std::uint32_t>(base + occ.rank_inline(c, index.occ_row(iv.hi),
                                                           LowBitsFn{}))};
   };
-  sweep_execute(index, step, states, pattern_base, out_iv, stats);
+  sweep_execute(index, step, wave, stats);
 }
 
 /// Baseline ISA: the portable mask, and __builtin_popcountll as the
 /// toolchain lowers it for the build's target.
 __attribute__((flatten)) void epr_sweep_baseline(const FmIndex<EprOcc>& index,
-                                                 std::vector<SweepState>& states,
-                                                 const std::uint8_t* const* pattern_base,
-                                                 SaInterval* out_iv, SweepStats* stats) {
-  epr_sweep<EprOcc::LowBits>(index, states, pattern_base, out_iv, stats);
+                                                 SweepWave& wave, SweepStats& stats) {
+  epr_sweep<EprOcc::LowBits>(index, wave, stats);
 }
 
 #if BWAVER_SWEEP_X86
@@ -146,9 +224,8 @@ struct BzhiLowBits {
 /// The avx2 tier (cpu_features() guarantees POPCNT and BMI2 with it): the
 /// whole loop compiled with hardware POPCNT and BZHI.
 __attribute__((target("popcnt,bmi2"), flatten)) void epr_sweep_popcnt_bmi2(
-    const FmIndex<EprOcc>& index, std::vector<SweepState>& states,
-    const std::uint8_t* const* pattern_base, SaInterval* out_iv, SweepStats* stats) {
-  epr_sweep<BzhiLowBits>(index, states, pattern_base, out_iv, stats);
+    const FmIndex<EprOcc>& index, SweepWave& wave, SweepStats& stats) {
+  epr_sweep<BzhiLowBits>(index, wave, stats);
 }
 
 #endif  // BWAVER_SWEEP_X86
@@ -168,9 +245,16 @@ SweepFn<EprOcc> sweep_for([[maybe_unused]] const FmIndex<EprOcc>& index) {
 
 template <typename Occ>
 std::vector<QueryResult> sweep_map_batch(const FmIndex<Occ>& index,
+                                         std::span<const std::uint8_t> text,
                                          const ReadBatch& batch, unsigned threads,
                                          SoftwareMapReport* report) {
+  if (text.size() != index.size()) {
+    throw std::invalid_argument("sweep_map_batch: text has " + std::to_string(text.size()) +
+                                " codes, the index " + std::to_string(index.size()));
+  }
   const SweepFn<Occ> sweep = sweep_for(index);
+  const std::span<const std::uint32_t> sa = index.suffix_array();
+  const KmerSeedTable* seeds = index.seed_table();
   std::vector<QueryResult> results(batch.size());
   std::atomic<std::uint64_t> mapped{0};
   std::mutex stats_mutex;
@@ -182,29 +266,27 @@ std::vector<QueryResult> sweep_map_batch(const FmIndex<Occ>& index,
   // scheduler's state/scratch arrays stay resident next to the hot part of
   // the occ structure instead of streaming through the whole cache.
   constexpr std::size_t kWaveReads = 4096;
+  // Reads whose seed-table entries are prefetched ahead of their lookup.
+  constexpr std::size_t kSeedLookahead = 4;
 
   auto work = [&](std::size_t begin, std::size_t end) {
     std::uint64_t local_mapped = 0;
     SweepStats stats;
     std::vector<std::uint8_t> rc_codes;
     std::vector<std::size_t> rc_offsets;
-    std::vector<const std::uint8_t*> pattern_base;
-    std::vector<SweepState> states;
-    std::vector<SaInterval> final_iv;
-    for (std::size_t wave = begin; wave < end; wave += kWaveReads) {
-      const std::size_t count = std::min(kWaveReads, end - wave);
+    SweepWave wave;
+    for (std::size_t first = begin; first < end; first += kWaveReads) {
+      const std::size_t count = std::min(kWaveReads, end - first);
 
       // Reverse complements for the wave, flat so states can re-read
-      // their pattern each pass without per-read allocations. Slot
-      // convention: read k of the wave searches forward in slot 2k, its
-      // reverse complement in slot 2k + 1.
+      // their pattern each pass without per-read allocations.
       rc_offsets.assign(count + 1, 0);
       for (std::size_t k = 0; k < count; ++k) {
-        rc_offsets[k + 1] = rc_offsets[k] + batch.read(wave + k).size();
+        rc_offsets[k + 1] = rc_offsets[k] + batch.read(first + k).size();
       }
       rc_codes.resize(rc_offsets[count]);
       for (std::size_t k = 0; k < count; ++k) {
-        const auto codes = batch.read(wave + k);
+        const auto codes = batch.read(first + k);
         std::uint8_t* out = rc_codes.data() + rc_offsets[k];
         for (std::size_t i = 0; i < codes.size(); ++i) {
           out[i] = dna_complement(codes[codes.size() - 1 - i]);
@@ -215,35 +297,38 @@ std::vector<QueryResult> sweep_map_batch(const FmIndex<Occ>& index,
                                              rc_offsets[k + 1] - rc_offsets[k]);
       };
 
-      // Seed every search exactly as count() would; the sweep retires
-      // the ones count_start already finished (seed-covered/empty reads).
-      pattern_base.resize(2 * count);
-      states.clear();
-      states.reserve(2 * count);
-      final_iv.assign(2 * count, SaInterval{});
+      // Seed every search; the sweep retires the ones that start final.
+      wave.pattern.resize(2 * count);
+      wave.states.clear();
+      wave.states.reserve(2 * count);
+      wave.iv.assign(2 * count, SaInterval{});
+      wave.verified.assign(2 * count, 0);
       for (std::size_t k = 0; k < count; ++k) {
-        pattern_base[2 * k] = batch.read(wave + k).data();
-        pattern_base[2 * k + 1] = rc_codes.data() + rc_offsets[k];
-        std::size_t remaining = 0;
-        SaInterval iv = index.count_start(batch.read(wave + k), remaining);
-        states.push_back({static_cast<std::uint32_t>(2 * k),
-                          static_cast<std::uint32_t>(remaining), iv});
-        iv = index.count_start(rc_read(k), remaining);
-        states.push_back({static_cast<std::uint32_t>(2 * k + 1),
-                          static_cast<std::uint32_t>(remaining), iv});
+        if (seeds != nullptr && k + kSeedLookahead < count) {
+          prefetch_seed(*seeds, batch.read(first + k + kSeedLookahead));
+          prefetch_seed(*seeds, rc_read(k + kSeedLookahead));
+        }
+        const auto slot = static_cast<std::uint32_t>(2 * k);
+        wave.pattern[slot] = batch.read(first + k).data();
+        wave.pattern[slot + 1] = rc_read(k).data();
+        wave.states.push_back(start_search(index, slot, batch.read(first + k), stats));
+        wave.states.push_back(start_search(index, slot + 1, rc_read(k), stats));
       }
 
-      sweep(index, states, pattern_base.data(), final_iv.data(), &stats);
+      sweep(index, wave, stats);
+      finish_on_text(sa, text, wave, stats);
 
       for (std::size_t k = 0; k < count; ++k) {
-        const SaInterval fwd = final_iv[2 * k];
-        const SaInterval rev = final_iv[2 * k + 1];
-        QueryResult& result = results[wave + k];
-        result.id = static_cast<std::uint32_t>(wave + k);
+        const SaInterval fwd = wave.iv[2 * k];
+        const SaInterval rev = wave.iv[2 * k + 1];
+        QueryResult& result = results[first + k];
+        result.id = static_cast<std::uint32_t>(first + k);
         result.fwd_lo = fwd.lo;
         result.fwd_hi = fwd.hi;
         result.rev_lo = rev.lo;
         result.rev_hi = rev.hi;
+        result.fwd_verified = wave.verified[2 * k];
+        result.rev_verified = wave.verified[2 * k + 1];
         if (result.mapped()) ++local_mapped;
       }
     }
@@ -270,15 +355,20 @@ std::vector<QueryResult> sweep_map_batch(const FmIndex<Occ>& index,
 }
 
 template std::vector<QueryResult> sweep_map_batch<RrrWaveletOcc>(
-    const FmIndex<RrrWaveletOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
+    const FmIndex<RrrWaveletOcc>&, std::span<const std::uint8_t>, const ReadBatch&, unsigned,
+    SoftwareMapReport*);
 template std::vector<QueryResult> sweep_map_batch<PlainWaveletOcc>(
-    const FmIndex<PlainWaveletOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
+    const FmIndex<PlainWaveletOcc>&, std::span<const std::uint8_t>, const ReadBatch&, unsigned,
+    SoftwareMapReport*);
 template std::vector<QueryResult> sweep_map_batch<SampledOcc>(
-    const FmIndex<SampledOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
+    const FmIndex<SampledOcc>&, std::span<const std::uint8_t>, const ReadBatch&, unsigned,
+    SoftwareMapReport*);
 template std::vector<QueryResult> sweep_map_batch<VectorOcc>(
-    const FmIndex<VectorOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
+    const FmIndex<VectorOcc>&, std::span<const std::uint8_t>, const ReadBatch&, unsigned,
+    SoftwareMapReport*);
 template std::vector<QueryResult> sweep_map_batch<EprOcc>(
-    const FmIndex<EprOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
+    const FmIndex<EprOcc>&, std::span<const std::uint8_t>, const ReadBatch&, unsigned,
+    SoftwareMapReport*);
 
 }  // namespace detail
 }  // namespace bwaver

@@ -21,10 +21,28 @@
 // dwarfed the search steps at genome scales whose occ structures already
 // sit in LLC, so the pool is left in slot order.
 //
-// Because each read still executes exactly the interval sequence
-// FmIndex::count() would (same seed-table decision, same early exit on an
-// empty interval), the resulting SA intervals — and therefore the SAM —
-// are byte-identical to per-read order by construction.
+// A search also stops as soon as its answer is known, which per-read
+// search (FmIndex::count) never does:
+//   * one row: once the interval holds a single row, the read can only
+//     occur where SA[row] places it, so the search retires and the wave
+//     finishes it with one comparison against the reference text instead
+//     of its remaining rank steps (the rows' SA entries and text lines are
+//     prefetched ahead, like the rank lines);
+//   * absent seed: a read whose final k-mer is absent from the seed table
+//     cannot occur, so it retires before its first step, where count()
+//     restarts from the full interval.
+// Seed-table entries are prefetched a few reads ahead of their lookup.
+//
+// The sweep therefore returns the identical HITS, not the identical
+// intervals: a search finished on the text keeps the one-row interval of
+// the suffix it had matched and reports the matched prefix length as
+// QueryResult::fwd_verified / rev_verified, so its hit is at
+// SA[row] - verified; a search the text rejects, or an absent seed, ends
+// empty. Every other search runs exactly count()'s step sequence. The read
+// occurs at most once when its matched suffix does, and the text has no
+// separators (like the BWT), so a hit straddling a sequence boundary is
+// found and then dropped by resolve exactly as before: the SAM is
+// byte-identical to per-read search.
 //
 // On the EPR backend the step loop skips FmIndex::count_step and its
 // per-rank kernel call: batch_scheduler.cpp compiles the loop once per ISA
@@ -35,6 +53,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fmindex/fm_index.hpp"
@@ -48,16 +67,20 @@ struct SoftwareMapReport;
 /// Occupancy counters of one or more sweep runs (exported as
 /// bwaver_sweep_* metrics — see docs/observability.md).
 struct SweepStats {
-  std::uint64_t batches = 0;      ///< sweep invocations (one per shard/chunk)
+  std::uint64_t batches = 0;      ///< sweeps run (one per wave of a shard/chunk)
   std::uint64_t passes = 0;       ///< step sweeps over the in-flight pool
   std::uint64_t state_steps = 0;  ///< single-read single-step advances
   std::uint64_t peak_active = 0;  ///< largest in-flight pool of any pass
+  std::uint64_t verified = 0;     ///< searches finished on the text (one row)
+  std::uint64_t seed_misses = 0;  ///< searches retired at an absent seed k-mer
 
   SweepStats& operator+=(const SweepStats& other) noexcept {
     batches += other.batches;
     passes += other.passes;
     state_steps += other.state_steps;
     peak_active = std::max(peak_active, other.peak_active);
+    verified += other.verified;
+    seed_misses += other.seed_misses;
     return *this;
   }
 };
@@ -66,10 +89,12 @@ namespace detail {
 
 /// Drop-in alternative to map_batch (software_mapper.hpp): forward +
 /// reverse-complement exact search of every read through the sweep
-/// scheduler, chunked across `threads` workers. Returns the identical
-/// QueryResult vector.
+/// scheduler, chunked across `threads` workers. Returns the identical hits
+/// (see above). `text` is the 2-bit text `index` was built over; throws
+/// std::invalid_argument unless its size equals index.size().
 template <typename Occ>
 std::vector<QueryResult> sweep_map_batch(const FmIndex<Occ>& index,
+                                         std::span<const std::uint8_t> text,
                                          const ReadBatch& batch, unsigned threads,
                                          SoftwareMapReport* report);
 

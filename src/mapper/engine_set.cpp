@@ -18,20 +18,25 @@ constexpr unsigned kSampledCheckpointWords = 4;
 
 /// An FM-index searched in its engine's registry order. `derived` owns the
 /// index for engines whose Occ structure is derived from the loaded BWT;
-/// `rrr` leaves it null and searches the loaded index in place.
+/// `rrr` leaves it null and searches the loaded index in place. `text` is
+/// the loaded reference's concatenated codes, which the sweep finishes its
+/// one-row searches against.
 template <typename Occ>
 class OccEngine final : public HostEngine {
  public:
-  OccEngine(const FmIndex<Occ>& index, bool sweep) : index_(index), sweep_(sweep) {}
+  OccEngine(const FmIndex<Occ>& index, std::span<const std::uint8_t> text, bool sweep)
+      : index_(index), text_(text), sweep_(sweep) {}
 
-  OccEngine(const FmIndex<RrrWaveletOcc>& base, Occ occ, bool sweep)
+  OccEngine(const FmIndex<RrrWaveletOcc>& base, Occ occ, std::span<const std::uint8_t> text,
+            bool sweep)
       : derived_(std::make_unique<const DerivedOccMapper<Occ>>(base, std::move(occ))),
         index_(derived_->index()),
+        text_(text),
         sweep_(sweep) {}
 
   std::vector<QueryResult> map(const ReadBatch& batch, unsigned threads,
                                SoftwareMapReport* report) const override {
-    return sweep_ ? detail::sweep_map_batch(index_, batch, threads, report)
+    return sweep_ ? detail::sweep_map_batch(index_, text_, batch, threads, report)
                   : detail::map_batch(index_, batch, threads, report);
   }
 
@@ -48,6 +53,7 @@ class OccEngine final : public HostEngine {
  private:
   std::unique_ptr<const DerivedOccMapper<Occ>> derived_;
   const FmIndex<Occ>& index_;
+  std::span<const std::uint8_t> text_;
   bool sweep_;
 };
 
@@ -55,21 +61,22 @@ std::unique_ptr<const HostEngine> build_engine(MappingEngine engine,
                                                const StoredIndex& stored) {
   const FmIndex<RrrWaveletOcc>& base = stored.index;
   const std::span<const std::uint8_t> bwt = base.bwt().symbols;
+  const std::span<const std::uint8_t> text = stored.reference.concatenated();
   const bool sweep = kernels::engine_spec(engine).sweep;
   switch (engine) {
     case MappingEngine::kCpu:
-      return std::make_unique<OccEngine<RrrWaveletOcc>>(base, sweep);
+      return std::make_unique<OccEngine<RrrWaveletOcc>>(base, text, sweep);
     case MappingEngine::kBowtie2Like:
       return std::make_unique<OccEngine<SampledOcc>>(
-          base, SampledOcc(bwt, kSampledCheckpointWords), sweep);
+          base, SampledOcc(bwt, kSampledCheckpointWords), text, sweep);
     case MappingEngine::kVector:
-      return std::make_unique<OccEngine<VectorOcc>>(base, VectorOcc(bwt), sweep);
+      return std::make_unique<OccEngine<VectorOcc>>(base, VectorOcc(bwt), text, sweep);
     case MappingEngine::kEpr: {
       // The archive's dictionary is aliased when it indexes this BWT;
       // otherwise (v1..v3 archives, in-memory builds) the BWT is transposed.
       const bool adopt = stored.epr != nullptr && stored.epr->size() == bwt.size();
       return std::make_unique<OccEngine<EprOcc>>(
-          base, adopt ? EprOcc::view_of(*stored.epr) : EprOcc(bwt), sweep);
+          base, adopt ? EprOcc::view_of(*stored.epr) : EprOcc(bwt), text, sweep);
     }
     case MappingEngine::kFpga:
       break;

@@ -9,7 +9,8 @@
 // suffix array, C array and seed table (DerivedOccMapper); `epr` adopts the
 // archive's v4 "epr" section when one was loaded, so it builds nothing.
 // Each engine searches in the order its registry entry names
-// (kernels::EngineSpec::sweep).
+// (kernels::EngineSpec::sweep); the sweep engines also read the loaded
+// reference text, against which they finish one-row searches.
 //
 // The modeled FPGA is not in the table: its runtime accumulates device
 // state per batch, so every mapping call programs a fresh one.

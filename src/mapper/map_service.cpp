@@ -88,6 +88,17 @@ void publish_stages(const obs::ObsContext& ctx, std::uint32_t parent,
                     labels)
           .inc(sweep.state_steps);
       ctx.metrics
+          ->counter("bwaver_sweep_verified_total",
+                    "Searches the sweep finished against the reference text at a "
+                    "one-row interval",
+                    labels)
+          .inc(sweep.verified);
+      ctx.metrics
+          ->counter("bwaver_sweep_seed_misses_total",
+                    "Searches the sweep retired as no hit at an absent seed k-mer",
+                    labels)
+          .inc(sweep.seed_misses);
+      ctx.metrics
           ->gauge("bwaver_sweep_peak_active",
                   "Largest in-flight state pool of the latest sweep run (batch "
                   "occupancy)",
@@ -124,7 +135,7 @@ std::vector<SamSequence> sam_sequences_for(const ReferenceSet& reference) {
 
 void resolve_query_results(const ReferenceSet& reference,
                            std::span<const std::uint32_t> suffix_array,
-                           std::span<const FastqRecord> records,
+                           std::span<const FastqRecord> records, const ReadBatch& batch,
                            std::span<const QueryResult> results,
                            std::size_t max_hits_per_read, MappingOutcome& outcome,
                            std::vector<SamAlignment>& alignments,
@@ -140,14 +151,18 @@ void resolve_query_results(const ReferenceSet& reference,
     }
     const auto& record = records[result.id];
     const auto read_length = static_cast<std::uint32_t>(record.sequence.size());
+    // A read with a base outside ACGTU is never an exact hit, whatever its
+    // substituted codes matched.
+    const bool ambiguous = batch.ambiguous(result.id);
     std::size_t survivors = 0;
     std::size_t emitted = 0;
-    for (int strand = 0; strand < 2; ++strand) {
+    for (int strand = 0; strand < 2 && !ambiguous; ++strand) {
       const bool reverse = strand == 1;
       const std::uint32_t lo = reverse ? result.rev_lo : result.fwd_lo;
       const std::uint32_t hi = reverse ? result.rev_hi : result.fwd_hi;
+      const std::uint32_t verified = reverse ? result.rev_verified : result.fwd_verified;
       for (std::uint32_t row = lo; row < hi; ++row) {
-        const auto local = reference.resolve_span(suffix_array[row], read_length);
+        const auto local = reference.resolve_span(suffix_array[row] - verified, read_length);
         if (!local) continue;  // straddles a sequence boundary
         ++survivors;
         ++outcome.occurrences;
@@ -246,7 +261,7 @@ MappingOutcome map_records_over(const StoredIndex& stored, const PipelineConfig&
         shards[s].outcome.sweep = report.sweep;
         stage_timer.reset();
         shards[s].alignments.reserve(results.size());
-        resolve_query_results(reference, suffix_array, chunk, results,
+        resolve_query_results(reference, suffix_array, chunk, batch, results,
                               config.max_hits_per_read, shards[s].outcome,
                               shards[s].alignments, cancel);
         shards[s].outcome.stages.locate_ms = stage_timer.milliseconds();
@@ -306,7 +321,7 @@ MappingOutcome map_records_over(const StoredIndex& stored, const PipelineConfig&
       outcome.sweep += report.sweep;
     }
     stage_timer.reset();
-    resolve_query_results(reference, suffix_array, chunk, results,
+    resolve_query_results(reference, suffix_array, chunk, batch, results,
                           config.max_hits_per_read, outcome, alignments, cancel);
     outcome.stages.locate_ms += stage_timer.milliseconds();
   }

@@ -16,6 +16,7 @@
 #include "fpga/query_packet.hpp"
 #include "io/fastq.hpp"
 #include "io/sam.hpp"
+#include "mapper/read_batch.hpp"
 #include "store/index_archive.hpp"
 #include "util/cancellation.hpp"
 
@@ -29,10 +30,12 @@ std::vector<SamSequence> sam_sequences_for(const ReferenceSet& reference);
 
 /// Resolves one batch's SA intervals to per-sequence SAM alignments
 /// (boundary filtering, `max_hits_per_read` cap) and accumulates the
-/// outcome counters.
+/// outcome counters. `batch` is `records` as packed for the engine: a read
+/// it flags ambiguous (a base outside ACGTU) is reported unmapped. A strand's
+/// hits are at SA[row] - verified (QueryResult::fwd_verified).
 void resolve_query_results(const ReferenceSet& reference,
                            std::span<const std::uint32_t> suffix_array,
-                           std::span<const FastqRecord> records,
+                           std::span<const FastqRecord> records, const ReadBatch& batch,
                            std::span<const QueryResult> results,
                            std::size_t max_hits_per_read, MappingOutcome& outcome,
                            std::vector<SamAlignment>& alignments,

@@ -29,9 +29,11 @@ std::vector<Candidate> collect_candidates(const FmIndex<RrrWaveletOcc>& index,
     const bool forward = strand == 0;
     const std::uint32_t lo = forward ? result.fwd_lo : result.rev_lo;
     const std::uint32_t hi = forward ? result.fwd_hi : result.rev_hi;
+    const std::uint32_t verified = forward ? result.fwd_verified : result.rev_verified;
     for (std::uint32_t row = lo; row < hi && candidates.size() < cap; ++row) {
-      if (reference.span_within_sequence(sa[row], read_length)) {
-        candidates.push_back(Candidate{sa[row], forward});
+      const std::uint32_t pos = sa[row] - verified;
+      if (reference.span_within_sequence(pos, read_length)) {
+        candidates.push_back(Candidate{pos, forward});
       }
     }
   }

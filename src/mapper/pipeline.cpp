@@ -299,8 +299,8 @@ MappingOutcome Pipeline::map_reads_streaming(const std::string& fastq_path,
 
     std::vector<SamAlignment> alignments;
     alignments.reserve(results.size());
-    resolve_query_results(reference(), index().suffix_array(), batch_records_vec, results,
-                          config_.max_hits_per_read, outcome, alignments);
+    resolve_query_results(reference(), index().suffix_array(), batch_records_vec, batch,
+                          results, config_.max_hits_per_read, outcome, alignments);
     if (sam.is_open()) {
       sam << format_sam_alignments(alignments);
     }

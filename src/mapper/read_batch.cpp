@@ -19,7 +19,17 @@ ReadBatch ReadBatch::from_fastq(std::span<const FastqRecord> records) {
   for (const auto& record : records) bases += record.sequence.size();
   batch.reserve(records.size(), bases);
   for (const auto& record : records) {
-    batch.add(dna_encode_string(record.sequence, /*substitute_invalid=*/true));
+    bool ambiguous = false;
+    for (std::size_t i = 0; i < record.sequence.size(); ++i) {
+      std::uint8_t code = dna_encode(record.sequence[i]);
+      if (code == kDnaInvalid) {
+        code = dna_substitute(i);
+        ambiguous = true;
+      }
+      batch.codes_.push_back(code);
+    }
+    batch.offsets_.push_back(static_cast<std::uint64_t>(batch.codes_.size()));
+    batch.ambiguous_.push_back(ambiguous ? 1 : 0);
   }
   return batch;
 }

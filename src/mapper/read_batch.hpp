@@ -20,6 +20,7 @@ class ReadBatch {
   void add(std::span<const std::uint8_t> codes) {
     codes_.insert(codes_.end(), codes.begin(), codes.end());
     offsets_.push_back(static_cast<std::uint64_t>(codes_.size()));
+    ambiguous_.push_back(0);
   }
 
   std::size_t size() const noexcept { return offsets_.size() - 1; }
@@ -32,21 +33,28 @@ class ReadBatch {
 
   std::size_t total_bases() const noexcept { return codes_.size(); }
 
+  /// True iff read i had a base outside ACGTU, substituted when it was
+  /// packed: its codes can be searched, but it is never an exact hit.
+  bool ambiguous(std::size_t i) const noexcept { return ambiguous_[i] != 0; }
+
   void reserve(std::size_t reads, std::size_t bases) {
     offsets_.reserve(reads + 1);
+    ambiguous_.reserve(reads);
     codes_.reserve(bases);
   }
 
   /// Builds a batch from simulated reads.
   static ReadBatch from_simulated(std::span<const SimulatedRead> reads);
 
-  /// Builds a batch from FASTQ records; bases outside ACGTU are substituted
-  /// deterministically (reads containing them cannot exact-match anyway).
+  /// Builds a batch from FASTQ records. A base outside ACGTU is replaced by
+  /// dna_substitute(position), which may well match the reference, so the
+  /// read is flagged ambiguous() and the mapper reports it unmapped.
   static ReadBatch from_fastq(std::span<const FastqRecord> records);
 
  private:
   std::vector<std::uint8_t> codes_;
   std::vector<std::uint64_t> offsets_;
+  std::vector<std::uint8_t> ambiguous_;  ///< one flag per read
 };
 
 }  // namespace bwaver

@@ -8,6 +8,7 @@
 // counters from every engine.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,42 @@ TEST_P(EngineTestbed, ShardedPathMatchesSequential) {
   const MappingOutcome sharded = map_records_over(*pipeline_->stored(), config, *records_);
   EXPECT_GT(sharded.shards, 1u);
   EXPECT_EQ(sharded.sam, reference_sam_->sam) << "engine " << GetParam().name;
+}
+
+TEST_P(EngineTestbed, SingleNReadsAreUnmapped) {
+  // Each read is a true 50-base substring with one base replaced by N, at a
+  // position where the packer's substitute equals the reference base: the
+  // packed codes are an exact hit, but a read with an N is not.
+  const std::span<const std::uint8_t> genome(*genome_);
+  std::vector<FastqRecord> records;
+  for (std::size_t start = 500; records.size() < 30 && start + 50 <= genome.size();
+       start += 997) {
+    std::string bases = dna_decode_string(genome.subspan(start, 50));
+    for (std::size_t i = records.size() % 50; i < 50; ++i) {
+      if (dna_encode(bases[i]) == dna_substitute(i)) {
+        bases[i] = 'N';
+        records.push_back({"n_read_" + std::to_string(records.size()), bases,
+                           std::string(50, 'I')});
+        break;
+      }
+    }
+  }
+  records.push_back({"clean", dna_decode_string(genome.subspan(777, 50)),
+                     std::string(50, 'I')});
+
+  PipelineConfig config;
+  config.engine = GetParam().engine;
+  const MappingOutcome outcome = map_records_over(*pipeline_->stored(), config, records);
+  EXPECT_EQ(outcome.mapped, 1u) << "engine " << GetParam().name;
+  for (std::size_t i = 0; i + 1 < records.size(); ++i) {
+    EXPECT_NE(outcome.sam.find(records[i].name + "\t4\t*"), std::string::npos)
+        << records[i].name << " mapped on " << GetParam().name;
+  }
+  PipelineConfig reference_config;
+  reference_config.engine = MappingEngine::kCpu;
+  EXPECT_EQ(outcome.sam,
+            map_records_over(*pipeline_->stored(), reference_config, records).sam)
+      << "engine " << GetParam().name;
 }
 
 TEST_P(EngineTestbed, TimedRunReportsEngineSeconds) {
