@@ -145,11 +145,11 @@ int main(int argc, char** argv) {
 
   // Per-stage split of the w=1 run — the decomposition docs/observability.md
   // catalogs as bwaver_map_stage_seconds.
-  std::printf("\nw=1 stage split: seed %.1f ms, search %.1f ms, locate %.1f ms, "
+  std::printf("\nw=1 stage split: pack %.1f ms, search %.1f ms, locate %.1f ms, "
               "sam %.1f ms, mean queue wait %.1f ms\n",
-              stages_w1.seed_ms, stages_w1.search_ms, stages_w1.locate_ms,
+              stages_w1.pack_ms, stages_w1.search_ms, stages_w1.locate_ms,
               stages_w1.sam_ms, queue_wait_w1);
-  report.metric("seed_ms", stages_w1.seed_ms);
+  report.metric("pack_ms", stages_w1.pack_ms);
   report.metric("search_ms", stages_w1.search_ms);
   report.metric("locate_ms", stages_w1.locate_ms);
   report.metric("sam_ms", stages_w1.sam_ms);

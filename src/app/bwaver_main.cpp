@@ -26,7 +26,7 @@
 //                    own order — sweep for vector and epr, per-read for the
 //                    rest; see docs/serving.md) [--b B] [--sf SF]
 //                    [--shards N] (reads per parallel shard, 0 = auto)
-//                    [--profile FILE] write a per-stage profile (seed/search/
+//                    [--profile FILE] write a per-stage profile (parse/search/
 //                    locate/sam ms, wall, load mode, span tree) as JSON
 //                    or: --store-dir DIR --ref-name N (load from the store;
 //                    [--load-mode mmap|copy] selects zero-copy vs heap loads
@@ -336,7 +336,7 @@ int cmd_map(const ArgParser& args) {
     pipeline = Pipeline::from_archive(registry.archive_path(ref_name), config, mode);
   }
 
-  // --profile: attach a trace for this run so map_records_over's ambient
+  // --profile: attach a trace for this run so the mapping loop's ambient
   // spans (map_records / shard / stage / fpga phases) are captured, then
   // dump the per-stage split alongside the span tree.
   const std::string profile_path = args.get("profile");
@@ -362,11 +362,12 @@ int cmd_map(const ArgParser& args) {
   if (trace != nullptr) {
     char stages[256];
     std::snprintf(stages, sizeof(stages),
-                  "{\"seed_ms\":%.3f,\"search_ms\":%.3f,\"locate_ms\":%.3f,"
-                  "\"sam_ms\":%.3f,\"queue_wait_ms\":0.000,\"total_ms\":%.3f}",
-                  outcome.stages.seed_ms, outcome.stages.search_ms,
-                  outcome.stages.locate_ms, outcome.stages.sam_ms,
-                  outcome.stages.total_ms());
+                  "{\"parse_ms\":%.3f,\"pack_ms\":%.3f,\"search_ms\":%.3f,"
+                  "\"locate_ms\":%.3f,\"sam_ms\":%.3f,\"queue_wait_ms\":0.000,"
+                  "\"total_ms\":%.3f}",
+                  outcome.stages.parse_ms, outcome.stages.pack_ms,
+                  outcome.stages.search_ms, outcome.stages.locate_ms,
+                  outcome.stages.sam_ms, outcome.stages.total_ms());
     char summary[256];
     std::snprintf(summary, sizeof(summary),
                   "\"wall_ms\":%.3f,\"reads\":%llu,\"mapped\":%llu,\"shards\":%llu",

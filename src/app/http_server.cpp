@@ -141,6 +141,32 @@ bool recv_some(int fd, std::string& buffer, std::chrono::milliseconds timeout) {
   return true;
 }
 
+/// Smallest step by which a request body's buffer grows.
+constexpr std::size_t kBodyReadBytes = std::size_t{256} << 10;
+
+/// Receives the rest of a `length`-byte body straight into `body`, which
+/// holds its first bytes on entry. The buffer grows geometrically, by at
+/// least kBodyReadBytes, as bytes arrive — never to the declared length up
+/// front — and each recv fills as much of it as the socket has. Returns
+/// false on timeout, EOF, or error.
+bool recv_body(int fd, std::vector<std::uint8_t>& body, std::size_t length,
+               std::chrono::milliseconds timeout) {
+  std::size_t filled = body.size();
+  while (filled < length) {
+    if (filled == body.size()) {
+      body.resize(std::min(length, filled + std::max(filled, kBodyReadBytes)));
+    }
+    pollfd waiter{};
+    waiter.fd = fd;
+    waiter.events = POLLIN;
+    if (::poll(&waiter, 1, static_cast<int>(timeout.count())) <= 0) return false;
+    const ssize_t n = ::recv(fd, body.data() + filled, body.size() - filled, 0);
+    if (n <= 0) return false;
+    filled += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 /// Splits a path into '/'-separated segments ("" for the root path).
 std::vector<std::string> split_segments(const std::string& path) {
   std::vector<std::string> segments;
@@ -190,30 +216,29 @@ std::string generate_request_id() {
 
 }  // namespace
 
-HttpResponse HttpResponse::text(int status, const std::string& message) {
+HttpResponse HttpResponse::text(int status, std::string message) {
   HttpResponse response;
   response.status = status;
-  response.body.assign(message.begin(), message.end());
+  response.body = std::move(message);
   return response;
 }
 
-HttpResponse HttpResponse::html(const std::string& markup) {
+HttpResponse HttpResponse::html(std::string markup) {
   HttpResponse response;
   response.content_type = "text/html; charset=utf-8";
-  response.body.assign(markup.begin(), markup.end());
+  response.body = std::move(markup);
   return response;
 }
 
-HttpResponse HttpResponse::json(int status, const std::string& document) {
+HttpResponse HttpResponse::json(int status, std::string document) {
   HttpResponse response;
   response.status = status;
   response.content_type = "application/json";
-  response.body.assign(document.begin(), document.end());
+  response.body = std::move(document);
   return response;
 }
 
-HttpResponse HttpResponse::bytes(const std::string& content_type,
-                                 std::vector<std::uint8_t> payload) {
+HttpResponse HttpResponse::bytes(const std::string& content_type, std::string payload) {
   HttpResponse response;
   response.content_type = content_type;
   response.body = std::move(payload);
@@ -451,14 +476,18 @@ bool HttpServer::serve_one(int client_fd, std::string& buffer, std::size_t serve
                                         " bytes\n"));
     return false;
   }
-  std::string body = buffer.substr(header_end + 4);
-  while (body.size() < content_length) {
-    if (!recv_some(client_fd, body, options_.keep_alive_timeout)) return false;
+  // Body bytes that arrived with the headers come first; bytes past the
+  // declared body belong to the next pipelined request and stay in
+  // `buffer`. The rest is received straight into the body, never past its
+  // end, and it grows only with the bytes that arrive: a client cannot make
+  // the server allocate its declared length up front.
+  const std::size_t buffered = std::min(buffer.size() - header_end - 4, content_length);
+  request.body.assign(buffer.begin() + static_cast<std::ptrdiff_t>(header_end + 4),
+                      buffer.begin() + static_cast<std::ptrdiff_t>(header_end + 4 + buffered));
+  buffer.erase(0, header_end + 4 + buffered);
+  if (!recv_body(client_fd, request.body, content_length, options_.keep_alive_timeout)) {
+    return false;
   }
-  // Bytes past the declared body belong to the next pipelined request.
-  buffer.assign(body, content_length, std::string::npos);
-  body.resize(content_length);
-  request.body.assign(body.begin(), body.end());
 
   // Dispatch.
   HttpResponse response;

@@ -31,7 +31,7 @@ struct HttpRequest {
   std::map<std::string, std::string> query;    ///< decoded ?key=value params
   std::map<std::string, std::string> headers;  ///< lower-cased names
   std::map<std::string, std::string> path_params;  ///< `{name}` captures
-  std::vector<std::uint8_t> body;
+  std::vector<std::uint8_t> body;  ///< received in place, never copied
 
   /// Query parameter lookup with a fallback.
   std::string query_param(const std::string& key, const std::string& fallback = "") const {
@@ -59,13 +59,13 @@ struct HttpResponse {
   std::string content_type = "text/plain; charset=utf-8";
   /// Extra response headers (e.g. Retry-After on 503).
   std::vector<std::pair<std::string, std::string>> headers;
-  std::vector<std::uint8_t> body;
+  std::string body;
 
-  static HttpResponse text(int status, const std::string& message);
-  static HttpResponse html(const std::string& markup);
-  static HttpResponse json(int status, const std::string& document);
-  static HttpResponse bytes(const std::string& content_type,
-                            std::vector<std::uint8_t> payload);
+  static HttpResponse text(int status, std::string message);
+  static HttpResponse html(std::string markup);
+  static HttpResponse json(int status, std::string document);
+  /// Sends `payload` as is; a moved-in payload (a job's SAM) is not copied.
+  static HttpResponse bytes(const std::string& content_type, std::string payload);
 
   HttpResponse& with_header(std::string name, std::string value) {
     headers.emplace_back(std::move(name), std::move(value));
@@ -137,7 +137,8 @@ class HttpServer {
   /// Serves one request from `buffer` + the socket. Returns false when the
   /// connection must close (error, EOF, idle timeout, or a close-semantics
   /// request). Consumed bytes are erased from `buffer`; pipelined bytes
-  /// for the next request remain.
+  /// for the next request remain. The body is received straight into the
+  /// request in large reads, and is handed to the handler without a copy.
   bool serve_one(int client_fd, std::string& buffer, std::size_t served);
   const Handler* find_route(HttpRequest& request, bool& method_known_for_path) const;
 

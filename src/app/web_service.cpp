@@ -8,7 +8,6 @@
 #include "fleet/map_transport.hpp"
 #include "fmindex/dna.hpp"
 #include "io/fasta.hpp"
-#include "io/fastq.hpp"
 #include "kernels/registry.hpp"
 #include "mapper/map_service.hpp"
 
@@ -339,15 +338,6 @@ HttpResponse WebService::submit_map_job(const HttpRequest& request,
   if (request.body.empty()) {
     return HttpResponse::text(400, "empty read upload\n");
   }
-  // Parse on the connection thread (cheap, bounded by the body cap) so a
-  // malformed FASTQ fails fast with 400 instead of becoming a failed job.
-  std::shared_ptr<const std::vector<FastqRecord>> records;
-  try {
-    records = std::make_shared<const std::vector<FastqRecord>>(parse_fastq(request.body));
-  } catch (const std::exception& e) {
-    return HttpResponse::text(400, std::string("bad FASTQ: ") + e.what() + "\n");
-  }
-
   std::optional<std::chrono::milliseconds> timeout;
   const std::string timeout_raw = request.query_param("timeout-ms");
   if (!timeout_raw.empty()) {
@@ -371,13 +361,23 @@ HttpResponse WebService::submit_map_job(const HttpRequest& request,
     config.engine = *engine;
   }
 
+  // Pack the reads on the connection thread (one pass, bounded by the body
+  // cap) so a malformed FASTQ fails fast with 400 instead of becoming a
+  // failed job, and the job holds one batch, not the body.
+  std::shared_ptr<const ReadBatch> batch;
+  try {
+    batch = parse_request_reads(request.body, config.engine, *metrics_);
+  } catch (const std::exception& e) {
+    return HttpResponse::text(400, std::string("bad FASTQ: ") + e.what() + "\n");
+  }
+
   // The job closure is shared with the fleet transports (the worker
   // acquires the registry handle at run time, so an index evicted — or
   // rolled over — between submit and pickup is picked up fresh).
   try {
     job_id = jobs_.submit(name,
                           fleet::make_map_job(registry_, config, jobs_.stats(),
-                                              name, records),
+                                              name, std::move(batch)),
                           priority, timeout, request.request_id());
   } catch (const QueueFull&) {
     return queue_full_response();
@@ -399,9 +399,11 @@ HttpResponse WebService::handle_map(const HttpRequest& request) {
   const JobRecord record = jobs_.wait(id);
   switch (record.state) {
     case JobState::kDone: {
-      auto sam = jobs_.result(id);
-      return HttpResponse::bytes(
-          "text/x-sam", std::vector<std::uint8_t>(sam->begin(), sam->end()));
+      // The caller waited for this result, so it moves out of the job: a
+      // synchronous job retains no SAM once answered.
+      auto sam = jobs_.take_result(id);
+      if (!sam) return HttpResponse::text(500, "mapping result lost\n");
+      return HttpResponse::bytes("text/x-sam", *std::move(sam));
     }
     case JobState::kTimedOut:
       return HttpResponse::text(503, "mapping job timed out\n");
@@ -455,10 +457,9 @@ HttpResponse WebService::handle_job_result(const HttpRequest& request) const {
   if (!record) return HttpResponse::text(404, "unknown job " + std::to_string(id) + "\n");
   switch (record->state) {
     case JobState::kDone: {
-      const auto sam = jobs_.result(id);
+      auto sam = jobs_.result(id);
       if (!sam) return HttpResponse::text(404, "result no longer retained\n");
-      return HttpResponse::bytes(
-          "text/x-sam", std::vector<std::uint8_t>(sam->begin(), sam->end()));
+      return HttpResponse::bytes("text/x-sam", *std::move(sam));
     }
     case JobState::kQueued:
     case JobState::kRunning:
@@ -560,8 +561,7 @@ HttpResponse WebService::handle_metrics() {
 
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  const std::string text = metrics_->render_prometheus();
-  response.body.assign(text.begin(), text.end());
+  response.body = metrics_->render_prometheus();
   return response;
 }
 

@@ -97,34 +97,34 @@ bool json_string_field(const std::string& json, const std::string& key, std::str
 
 JobManager::JobFn make_map_job(IndexRegistry& registry, PipelineConfig config,
                                ServerStats& stats, std::string ref,
+                               std::shared_ptr<const ReadBatch> batch) {
+  return [&registry, config = std::move(config), &stats, ref = std::move(ref),
+          batch = std::move(batch)](const CancelToken& cancel) {
+    const IndexRegistry::Handle handle = registry.acquire(ref);
+    MappingOutcome outcome =
+        map_batch_over(*handle, config, *batch, /*mapping_seconds=*/nullptr, &cancel);
+    stats.reads_mapped.inc(outcome.reads);
+    stats.map_shards.inc(outcome.shards);
+    return std::move(outcome.sam);
+  };
+}
+
+JobManager::JobFn make_map_job(IndexRegistry& registry, PipelineConfig config,
+                               ServerStats& stats, std::string ref,
                                std::shared_ptr<const std::vector<FastqRecord>> records) {
   return [&registry, config = std::move(config), &stats, ref = std::move(ref),
           records = std::move(records)](const CancelToken& cancel) {
     const IndexRegistry::Handle handle = registry.acquire(ref);
-    const MappingOutcome outcome =
+    MappingOutcome outcome =
         map_records_over(*handle, config, *records, /*mapping_seconds=*/nullptr, &cancel);
     stats.reads_mapped.inc(outcome.reads);
     stats.map_shards.inc(outcome.shards);
-    return outcome.sam;
+    return std::move(outcome.sam);
   };
 }
 
 std::string InProcessTransport::map(const MapRequest& request,
                                     const std::atomic<bool>* give_up) {
-  std::shared_ptr<const std::vector<FastqRecord>> records;
-  try {
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(request.fastq.data());
-    records = std::make_shared<const std::vector<FastqRecord>>(
-        parse_fastq(std::span<const std::uint8_t>(bytes, request.fastq.size())));
-  } catch (const std::exception& e) {
-    throw TransportError(TransportErrorKind::kBadRequest,
-                         std::string("bad FASTQ: ") + e.what(), 400);
-  }
-  if (!registry_.contains(request.ref)) {
-    throw TransportError(TransportErrorKind::kBadRequest,
-                         "unknown reference '" + request.ref + "'", 404);
-  }
-
   PipelineConfig config = config_;
   if (!request.engine.empty()) {
     const auto engine = kernels::parse_engine_name(request.engine);
@@ -135,13 +135,26 @@ std::string InProcessTransport::map(const MapRequest& request,
     }
     config.engine = *engine;
   }
+  std::shared_ptr<const ReadBatch> batch;
+  try {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(request.fastq.data());
+    batch = parse_request_reads(std::span<const std::uint8_t>(bytes, request.fastq.size()),
+                                config.engine, *jobs_.stats().metrics);
+  } catch (const std::exception& e) {
+    throw TransportError(TransportErrorKind::kBadRequest,
+                         std::string("bad FASTQ: ") + e.what(), 400);
+  }
+  if (!registry_.contains(request.ref)) {
+    throw TransportError(TransportErrorKind::kBadRequest,
+                         "unknown reference '" + request.ref + "'", 404);
+  }
 
   std::optional<std::chrono::milliseconds> timeout;
   if (request.timeout.count() > 0) timeout = request.timeout;
   std::uint64_t id = 0;
   try {
     id = jobs_.submit(request.ref,
-                      make_map_job(registry_, config, jobs_.stats(), request.ref, records),
+                      make_map_job(registry_, config, jobs_.stats(), request.ref, batch),
                       JobPriority::kHigh, timeout, request.request_id);
   } catch (const QueueFull&) {
     throw TransportError(TransportErrorKind::kOverload, "mapping queue full", 503);
@@ -160,7 +173,7 @@ std::string InProcessTransport::map(const MapRequest& request,
     if (is_terminal(record->state)) {
       switch (record->state) {
         case JobState::kDone: {
-          auto sam = jobs_.result(id);
+          auto sam = jobs_.take_result(id);
           if (!sam) {
             throw TransportError(TransportErrorKind::kFailed, "result no longer retained");
           }

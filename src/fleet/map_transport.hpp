@@ -25,6 +25,7 @@
 #include "io/fastq.hpp"
 #include "jobs/job_manager.hpp"
 #include "mapper/pipeline.hpp"
+#include "mapper/read_batch.hpp"
 #include "store/index_registry.hpp"
 
 namespace bwaver::fleet {
@@ -60,10 +61,17 @@ class MapTransport {
 };
 
 /// Builds the mapping-job closure shared by every in-process submitter
-/// (WebService's /map and /jobs handlers, InProcessTransport): acquire the
+/// (WebService's /map and /jobs handlers, InProcessTransport) over a batch
+/// the connection thread packed (parse_request_reads): acquire the
 /// registry handle at *run* time (an index evicted between submit and
 /// pickup is transparently reloaded), map with cooperative cancellation,
-/// account reads/shards into `stats`.
+/// account reads/shards into `stats`. The job returns the SAM document.
+JobManager::JobFn make_map_job(IndexRegistry& registry, PipelineConfig config,
+                               ServerStats& stats, std::string ref,
+                               std::shared_ptr<const ReadBatch> batch);
+
+/// The same job over parsed records, through the records adapter
+/// (map_records_over); kept for tests and the benchmark's layer replay.
 JobManager::JobFn make_map_job(IndexRegistry& registry, PipelineConfig config,
                                ServerStats& stats, std::string ref,
                                std::shared_ptr<const std::vector<FastqRecord>> records);

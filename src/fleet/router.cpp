@@ -570,8 +570,7 @@ HttpResponse RouterService::handle_map(const HttpRequest& request) {
 
   request_latency_.observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count());
-  HttpResponse response =
-      HttpResponse::bytes("text/x-sam", std::vector<std::uint8_t>(merged.begin(), merged.end()));
+  HttpResponse response = HttpResponse::bytes("text/x-sam", std::move(merged));
   response.with_header("X-Bwaver-Shards", std::to_string(shard_count));
   return response;
 }
@@ -648,8 +647,7 @@ HttpResponse RouterService::handle_metrics() {
       .set(static_cast<double>(backends_.size()));
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  const std::string text = metrics_->render_prometheus();
-  response.body.assign(text.begin(), text.end());
+  response.body = metrics_->render_prometheus();
   return response;
 }
 

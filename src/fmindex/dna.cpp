@@ -1,28 +1,12 @@
 #include "fmindex/dna.hpp"
 
-#include <array>
 #include <stdexcept>
 
 namespace bwaver {
 
 namespace {
-constexpr std::array<std::uint8_t, 256> make_encode_table() {
-  std::array<std::uint8_t, 256> table{};
-  for (auto& entry : table) entry = kDnaInvalid;
-  table['A'] = table['a'] = 0;
-  table['C'] = table['c'] = 1;
-  table['G'] = table['g'] = 2;
-  table['T'] = table['t'] = 3;
-  table['U'] = table['u'] = 3;
-  return table;
-}
-constexpr std::array<std::uint8_t, 256> kEncodeTable = make_encode_table();
 constexpr char kDecodeTable[4] = {'A', 'C', 'G', 'T'};
 }  // namespace
-
-std::uint8_t dna_encode(char base) noexcept {
-  return kEncodeTable[static_cast<unsigned char>(base)];
-}
 
 char dna_decode(std::uint8_t code) noexcept { return kDecodeTable[code & 3]; }
 

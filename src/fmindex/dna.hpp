@@ -3,6 +3,7 @@
 // is handled out-of-band by the FM-index.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -14,8 +15,24 @@ namespace bwaver {
 inline constexpr unsigned kDnaAlphabetSize = 4;
 inline constexpr std::uint8_t kDnaInvalid = 0xff;
 
+/// The code of every byte: 0-3 for ACGTU in either case, kDnaInvalid for
+/// anything else. Read packers index it inline and OR the codes they write,
+/// so one pass both packs a read and tells whether it had an invalid base.
+inline constexpr std::array<std::uint8_t, 256> kDnaCodeTable = [] {
+  std::array<std::uint8_t, 256> table{};
+  for (auto& entry : table) entry = kDnaInvalid;
+  table['A'] = table['a'] = 0;
+  table['C'] = table['c'] = 1;
+  table['G'] = table['g'] = 2;
+  table['T'] = table['t'] = 3;
+  table['U'] = table['u'] = 3;
+  return table;
+}();
+
 /// Code for one base; kDnaInvalid for anything outside ACGTU (case-insensitive).
-std::uint8_t dna_encode(char base) noexcept;
+inline std::uint8_t dna_encode(char base) noexcept {
+  return kDnaCodeTable[static_cast<unsigned char>(base)];
+}
 
 /// Base character for a 2-bit code (code & 3).
 char dna_decode(std::uint8_t code) noexcept;

@@ -55,8 +55,18 @@ bool ReferenceSet::span_within_sequence(std::uint32_t global_pos,
 
 std::optional<ReferenceSet::LocalPosition> ReferenceSet::resolve_span(
     std::uint32_t global_pos, std::uint32_t length) const {
-  if (!span_within_sequence(global_pos, length)) return std::nullopt;
-  return resolve(global_pos);
+  // span_within_sequence and resolve in one binary search: locate runs this
+  // once per reported row.
+  if (length == 0 || std::uint64_t{global_pos} + length > text_.size()) return std::nullopt;
+  const auto it = std::upper_bound(
+      sequences_.begin(), sequences_.end(), global_pos,
+      [](std::uint32_t pos, const Sequence& seq) { return pos < seq.offset; });
+  const Sequence& seq = *(it - 1);
+  if (std::uint64_t{global_pos} + length > std::uint64_t{seq.offset} + seq.length) {
+    return std::nullopt;
+  }
+  return LocalPosition{static_cast<std::uint32_t>(it - sequences_.begin() - 1),
+                       global_pos - seq.offset};
 }
 
 void ReferenceSet::save(ByteWriter& writer) const {

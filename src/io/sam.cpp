@@ -1,51 +1,51 @@
 #include "io/sam.hpp"
 
+#include <charconv>
+#include <cstring>
+
 namespace bwaver {
 
-std::string format_sam(std::span<const SamSequence> sequences,
-                       std::span<const SamAlignment> alignments) {
-  std::string out;
-  out += "@HD\tVN:1.6\tSO:unsorted\n";
+namespace {
+
+char* put(char* out, std::string_view text) noexcept {
+  std::memcpy(out, text.data(), text.size());
+  return out + text.size();
+}
+
+char* put_uint(char* out, std::uint64_t value) noexcept {
+  return std::to_chars(out, out + 20, value).ptr;
+}
+
+}  // namespace
+
+std::string format_sam_header(std::span<const SamSequence> sequences) {
+  std::string out = "@HD\tVN:1.6\tSO:unsorted\n";
   for (const SamSequence& seq : sequences) {
     out += "@SQ\tSN:" + seq.name + "\tLN:" + std::to_string(seq.length) + "\n";
   }
   out += "@PG\tID:bwaver\tPN:bwaver\tVN:1.0\n";
-  out += format_sam_alignments(alignments);
   return out;
 }
 
-std::string format_sam_alignments(std::span<const SamAlignment> alignments) {
-  std::string out;
-  for (const auto& aln : alignments) {
-    // FLAG: 4 = unmapped, 16 = reverse strand.
-    unsigned flag = 0;
-    if (!aln.mapped) flag |= 4;
-    if (aln.reverse_strand) flag |= 16;
-    out += aln.read_name;
-    out += '\t';
-    out += std::to_string(flag);
-    out += '\t';
-    out += aln.mapped ? aln.reference_name : "*";
-    out += '\t';
-    out += std::to_string(aln.mapped ? aln.position + 1 : 0);
-    out += '\t';
-    out += aln.mapped ? "60" : "0";  // MAPQ: exact match or unmapped
-    out += '\t';
-    if (aln.mapped) {
-      out += std::to_string(aln.length);
-      out += "M";
-    } else {
-      out += "*";
-    }
-    out += "\t*\t0\t0\t*\t*\n";
-  }
-  return out;
+char* write_sam_mapped(char* out, std::string_view qname, bool reverse,
+                       std::string_view rname, std::uint32_t position,
+                       std::uint32_t length) noexcept {
+  // QNAME FLAG RNAME POS MAPQ CIGAR RNEXT PNEXT TLEN SEQ QUAL; FLAG 16 marks
+  // the reverse strand, MAPQ 60 an exact match.
+  out = put(out, qname);
+  out = put(out, reverse ? "\t16\t" : "\t0\t");
+  out = put(out, rname);
+  *out++ = '\t';
+  out = put_uint(out, std::uint64_t{position} + 1);
+  out = put(out, "\t60\t");
+  out = put_uint(out, length);
+  return put(out, "M\t*\t0\t0\t*\t*\n");
 }
 
-std::string format_sam(const std::string& reference_name, std::uint64_t reference_length,
-                       std::span<const SamAlignment> alignments) {
-  const SamSequence sequence{reference_name, reference_length};
-  return format_sam(std::span<const SamSequence>(&sequence, 1), alignments);
+char* write_sam_unmapped(char* out, std::string_view qname) noexcept {
+  // FLAG 4: unmapped.
+  out = put(out, qname);
+  return put(out, "\t4\t*\t0\t0\t*\t*\t0\t0\t*\t*\n");
 }
 
 }  // namespace bwaver

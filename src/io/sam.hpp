@@ -1,14 +1,18 @@
-// Minimal SAM-style output for mapping results: header plus one line per
-// reported occurrence (exact matches only, so CIGAR is always <len>M).
-// This is the "results made available for download" artifact of the
-// paper's pipeline. Multi-sequence references emit one @SQ line per
-// chromosome/contig.
+// Minimal SAM output for mapping results: header plus one line per reported
+// occurrence (exact matches only, so CIGAR is always <len>M). This is the
+// "results made available for download" artifact of the paper's pipeline.
+// Multi-sequence references emit one @SQ line per chromosome/contig.
+//
+// The line writers print into a caller-sized buffer: the mapper sizes it
+// once for a whole batch from kSamLineBytes and the name lengths, then
+// writes every line without a further allocation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace bwaver {
 
@@ -17,24 +21,20 @@ struct SamSequence {
   std::uint64_t length = 0;
 };
 
-struct SamAlignment {
-  std::string read_name;
-  bool reverse_strand = false;
-  std::string reference_name;  ///< per-hit (multi-chromosome references)
-  std::uint32_t position = 0;  ///< 0-based; SAM output converts to 1-based
-  std::uint32_t length = 0;
-  bool mapped = true;
-};
+/// Renders the @HD/@SQ/@PG header.
+std::string format_sam_header(std::span<const SamSequence> sequences);
 
-/// Renders a SAM document: @HD/@SQ/@PG header plus alignment lines.
-std::string format_sam(std::span<const SamSequence> sequences,
-                       std::span<const SamAlignment> alignments);
+/// Bytes an alignment line needs beyond its QNAME and RNAME: the tabs, the
+/// newline and the widest FLAG, POS, MAPQ, CIGAR and fixed fields.
+inline constexpr std::size_t kSamLineBytes = 64;
 
-/// Renders alignment lines only (streaming emission after a header).
-std::string format_sam_alignments(std::span<const SamAlignment> alignments);
+/// Writes the line of an exact hit of a `length`-base read at 0-based
+/// `position` of `rname` (printed 1-based) to `out`; returns its end.
+char* write_sam_mapped(char* out, std::string_view qname, bool reverse,
+                       std::string_view rname, std::uint32_t position,
+                       std::uint32_t length) noexcept;
 
-/// Single-reference convenience overload.
-std::string format_sam(const std::string& reference_name, std::uint64_t reference_length,
-                       std::span<const SamAlignment> alignments);
+/// Writes the line of an unmapped read to `out`; returns its end.
+char* write_sam_unmapped(char* out, std::string_view qname) noexcept;
 
 }  // namespace bwaver

@@ -65,6 +65,7 @@ struct JobManager::Job {
   std::condition_variable cv;
   JobState state = JobState::kQueued;
   std::string payload;
+  bool payload_taken = false;  ///< take_result() moved the payload out
   std::string error;
   std::string cancel_reason;
   Clock::time_point started;
@@ -260,7 +261,7 @@ JobRecord JobManager::snapshot(const Job& job) const {
       }
       break;
   }
-  record.has_result = job.state == JobState::kDone;
+  record.has_result = job.state == JobState::kDone && !job.payload_taken;
   return record;
 }
 
@@ -284,8 +285,24 @@ std::optional<std::string> JobManager::result(std::uint64_t id) const {
     job = it->second;
   }
   std::lock_guard<std::mutex> lock(job->m);
-  if (job->state != JobState::kDone) return std::nullopt;
+  if (job->state != JobState::kDone || job->payload_taken) return std::nullopt;
   return job->payload;
+}
+
+std::optional<std::string> JobManager::take_result(std::uint64_t id) {
+  std::shared_ptr<Job> job;
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) return std::nullopt;
+    job = it->second;
+  }
+  std::lock_guard<std::mutex> lock(job->m);
+  if (job->state != JobState::kDone || job->payload_taken) return std::nullopt;
+  job->payload_taken = true;
+  std::string payload = std::move(job->payload);
+  job->payload = std::string();  // release the buffer, not just its contents
+  return payload;
 }
 
 bool JobManager::cancel(std::uint64_t id, std::string reason) {

@@ -65,7 +65,7 @@ struct JobRecord {
   std::string cancel_reason;     ///< who/why, for kCancelled ("client", "hedge-lost")
   double queue_wait_ms = 0.0;    ///< submit -> pickup (or now, while queued)
   double run_ms = 0.0;           ///< pickup -> finish (or now, while running)
-  bool has_result = false;
+  bool has_result = false;  ///< done, with its payload still retained
 };
 
 class JobManager {
@@ -90,8 +90,14 @@ class JobManager {
 
   std::optional<JobRecord> status(std::uint64_t id) const;
 
-  /// Result payload once kDone; nullopt otherwise.
+  /// Result payload once kDone; nullopt otherwise (or once taken).
   std::optional<std::string> result(std::uint64_t id) const;
+
+  /// Moves the payload of a kDone job out, once: a synchronous caller that
+  /// waited for its job takes the result instead of copying it, and the
+  /// retained job then keeps none (status() reports has_result false and
+  /// result() nullopt). nullopt if the job is not done or already taken.
+  std::optional<std::string> take_result(std::uint64_t id);
 
   /// Requests cooperative cancellation. True if the job exists and was not
   /// already terminal (the final state may still become timed_out if the

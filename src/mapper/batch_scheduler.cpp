@@ -245,9 +245,8 @@ SweepFn<EprOcc> sweep_for([[maybe_unused]] const FmIndex<EprOcc>& index) {
 
 template <typename Occ>
 std::vector<QueryResult> sweep_map_batch(const FmIndex<Occ>& index,
-                                         std::span<const std::uint8_t> text,
-                                         const ReadBatch& batch, unsigned threads,
-                                         SoftwareMapReport* report) {
+                                         std::span<const std::uint8_t> text, ReadSpan batch,
+                                         unsigned threads, SoftwareMapReport* report) {
   if (text.size() != index.size()) {
     throw std::invalid_argument("sweep_map_batch: text has " + std::to_string(text.size()) +
                                 " codes, the index " + std::to_string(index.size()));
@@ -355,20 +354,19 @@ std::vector<QueryResult> sweep_map_batch(const FmIndex<Occ>& index,
 }
 
 template std::vector<QueryResult> sweep_map_batch<RrrWaveletOcc>(
-    const FmIndex<RrrWaveletOcc>&, std::span<const std::uint8_t>, const ReadBatch&, unsigned,
+    const FmIndex<RrrWaveletOcc>&, std::span<const std::uint8_t>, ReadSpan, unsigned,
     SoftwareMapReport*);
 template std::vector<QueryResult> sweep_map_batch<PlainWaveletOcc>(
-    const FmIndex<PlainWaveletOcc>&, std::span<const std::uint8_t>, const ReadBatch&, unsigned,
+    const FmIndex<PlainWaveletOcc>&, std::span<const std::uint8_t>, ReadSpan, unsigned,
     SoftwareMapReport*);
 template std::vector<QueryResult> sweep_map_batch<SampledOcc>(
-    const FmIndex<SampledOcc>&, std::span<const std::uint8_t>, const ReadBatch&, unsigned,
+    const FmIndex<SampledOcc>&, std::span<const std::uint8_t>, ReadSpan, unsigned,
     SoftwareMapReport*);
 template std::vector<QueryResult> sweep_map_batch<VectorOcc>(
-    const FmIndex<VectorOcc>&, std::span<const std::uint8_t>, const ReadBatch&, unsigned,
+    const FmIndex<VectorOcc>&, std::span<const std::uint8_t>, ReadSpan, unsigned,
     SoftwareMapReport*);
 template std::vector<QueryResult> sweep_map_batch<EprOcc>(
-    const FmIndex<EprOcc>&, std::span<const std::uint8_t>, const ReadBatch&, unsigned,
-    SoftwareMapReport*);
+    const FmIndex<EprOcc>&, std::span<const std::uint8_t>, ReadSpan, unsigned, SoftwareMapReport*);
 
 }  // namespace detail
 }  // namespace bwaver

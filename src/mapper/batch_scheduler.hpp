@@ -94,9 +94,8 @@ namespace detail {
 /// std::invalid_argument unless its size equals index.size().
 template <typename Occ>
 std::vector<QueryResult> sweep_map_batch(const FmIndex<Occ>& index,
-                                         std::span<const std::uint8_t> text,
-                                         const ReadBatch& batch, unsigned threads,
-                                         SoftwareMapReport* report);
+                                         std::span<const std::uint8_t> text, ReadSpan batch,
+                                         unsigned threads, SoftwareMapReport* report);
 
 }  // namespace detail
 }  // namespace bwaver

@@ -34,7 +34,7 @@ class OccEngine final : public HostEngine {
         text_(text),
         sweep_(sweep) {}
 
-  std::vector<QueryResult> map(const ReadBatch& batch, unsigned threads,
+  std::vector<QueryResult> map(ReadSpan batch, unsigned threads,
                                SoftwareMapReport* report) const override {
     return sweep_ ? detail::sweep_map_batch(index_, text_, batch, threads, report)
                   : detail::map_batch(index_, batch, threads, report);

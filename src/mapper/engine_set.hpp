@@ -39,7 +39,7 @@ class HostEngine {
 
   /// Forward and reverse-complement search of every read in `batch`,
   /// chunked across `threads` workers; results are indexed by read.
-  virtual std::vector<QueryResult> map(const ReadBatch& batch, unsigned threads,
+  virtual std::vector<QueryResult> map(ReadSpan batch, unsigned threads,
                                        SoftwareMapReport* report) const = 0;
 
   /// Heap bytes the engine allocated beyond the loaded index (0 for `rrr`,

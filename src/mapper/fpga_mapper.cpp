@@ -20,8 +20,7 @@ BwaverFpgaMapper::BwaverFpgaMapper(const FmIndex<RrrWaveletOcc>& index, DeviceSp
   program_seconds_ = static_cast<double>(event->duration_ns()) * 1e-9;
 }
 
-std::vector<QueryResult> BwaverFpgaMapper::map(const ReadBatch& batch,
-                                               FpgaMapReport* report) {
+std::vector<QueryResult> BwaverFpgaMapper::map(ReadSpan batch, FpgaMapReport* report) {
   std::vector<QueryResult> results;
   results.reserve(batch.size());
 

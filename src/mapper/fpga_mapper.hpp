@@ -50,7 +50,7 @@ class BwaverFpgaMapper {
                    std::size_t host_verify_stride = 0);
 
   /// Maps all reads; results are indexed by read (QueryResult::id).
-  std::vector<QueryResult> map(const ReadBatch& batch, FpgaMapReport* report = nullptr);
+  std::vector<QueryResult> map(ReadSpan batch, FpgaMapReport* report = nullptr);
 
   std::size_t host_verify_stride() const noexcept { return host_verify_stride_; }
 

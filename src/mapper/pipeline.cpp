@@ -11,8 +11,7 @@
 #include "fmindex/dna.hpp"
 #include "io/byte_io.hpp"
 #include "io/fasta.hpp"
-#include "io/sam.hpp"
-#include "io/streaming.hpp"
+#include "io/fastq.hpp"
 #include "mapper/map_service.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -150,12 +149,41 @@ void Pipeline::build_index(ReferenceSet reference, Bwt bwt,
 }
 
 MappingOutcome Pipeline::map_reads(const std::string& fastq_path,
-                                   const std::string& sam_path) {
-  const auto records = read_fastq(fastq_path);
-  MappingOutcome outcome = map_records(records);
-  if (!sam_path.empty()) {
-    write_file(sam_path, outcome.sam);
+                                   const std::string& sam_path, std::size_t chunk_bytes) {
+  if (!ready()) {
+    throw std::logic_error("Pipeline: map before encode()/build_from_sequence()");
   }
+  if (chunk_bytes == 0) throw std::invalid_argument("Pipeline: chunk_bytes must be >= 1");
+
+  FastqFileReader reader(fastq_path, chunk_bytes);
+  std::ofstream out;
+  if (!sam_path.empty()) {
+    out.open(sam_path, std::ios::binary | std::ios::trunc);
+    if (!out) throw IoError("map_reads: cannot open " + sam_path);
+  }
+  std::string sam = sam_header(reference());
+
+  MappingRun run(*stored_, config_);
+  std::size_t records = 0;
+  while (reader.read_more()) {
+    WallTimer timer;
+    FastqScanner scanner(reader.text(), reader.at_end(), records);
+    const ReadBatch batch = ReadBatch::from_fastq_text(scanner);
+    run.add_parse_ms(timer.milliseconds());
+    records = scanner.record_index();
+    reader.consume(scanner.consumed());
+
+    run.map(batch, sam);
+    if (out.is_open()) {
+      out.write(sam.data(), static_cast<std::streamsize>(sam.size()));
+      sam.clear();
+    }
+  }
+  if (out.is_open() && !out.flush()) throw IoError("map_reads: cannot write " + sam_path);
+  run.publish();
+  timings_.mapping_seconds = run.mapping_seconds();
+  MappingOutcome outcome = run.outcome();
+  if (!out.is_open()) outcome.sam = std::move(sam);
   return outcome;
 }
 
@@ -240,77 +268,6 @@ Pipeline Pipeline::from_archive(const std::string& path, PipelineConfig config,
   pipeline.stored_ =
       std::make_shared<const StoredIndex>(read_index_archive(path, load_mode));
   return pipeline;
-}
-
-MappingOutcome Pipeline::map_reads_streaming(const std::string& fastq_path,
-                                             const std::string& sam_path,
-                                             std::size_t batch_records) {
-  if (!ready()) {
-    throw std::logic_error("Pipeline: map before encode()/build_from_sequence()");
-  }
-  if (batch_records == 0) {
-    throw std::invalid_argument("Pipeline: batch_records must be >= 1");
-  }
-
-  // One engine instance for the whole stream: the index's host engine, or
-  // an FPGA model programmed once, so the fixed overhead amortizes over all
-  // batches.
-  std::unique_ptr<BwaverFpgaMapper> fpga;
-  const HostEngine* host = nullptr;
-  if (kernels::engine_spec(config_.engine).device_model) {
-    fpga = std::make_unique<BwaverFpgaMapper>(stored_->index, config_.device, 8192,
-                                              config_.fpga_verify_stride);
-  } else {
-    host = &stored_->engine(config_.engine);
-  }
-
-  std::ofstream sam;
-  if (!sam_path.empty()) {
-    sam.open(sam_path, std::ios::trunc);
-    if (!sam) throw IoError("map_reads_streaming: cannot open " + sam_path);
-    const std::string header = format_sam(sam_sequences_for(reference()), {});
-    sam << header;
-  }
-
-  MappingOutcome outcome;
-  FastqStreamReader reader(fastq_path);
-  double mapping_seconds = 0.0;
-  std::vector<FastqRecord> batch_records_vec;
-  FastqRecord record;
-  bool more = true;
-  while (more) {
-    batch_records_vec.clear();
-    while (batch_records_vec.size() < batch_records && (more = reader.next(record))) {
-      batch_records_vec.push_back(std::move(record));
-    }
-    if (batch_records_vec.empty()) break;
-    const ReadBatch batch = ReadBatch::from_fastq(batch_records_vec);
-
-    std::vector<QueryResult> results;
-    if (fpga != nullptr) {
-      FpgaMapReport report;
-      results = fpga->map(batch, &report);
-      mapping_seconds += report.mapping_seconds();
-    } else {
-      SoftwareMapReport report;
-      results = host->map(batch, config_.threads, &report);
-      mapping_seconds += report.seconds;
-    }
-
-    std::vector<SamAlignment> alignments;
-    alignments.reserve(results.size());
-    resolve_query_results(reference(), index().suffix_array(), batch_records_vec, batch,
-                          results, config_.max_hits_per_read, outcome, alignments);
-    if (sam.is_open()) {
-      sam << format_sam_alignments(alignments);
-    }
-  }
-  if (fpga != nullptr) {
-    mapping_seconds +=
-        static_cast<double>(fpga->runtime().events().front()->duration_ns()) * 1e-9;
-  }
-  timings_.mapping_seconds = mapping_seconds;
-  return outcome;
 }
 
 }  // namespace bwaver

@@ -79,22 +79,29 @@ struct PipelineTimings {
   double mapping_seconds = 0.0;  ///< wall-clock (software) or modeled (FPGA)
 };
 
-/// Per-stage decomposition of one mapping run (milliseconds). seed covers
-/// read-batch/query-packet construction, search the engine's backward
-/// search (wall-clock for software, modeled for the FPGA), locate the
-/// SA-interval -> position resolution, sam the SAM rendering. On the
-/// sharded path seed/search/locate are summed CPU time across shards, so
-/// total_ms() can exceed the wall clock; at threads == 1 it tracks it.
+/// Per-stage decomposition of one mapping run (milliseconds). parse covers
+/// packing FASTQ text into read batches in one pass (`bwaver map`; a served
+/// request is parsed on its connection thread, outside the run), pack the
+/// records adapter's FastqRecord -> ReadBatch conversion, search the
+/// engine's backward search (wall-clock for software, modeled for the
+/// FPGA), locate the SA-interval -> position resolution, sam the SAM
+/// rendering. On the sharded path search/locate/sam are summed CPU time
+/// across shards, so total_ms() can exceed the wall clock; at threads == 1
+/// it tracks it.
 struct MappingStageTimings {
-  double seed_ms = 0.0;
+  double parse_ms = 0.0;
+  double pack_ms = 0.0;
   double search_ms = 0.0;
   double locate_ms = 0.0;
   double sam_ms = 0.0;
 
-  double total_ms() const noexcept { return seed_ms + search_ms + locate_ms + sam_ms; }
+  double total_ms() const noexcept {
+    return parse_ms + pack_ms + search_ms + locate_ms + sam_ms;
+  }
 
   MappingStageTimings& operator+=(const MappingStageTimings& other) noexcept {
-    seed_ms += other.seed_ms;
+    parse_ms += other.parse_ms;
+    pack_ms += other.pack_ms;
     search_ms += other.search_ms;
     locate_ms += other.locate_ms;
     sam_ms += other.sam_ms;
@@ -109,7 +116,7 @@ struct MappingOutcome {
   std::uint64_t shards = 1;       ///< parallel shards dispatched (1 = sequential)
   MappingStageTimings stages;     ///< per-stage timing split
   SweepStats sweep;               ///< sweep-scheduler counters (zero per-read)
-  std::string sam;                ///< rendered SAM document
+  std::string sam;                ///< rendered SAM document (see map_reads)
 };
 
 class Pipeline {
@@ -160,22 +167,21 @@ class Pipeline {
                                PipelineConfig config = PipelineConfig{},
                                LoadMode load_mode = default_load_mode());
 
-  /// Step 3. Maps the reads in `fastq_path`; writes SAM to `sam_path` if
-  /// non-empty. Requires encode()/build_from_sequence() first.
-  MappingOutcome map_reads(const std::string& fastq_path,
-                           const std::string& sam_path = "");
+  /// FASTQ bytes map_reads() reads per chunk by default.
+  static constexpr std::size_t kDefaultChunkBytes = std::size_t{4} << 20;
 
-  /// Step 3 over in-memory records.
+  /// Step 3. Maps the FASTQ(.gz) reads in `fastq_path` in chunks of
+  /// `chunk_bytes` (each packed in one pass and mapped by the same engine
+  /// instance: the index's host engine, or one FPGA model programmed once,
+  /// so the fixed overhead is paid once). SAM goes to `sam_path` chunk by
+  /// chunk, so memory stays flat however many reads the file holds; with no
+  /// path it collects in the outcome's `sam`. Requires
+  /// encode()/build_from_*() first.
+  MappingOutcome map_reads(const std::string& fastq_path, const std::string& sam_path = "",
+                           std::size_t chunk_bytes = kDefaultChunkBytes);
+
+  /// Step 3 over in-memory records (the records adapter).
   MappingOutcome map_records(const std::vector<FastqRecord>& records);
-
-  /// Step 3, streaming: reads the FASTQ(.gz) in batches of `batch_records`
-  /// (constant memory in the read count — required for the paper's 100 M
-  /// read workloads), maps each batch on a single engine instance (the
-  /// index's host engine, or one FPGA model programmed once, so the fixed
-  /// overhead is paid once), and appends SAM incrementally to `sam_path`.
-  MappingOutcome map_reads_streaming(const std::string& fastq_path,
-                                     const std::string& sam_path,
-                                     std::size_t batch_records = 100'000);
 
   bool ready() const noexcept { return stored_ != nullptr; }
   const PipelineTimings& timings() const noexcept { return timings_; }

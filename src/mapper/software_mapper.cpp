@@ -10,8 +10,8 @@ namespace bwaver {
 namespace detail {
 
 template <typename Occ>
-std::vector<QueryResult> map_batch(const FmIndex<Occ>& index, const ReadBatch& batch,
-                                   unsigned threads, SoftwareMapReport* report) {
+std::vector<QueryResult> map_batch(const FmIndex<Occ>& index, ReadSpan batch, unsigned threads,
+                                   SoftwareMapReport* report) {
   std::vector<QueryResult> results(batch.size());
   std::atomic<std::uint64_t> mapped{0};
   WallTimer timer;
@@ -55,15 +55,15 @@ std::vector<QueryResult> map_batch(const FmIndex<Occ>& index, const ReadBatch& b
 }
 
 template std::vector<QueryResult> map_batch<RrrWaveletOcc>(
-    const FmIndex<RrrWaveletOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
+    const FmIndex<RrrWaveletOcc>&, ReadSpan, unsigned, SoftwareMapReport*);
 template std::vector<QueryResult> map_batch<PlainWaveletOcc>(
-    const FmIndex<PlainWaveletOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
+    const FmIndex<PlainWaveletOcc>&, ReadSpan, unsigned, SoftwareMapReport*);
 template std::vector<QueryResult> map_batch<SampledOcc>(
-    const FmIndex<SampledOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
+    const FmIndex<SampledOcc>&, ReadSpan, unsigned, SoftwareMapReport*);
 template std::vector<QueryResult> map_batch<VectorOcc>(
-    const FmIndex<VectorOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
+    const FmIndex<VectorOcc>&, ReadSpan, unsigned, SoftwareMapReport*);
 template std::vector<QueryResult> map_batch<EprOcc>(
-    const FmIndex<EprOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
+    const FmIndex<EprOcc>&, ReadSpan, unsigned, SoftwareMapReport*);
 
 }  // namespace detail
 
@@ -76,7 +76,7 @@ BwaverCpuMapper::BwaverCpuMapper(std::span<const std::uint8_t> reference,
   index_ = owned_.get();
 }
 
-std::vector<QueryResult> BwaverCpuMapper::map(const ReadBatch& batch, unsigned threads,
+std::vector<QueryResult> BwaverCpuMapper::map(ReadSpan batch, unsigned threads,
                                               SoftwareMapReport* report) const {
   return detail::map_batch(*index_, batch, threads, report);
 }
@@ -87,7 +87,7 @@ Bowtie2LikeMapper::Bowtie2LikeMapper(std::span<const std::uint8_t> reference,
         return SampledOcc(bwt, checkpoint_words);
       }) {}
 
-std::vector<QueryResult> Bowtie2LikeMapper::map(const ReadBatch& batch, unsigned threads,
+std::vector<QueryResult> Bowtie2LikeMapper::map(ReadSpan batch, unsigned threads,
                                                 SoftwareMapReport* report) const {
   return detail::map_batch(index_, batch, threads, report);
 }

@@ -47,8 +47,8 @@ namespace detail {
 /// across `threads` workers. The batched alternative with identical results
 /// is sweep_map_batch (batch_scheduler.hpp).
 template <typename Occ>
-std::vector<QueryResult> map_batch(const FmIndex<Occ>& index, const ReadBatch& batch,
-                                   unsigned threads, SoftwareMapReport* report);
+std::vector<QueryResult> map_batch(const FmIndex<Occ>& index, ReadSpan batch, unsigned threads,
+                                   SoftwareMapReport* report);
 }  // namespace detail
 
 class BwaverCpuMapper {
@@ -59,7 +59,7 @@ class BwaverCpuMapper {
   /// Wraps an existing index (not owned).
   explicit BwaverCpuMapper(const FmIndex<RrrWaveletOcc>& index) : index_(&index) {}
 
-  std::vector<QueryResult> map(const ReadBatch& batch, unsigned threads = 1,
+  std::vector<QueryResult> map(ReadSpan batch, unsigned threads = 1,
                                SoftwareMapReport* report = nullptr) const;
 
   const FmIndex<RrrWaveletOcc>& index() const noexcept { return *index_; }
@@ -75,7 +75,7 @@ class Bowtie2LikeMapper {
   explicit Bowtie2LikeMapper(std::span<const std::uint8_t> reference,
                              unsigned checkpoint_words = 4);
 
-  std::vector<QueryResult> map(const ReadBatch& batch, unsigned threads = 1,
+  std::vector<QueryResult> map(ReadSpan batch, unsigned threads = 1,
                                SoftwareMapReport* report = nullptr) const;
 
   const FmIndex<SampledOcc>& index() const noexcept { return index_; }
@@ -105,7 +105,7 @@ class DerivedOccMapper {
 
   /// Per-read search of every read (the batched order is
   /// detail::sweep_map_batch over index()).
-  std::vector<QueryResult> map(const ReadBatch& batch, unsigned threads = 1,
+  std::vector<QueryResult> map(ReadSpan batch, unsigned threads = 1,
                                SoftwareMapReport* report = nullptr) const {
     return detail::map_batch(index_, batch, threads, report);
   }

@@ -1,8 +1,8 @@
 // Hierarchical trace spans with a per-request trace context.
 //
 // A Trace is one request's (or one CLI batch run's) tree of timed spans:
-// the job layer opens the root and queue-wait spans, map_records_over adds
-// the per-stage spans (seed / search / locate / sam), shard workers nest
+// the job layer opens the root and queue-wait spans, the mapping loop adds
+// the per-stage spans (parse or pack / search / locate / sam), shard workers nest
 // theirs under the stage that dispatched them, and the FPGA / staged
 // mappers append modeled-time phase spans. Span recording takes a mutex —
 // spans are coarse (a handful per request), so contention is nil.

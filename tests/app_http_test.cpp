@@ -3,9 +3,11 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -388,6 +390,60 @@ TEST(HttpServerKeepAlive, DisabledKeepAliveClosesAfterEachResponse) {
   server.stop();
 }
 
+TEST(HttpServerKeepAlive, SegmentedBodyRunsStraightIntoAPipelinedRequest) {
+  // A body that trickles in over many small segments, with the next
+  // request's bytes in the same segment as the body's last ones: the body
+  // arrives whole, and the pipelined request is served from the carry-over.
+  HttpServer server;
+  std::vector<std::string> bodies;
+  server.route("POST", "/echo", [&](const HttpRequest& request) {
+    bodies.emplace_back(request.body.begin(), request.body.end());
+    return HttpResponse::text(200, "got " + std::to_string(request.body.size()));
+  });
+  server.start(0);
+
+  std::string body;
+  for (int i = 0; i < 200'000; ++i) body.push_back(static_cast<char>('a' + i % 26));
+  const std::string first = "POST /echo HTTP/1.1\r\nHost: localhost\r\nContent-Length: " +
+                            std::to_string(body.size()) + "\r\n\r\n" + body;
+  const std::string second =
+      "POST /echo HTTP/1.1\r\nHost: localhost\r\nContent-Length: 3\r\n\r\nxyz";
+  const std::string wire = first + second;
+
+  const int fd = connect_to(server.port());
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  // Segments of 1..997 bytes up to the body's last few bytes; the final
+  // segment carries those and the whole next request.
+  const std::size_t last = first.size() - 5;
+  std::size_t sent = 0;
+  for (std::size_t segment = 1; sent < last; segment = segment * 7 % 997 + 1) {
+    const std::size_t take = std::min(segment, last - sent);
+    ASSERT_EQ(::send(fd, wire.data() + sent, take, 0), static_cast<ssize_t>(take));
+    sent += take;
+    if (sent % 5 == 0) std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  ASSERT_EQ(::send(fd, wire.data() + sent, wire.size() - sent, 0),
+            static_cast<ssize_t>(wire.size() - sent));
+  // Both responses may arrive in one read, so collect everything up to the
+  // server's close, which follows our end of input.
+  ::shutdown(fd, SHUT_WR);
+  std::string responses;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    responses.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  const std::size_t first_reply = responses.find("got 200000");
+  ASSERT_NE(first_reply, std::string::npos) << responses;
+  EXPECT_NE(responses.find("got 3", first_reply), std::string::npos) << responses;
+  ASSERT_EQ(bodies.size(), 2u);
+  EXPECT_EQ(bodies[0], body);
+  EXPECT_EQ(bodies[1], "xyz");
+  server.stop();
+}
+
 // --------------------------------------------------------- WebService
 
 class WebServiceTest : public ::testing::Test {
@@ -501,6 +557,41 @@ TEST_F(WebServiceTest, DescriptionHeaderWithoutNameIs400) {
       http_request(service_.port(), "POST", "/reference?name=chr21", fasta);
   EXPECT_NE(named.find("200 OK"), std::string::npos);
   EXPECT_TRUE(service_.registry().contains("chr21"));
+}
+
+TEST_F(WebServiceTest, QnameStopsAtTheFirstSpaceOrTab) {
+  http_request(service_.port(), "POST", "/reference", fasta_text_);
+  const std::string read = dna_decode_string(
+      std::span<const std::uint8_t>(genome_codes_.data() + 1000, 40));
+  const std::string quality(40, 'I');
+  const std::string fastq = "@r2\tcomment\n" + read + "\n+\n" + quality +
+                            "\n@SRR001666.1 071112_SLXA-EAS1_s_7:5:1:817:345 length=40\n" +
+                            read + "\n+\n" + quality + "\n";
+  const std::string response = http_request(service_.port(), "POST", "/map", fastq);
+  ASSERT_NE(response.find("200 OK"), std::string::npos) << response;
+  const std::string sam = response.substr(response.find("\r\n\r\n") + 4);
+  std::size_t lines = 0;
+  std::size_t at = 0;
+  while (at < sam.size()) {
+    const std::size_t eol = sam.find('\n', at);
+    const std::string line = sam.substr(at, eol - at);
+    at = eol + 1;
+    if (line.empty() || line[0] == '@') continue;
+    ++lines;
+    // Eleven tab-separated columns, FLAG in column 2, no space anywhere.
+    EXPECT_EQ(std::count(line.begin(), line.end(), '\t'), 10) << line;
+    EXPECT_EQ(line.find(' '), std::string::npos) << line;
+    EXPECT_TRUE(line.rfind("r2\t0\tweb_ref\t1001\t", 0) == 0 ||
+                line.rfind("SRR001666.1\t0\tweb_ref\t1001\t", 0) == 0)
+        << line;
+  }
+  EXPECT_EQ(lines, 2u);
+
+  // A header with no name before its comment is a client error.
+  const std::string nameless = "@ comment\n" + read + "\n+\n" + quality + "\n";
+  const std::string rejected = http_request(service_.port(), "POST", "/map", nameless);
+  EXPECT_NE(rejected.find("HTTP/1.1 400"), std::string::npos) << rejected;
+  EXPECT_NE(rejected.find("no read name"), std::string::npos) << rejected;
 }
 
 }  // namespace

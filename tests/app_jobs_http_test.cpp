@@ -175,6 +175,36 @@ TEST_F(JobsHttpTest, JobStatusReportsQueueAndRunTimes) {
   EXPECT_NE(list.body.find("\"id\":" + std::to_string(id)), std::string::npos);
 }
 
+TEST_F(JobsHttpTest, SynchronousMapRetainsNoResult) {
+  // POST /map hands its SAM to the client and the job keeps none; an async
+  // job's result stays retained for polling.
+  const auto sync = http_request(service_->port(), "POST", "/map", fastq_text_);
+  ASSERT_EQ(sync.status, 200) << sync.raw;
+  const auto submit = http_request(service_->port(), "POST", "/jobs", fastq_text_);
+  const std::uint64_t async_id = parse_job_id(submit.body);
+  ASSERT_EQ(poll_until_done(async_id), "done");
+
+  std::uint64_t sync_id = 0;
+  for (const JobRecord& record : service_->jobs().list()) {
+    if (record.id != async_id && record.state == JobState::kDone) sync_id = record.id;
+  }
+  ASSERT_NE(sync_id, 0u);
+  const auto status =
+      http_request(service_->port(), "GET", "/jobs/" + std::to_string(sync_id));
+  EXPECT_EQ(status.status, 200);
+  EXPECT_NE(status.body.find("\"state\":\"done\""), std::string::npos) << status.body;
+  EXPECT_EQ(status.body.find("\"result\""), std::string::npos) << status.body;
+  EXPECT_EQ(
+      http_request(service_->port(), "GET", "/jobs/" + std::to_string(sync_id) + "/result")
+          .status,
+      404);
+
+  const auto async_result = http_request(
+      service_->port(), "GET", "/jobs/" + std::to_string(async_id) + "/result");
+  EXPECT_EQ(async_result.status, 200);
+  EXPECT_EQ(async_result.body, sync.body);
+}
+
 TEST_F(JobsHttpTest, UnknownAndMalformedJobIdsAreRejected) {
   EXPECT_EQ(http_request(service_->port(), "GET", "/jobs/999999").status, 404);
   EXPECT_EQ(http_request(service_->port(), "GET", "/jobs/abc").status, 400);
@@ -391,14 +421,17 @@ TEST_F(JobsHttpTest, MetricsEndpointServesPrometheusAndCountersMove) {
   EXPECT_GE(run_count, 2.0);
   EXPECT_EQ(metric_value(text, "bwaver_job_run_seconds_bucket{le=\"+Inf\"}"),
             run_count);
-  const double seed_count =
+  // Both requests were parsed on their connection threads, and no stage
+  // called "seed" times packing any more.
+  const double parse_count =
       metric_value(text,
-                   "bwaver_map_stage_seconds_count{engine=\"fpga\",stage=\"seed\"}");
-  EXPECT_GE(seed_count, 2.0);
+                   "bwaver_map_stage_seconds_count{engine=\"fpga\",stage=\"parse\"}");
+  EXPECT_GE(parse_count, 2.0);
   EXPECT_EQ(metric_value(text,
                          "bwaver_map_stage_seconds_bucket{engine=\"fpga\","
-                         "stage=\"seed\",le=\"+Inf\"}"),
-            seed_count);
+                         "stage=\"parse\",le=\"+Inf\"}"),
+            parse_count);
+  EXPECT_EQ(text.find("stage=\"seed\""), std::string::npos);
   for (const char* stage : {"search", "locate", "sam"}) {
     EXPECT_GE(metric_value(text,
                            std::string("bwaver_map_stage_seconds_count{engine=\"fpga\","
@@ -523,9 +556,11 @@ TEST_F(JobsHttpTest, TraceRecentSpanTreeStageSumTracksWall) {
   const std::string& json = traces.body;
   EXPECT_NE(json.find("\"enabled\":true"), std::string::npos) << json;
 
+  // The reads were packed on the connection thread, so the job's stages are
+  // search, locate and sam.
   const double map_ms = span_dur_ms(json, "map_records");
-  const double stage_sum = span_dur_ms(json, "seed") + span_dur_ms(json, "search") +
-                           span_dur_ms(json, "locate") + span_dur_ms(json, "sam");
+  const double stage_sum =
+      span_dur_ms(json, "search") + span_dur_ms(json, "locate") + span_dur_ms(json, "sam");
   ASSERT_GT(map_ms, 0.0) << json;
   ASSERT_GE(stage_sum, 0.0) << json;
   EXPECT_NEAR(stage_sum, map_ms, 0.1 * map_ms)

@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "app/web_service.hpp"
@@ -224,14 +225,22 @@ TEST_F(FleetHttpTransportTest, HttpFailedJobErrorArrivesWhole) {
 
 TEST_F(FleetHttpTransportTest, HttpGiveUpCancelsTheReplicaJob) {
   // Pin both replica workers so the submitted job stays queued until the
-  // give-up DELETE lands.
+  // give-up DELETE lands. The transport submits at high priority, so a
+  // blocker still queued would let it jump ahead onto a free worker and
+  // finish before the DELETE: wait until both blockers run.
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
+  std::vector<std::uint64_t> blockers;
   for (int i = 0; i < 2; ++i) {
-    service_->jobs().submit("blocker", [released](const CancelToken&) {
+    blockers.push_back(service_->jobs().submit("blocker", [released](const CancelToken&) {
       released.wait();
       return std::string{};
-    });
+    }));
+  }
+  for (const std::uint64_t blocker : blockers) {
+    while (service_->jobs().status(blocker)->state != JobState::kRunning) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 
   HttpMapTransport transport(client_, "127.0.0.1", service_->port());

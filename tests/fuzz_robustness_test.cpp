@@ -3,7 +3,10 @@
 // std::invalid_argument), never crash, hang, or silently succeed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <optional>
+#include <string_view>
 #include <filesystem>
 
 #include "fmindex/fm_index.hpp"
@@ -14,6 +17,7 @@
 #include "io/fastq.hpp"
 #include "io/gzip.hpp"
 #include "mapper/pipeline.hpp"
+#include "mapper/read_batch.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -25,6 +29,84 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
   std::vector<std::uint8_t> out(n);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
   return out;
+}
+
+/// A small FASTQ body with the awkward shapes real uploads have: CRLF line
+/// ends, blank lines, '+name' separators, lowercase, U, N and NUL bases,
+/// and header comments (some leaving no name), plus the odd stray byte.
+std::string awkward_fastq_body(Xoshiro256& rng) {
+  static constexpr std::string_view kBases("ACGTacgtUuNn.\0", 14);
+  static constexpr std::string_view kStray("@+\n\r\0 x", 7);
+  std::string body;
+  const std::size_t records = rng.below(5);
+  for (std::size_t r = 0; r < records; ++r) {
+    const std::string eol = rng.below(3) == 0 ? "\r\n" : "\n";
+    if (rng.below(4) == 0) body += eol;
+    std::string name = "r" + std::to_string(r);
+    switch (rng.below(6)) {
+      case 0: name += " comment"; break;
+      case 1: name += "\tlane:1"; break;
+      case 2: name = " nameless"; break;
+      default: break;
+    }
+    std::string bases;
+    const std::size_t length = rng.below(12);
+    for (std::size_t i = 0; i < length; ++i) bases.push_back(kBases[rng.below(kBases.size())]);
+    body += "@" + name + eol + bases + eol + (rng.below(2) == 0 ? "+" + name : "+") + eol +
+            std::string(length, 'I') + eol;
+  }
+  if (rng.below(8) == 0) {
+    body.insert(rng.below(body.size() + 1), 1, kStray[rng.below(kStray.size())]);
+  }
+  return body;
+}
+
+/// The batch builder against its oracle, parse_fastq then the records
+/// adapter: IoError from exactly the same bodies, and otherwise the same
+/// names, codes and ambiguity flags.
+void expect_builder_matches_parser(const std::vector<std::uint8_t>& body,
+                                   const std::string& context) {
+  std::optional<ReadBatch> expected;
+  try {
+    expected = ReadBatch::from_fastq(parse_fastq(body));
+  } catch (const IoError&) {
+  }
+  std::optional<ReadBatch> built;
+  try {
+    built = ReadBatch::from_fastq_bytes(body);
+  } catch (const IoError&) {
+  }
+  ASSERT_EQ(built.has_value(), expected.has_value()) << context;
+  if (!built) return;
+  ASSERT_EQ(built->size(), expected->size()) << context;
+  for (std::size_t i = 0; i < built->size(); ++i) {
+    ASSERT_EQ(built->name(i), expected->name(i)) << context << " read " << i;
+    ASSERT_TRUE(std::ranges::equal(built->read(i), expected->read(i)))
+        << context << " read " << i;
+    ASSERT_EQ(built->ambiguous(i), expected->ambiguous(i)) << context << " read " << i;
+  }
+}
+
+TEST(Fuzz, ReadBatchBuilderMatchesParseFastq) {
+  Xoshiro256 rng(2024);
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    const std::string text = awkward_fastq_body(rng);
+    const std::vector<std::uint8_t> body(text.begin(), text.end());
+    const std::string context = "trial " + std::to_string(trial);
+    expect_builder_matches_parser(body, context);
+    // Truncated at every byte: mostly cut records, which both must reject.
+    for (std::size_t cut = 0; cut < body.size(); ++cut) {
+      expect_builder_matches_parser(
+          std::vector<std::uint8_t>(body.begin(), body.begin() + static_cast<long>(cut)),
+          context + " cut " + std::to_string(cut));
+    }
+    // Gzip-wrapped, whole and truncated.
+    const auto gz = gzip_compress(body);
+    expect_builder_matches_parser(gz, context + " gzip");
+    expect_builder_matches_parser(
+        std::vector<std::uint8_t>(gz.begin(), gz.begin() + static_cast<long>(gz.size() / 2)),
+        context + " gzip cut");
+  }
 }
 
 TEST(Fuzz, InflateRandomGarbageThrowsOrReturns) {

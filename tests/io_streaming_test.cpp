@@ -1,4 +1,7 @@
-#include "io/streaming.hpp"
+// Chunked FASTQ input: FastqFileReader hands a file out in chunks and
+// FastqScanner leaves a record cut by a chunk end for the next chunk, so
+// `bwaver map` holds one chunk at a time.
+#include "io/fastq.hpp"
 
 #include <gtest/gtest.h>
 
@@ -32,38 +35,70 @@ class StreamingTest : public ::testing::Test {
     return path;
   }
 
+  /// Every record of `path`, read in chunks of `chunk_bytes` the way
+  /// Pipeline::map_reads reads them.
+  static std::vector<FastqRecord> read_chunked(const std::string& path,
+                                               std::size_t chunk_bytes) {
+    FastqFileReader reader(path, chunk_bytes);
+    std::vector<FastqRecord> records;
+    while (reader.read_more()) {
+      FastqScanner scanner(reader.text(), reader.at_end(), records.size());
+      FastqView view;
+      while (scanner.next(view)) {
+        records.push_back({std::string(view.name), std::string(view.sequence),
+                           std::string(view.quality)});
+      }
+      reader.consume(scanner.consumed());
+    }
+    return records;
+  }
+
   std::filesystem::path dir_;
 };
 
-TEST_F(StreamingTest, LineSourceSplitsLines) {
-  const auto path = write("lines.txt", "one\ntwo\r\nthree");
-  LineSource source(path);
-  std::string line;
-  ASSERT_TRUE(source.next_line(line));
-  EXPECT_EQ(line, "one");
-  ASSERT_TRUE(source.next_line(line));
-  EXPECT_EQ(line, "two");
-  ASSERT_TRUE(source.next_line(line));
-  EXPECT_EQ(line, "three");  // no trailing newline
-  EXPECT_FALSE(source.next_line(line));
+TEST_F(StreamingTest, ScannerSplitsLfCrLfAndUnterminatedLines) {
+  const std::string text = "@one\nAC\n+\nII\r\n@two c\r\nG\r\n+\r\n!\n@three\nT\n+\nI";
+  FastqScanner scanner(text);
+  FastqView view;
+  ASSERT_TRUE(scanner.next(view));
+  EXPECT_EQ(view.name, "one");
+  EXPECT_EQ(view.quality, "II");
+  ASSERT_TRUE(scanner.next(view));
+  EXPECT_EQ(view.name, "two c");
+  EXPECT_EQ(view.sequence, "G");
+  ASSERT_TRUE(scanner.next(view));
+  EXPECT_EQ(view.quality, "I");  // no trailing newline at the end of the input
+  EXPECT_FALSE(scanner.next(view));
+  EXPECT_EQ(scanner.consumed(), text.size());
+
+  // Before the end of the input, the unterminated record is left unread.
+  FastqScanner partial(text, /*final=*/false);
+  ASSERT_TRUE(partial.next(view));
+  ASSERT_TRUE(partial.next(view));
+  EXPECT_FALSE(partial.next(view));
+  EXPECT_EQ(partial.consumed(), text.rfind("@three"));
+  EXPECT_EQ(partial.record_index(), 2u);
 }
 
-TEST_F(StreamingTest, LineSourceHandlesLinesAcrossChunkBoundaries) {
-  // One very long line that spans multiple 64 KiB refills.
-  std::string content(200'000, 'x');
-  content += "\nshort\n";
-  const auto path = write("long.txt", content);
-  LineSource source(path);
-  std::string line;
-  ASSERT_TRUE(source.next_line(line));
-  EXPECT_EQ(line.size(), 200'000u);
-  ASSERT_TRUE(source.next_line(line));
-  EXPECT_EQ(line, "short");
-  EXPECT_FALSE(source.next_line(line));
+TEST_F(StreamingTest, RecordsCarryAcrossChunkBoundaries) {
+  // One record far longer than a chunk, between short ones.
+  const std::string long_read(200'000, 'A');
+  const std::string content = "@short1\nAC\n+\nII\n@long\n" + long_read + "\n+\n" +
+                              std::string(long_read.size(), 'I') + "\n@short2\nG\n+\n!\n";
+  const auto path = write("long.fq", content);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096},
+                                  std::size_t{65536}, content.size()}) {
+    const auto records = read_chunked(path, chunk);
+    ASSERT_EQ(records.size(), 3u) << "chunk " << chunk;
+    EXPECT_EQ(records[1].sequence, long_read);
+    EXPECT_EQ(records[2].name, "short2");
+  }
 }
 
-TEST_F(StreamingTest, LineSourceMissingFileThrows) {
-  EXPECT_THROW(LineSource((dir_ / "missing.txt").string()), IoError);
+TEST_F(StreamingTest, MissingFileThrows) {
+  EXPECT_THROW(FastqFileReader((dir_ / "missing.fq").string(), 4096), IoError);
+  const auto path = write("reads.fq", "@a\nA\n+\nI\n");
+  EXPECT_THROW(FastqFileReader(path, 0), std::invalid_argument);
 }
 
 TEST_F(StreamingTest, FastqStreamingMatchesWholeFileParser) {
@@ -72,90 +107,47 @@ TEST_F(StreamingTest, FastqStreamingMatchesWholeFileParser) {
     content += "@read_" + std::to_string(i) + "\nACGTACGT\n+\nIIIIIIII\n";
   }
   const auto path = write("reads.fq", content);
-
-  FastqStreamReader reader(path);
   const auto whole = parse_fastq(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(content.data()), content.size()));
 
-  FastqRecord record;
-  std::size_t i = 0;
-  while (reader.next(record)) {
-    ASSERT_LT(i, whole.size());
-    ASSERT_EQ(record.name, whole[i].name);
-    ASSERT_EQ(record.sequence, whole[i].sequence);
-    ASSERT_EQ(record.quality, whole[i].quality);
-    ++i;
+  for (const std::size_t chunk : {std::size_t{13}, std::size_t{1000}, std::size_t{1} << 20}) {
+    const auto records = read_chunked(path, chunk);
+    ASSERT_EQ(records.size(), whole.size()) << "chunk " << chunk;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      ASSERT_EQ(records[i].name, whole[i].name);
+      ASSERT_EQ(records[i].sequence, whole[i].sequence);
+      ASSERT_EQ(records[i].quality, whole[i].quality);
+    }
   }
-  EXPECT_EQ(i, whole.size());
-  EXPECT_EQ(reader.records_read(), 1000u);
 }
 
 TEST_F(StreamingTest, FastqStreamingFromGzip) {
   const auto path = write("reads.fq.gz", "@a\nACGT\n+\nIIII\n@b\nGG\n+\n!!\n", true);
-  FastqStreamReader reader(path);
-  FastqRecord record;
-  ASSERT_TRUE(reader.next(record));
-  EXPECT_EQ(record.name, "a");
-  ASSERT_TRUE(reader.next(record));
-  EXPECT_EQ(record.sequence, "GG");
-  EXPECT_FALSE(reader.next(record));
+  for (const std::size_t chunk : {std::size_t{3}, std::size_t{4096}}) {
+    const auto records = read_chunked(path, chunk);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].name, "a");
+    EXPECT_EQ(records[1].sequence, "GG");
+  }
 }
 
 TEST_F(StreamingTest, FastqStreamingMalformedThrows) {
   const auto path = write("bad.fq", "@a\nACGT\nIIII\n");  // missing '+'
-  FastqStreamReader reader(path);
-  FastqRecord record;
-  EXPECT_THROW(reader.next(record), IoError);
+  EXPECT_THROW(read_chunked(path, 4096), IoError);
+  EXPECT_THROW(read_chunked(path, 2), IoError);
 }
 
 TEST_F(StreamingTest, FastqStreamingTruncatedThrows) {
   const auto path = write("trunc.fq", "@a\nACGT\n+\n");
-  FastqStreamReader reader(path);
-  FastqRecord record;
-  EXPECT_THROW(reader.next(record), IoError);
-}
-
-TEST_F(StreamingTest, FastaStreamingMultiRecord) {
-  const auto path = write("ref.fa", ">chr1 desc\nACGT\nAC\n>chr2\nTTTT\n");
-  FastaStreamReader reader(path);
-  FastaRecord record;
-  ASSERT_TRUE(reader.next(record));
-  EXPECT_EQ(record.name, "chr1 desc");
-  EXPECT_EQ(record.sequence, "ACGTAC");
-  ASSERT_TRUE(reader.next(record));
-  EXPECT_EQ(record.name, "chr2");
-  EXPECT_EQ(record.sequence, "TTTT");
-  EXPECT_FALSE(reader.next(record));
-  EXPECT_EQ(reader.records_read(), 2u);
-}
-
-TEST_F(StreamingTest, FastaStreamingGzip) {
-  const auto path = write("ref.fa.gz", ">g\nACGTACGT\n", true);
-  FastaStreamReader reader(path);
-  FastaRecord record;
-  ASSERT_TRUE(reader.next(record));
-  EXPECT_EQ(record.sequence, "ACGTACGT");
-}
-
-TEST_F(StreamingTest, FastaStreamingDataBeforeHeaderThrows) {
-  const auto path = write("bad.fa", "ACGT\n>late\nAC\n");
-  FastaStreamReader reader(path);
-  FastaRecord record;
-  EXPECT_THROW(reader.next(record), IoError);
-}
-
-TEST_F(StreamingTest, FastaStreamingEmptySequenceThrows) {
-  const auto path = write("empty.fa", ">a\n>b\nAC\n");
-  FastaStreamReader reader(path);
-  FastaRecord record;
-  EXPECT_THROW(reader.next(record), IoError);
+  EXPECT_THROW(read_chunked(path, 4096), IoError);
+  EXPECT_THROW(read_chunked(path, 1), IoError);
 }
 
 TEST_F(StreamingTest, EmptyFileYieldsNothing) {
   const auto path = write("nothing.fq", "");
-  FastqStreamReader reader(path);
-  FastqRecord record;
-  EXPECT_FALSE(reader.next(record));
+  EXPECT_TRUE(read_chunked(path, 4096).empty());
+  const auto blank = write("blank.fq", "\n\r\n\n");
+  EXPECT_TRUE(read_chunked(blank, 1).empty());
 }
 
 }  // namespace

@@ -40,6 +40,20 @@ TEST(JobManager, CompletesAndRetainsResult) {
   EXPECT_EQ(manager.stats().map_time.count(), 1u);
 }
 
+TEST(JobManager, TakeResultMovesThePayloadOutOnce) {
+  JobManager manager(small_config());
+  const auto id = manager.submit("t", [](const CancelToken&) { return std::string("sam"); });
+  manager.wait(id);
+  EXPECT_TRUE(manager.status(id)->has_result);
+  EXPECT_EQ(manager.take_result(id).value(), "sam");
+  // Taken: the job is still retained, done, and holds no payload.
+  EXPECT_EQ(manager.status(id)->state, JobState::kDone);
+  EXPECT_FALSE(manager.status(id)->has_result);
+  EXPECT_EQ(manager.result(id), std::nullopt);
+  EXPECT_EQ(manager.take_result(id), std::nullopt);
+  EXPECT_EQ(manager.take_result(id + 1), std::nullopt);
+}
+
 TEST(JobManager, FinishedJobsStopHoldingTheirClosures) {
   // The closure owns a request's parsed reads; a retained terminal job must
   // keep only its result. Every terminal path drops it before wait() returns.

@@ -236,8 +236,9 @@ TEST_F(PipelineTest, MultiChromosomeIndexFileRoundTripsThroughDisk) {
 }
 
 TEST_F(PipelineTest, StreamingMapMatchesWholeFileMap) {
-  // Every registry engine, each streamed through the same engine instance
-  // the whole-file map uses (the index's host engine, or one FPGA model).
+  // Every registry engine, each fed the file in one chunk and in chunks
+  // of 1000 bytes (about a dozen reads each) through the same engine
+  // instance (the index's host engine, or one FPGA model).
   const std::string whole_sam_path = (dir_ / "whole.sam").string();
   const std::string stream_sam_path = (dir_ / "stream.sam").string();
   for (const kernels::EngineSpec& spec : kernels::engines()) {
@@ -248,14 +249,16 @@ TEST_F(PipelineTest, StreamingMapMatchesWholeFileMap) {
     pipeline.build_from_sequence("ref", dna_decode_string(genome_));
 
     const MappingOutcome whole = pipeline.map_reads(fastq_path_, whole_sam_path);
-    // Tiny batch size to force many chunks through the streaming path.
-    const MappingOutcome streamed =
-        pipeline.map_reads_streaming(fastq_path_, stream_sam_path, 17);
+    const MappingOutcome streamed = pipeline.map_reads(fastq_path_, stream_sam_path, 1000);
 
     EXPECT_EQ(streamed.reads, whole.reads);
     EXPECT_EQ(streamed.mapped, whole.mapped);
     EXPECT_EQ(streamed.occurrences, whole.occurrences);
-    EXPECT_EQ(read_file(stream_sam_path), read_file(whole_sam_path));
+    const auto whole_sam = read_file(whole_sam_path);
+    EXPECT_EQ(read_file(stream_sam_path), whole_sam);
+    // With no SAM path the same document collects in the outcome.
+    EXPECT_EQ(pipeline.map_reads(fastq_path_, "", 1000).sam,
+              std::string(whole_sam.begin(), whole_sam.end()));
   }
 }
 
@@ -264,8 +267,7 @@ TEST_F(PipelineTest, StreamingMapFpgaProgramsOnce) {
   config.engine = MappingEngine::kFpga;
   Pipeline pipeline(config);
   pipeline.build_from_sequence("ref", dna_decode_string(genome_));
-  const MappingOutcome outcome =
-      pipeline.map_reads_streaming(fastq_path_, "", 31);
+  const MappingOutcome outcome = pipeline.map_reads(fastq_path_, "", 1000);
   EXPECT_EQ(outcome.mapped, 100u);
   // The fixed program overhead appears exactly once in the modeled time.
   EXPECT_GT(pipeline.timings().mapping_seconds, 0.17);
@@ -274,10 +276,42 @@ TEST_F(PipelineTest, StreamingMapFpgaProgramsOnce) {
 
 TEST_F(PipelineTest, StreamingMapRejectsBadArguments) {
   Pipeline pipeline;
-  EXPECT_THROW(pipeline.map_reads_streaming(fastq_path_, ""), std::logic_error);
+  EXPECT_THROW(pipeline.map_reads(fastq_path_, ""), std::logic_error);
   pipeline.build_from_sequence("ref", dna_decode_string(genome_));
-  EXPECT_THROW(pipeline.map_reads_streaming(fastq_path_, "", 0),
-               std::invalid_argument);
+  EXPECT_THROW(pipeline.map_reads(fastq_path_, "", 0), std::invalid_argument);
+  EXPECT_THROW(pipeline.map_reads((dir_ / "missing.fq").string()), IoError);
+}
+
+TEST_F(PipelineTest, ChunkCutAtEveryByteWritesTheSameSam) {
+  // A small file with CRLF line ends, blank lines, '+name' separators,
+  // lowercase and N bases and header comments: cut into chunks of every
+  // size from 1 byte to the whole file, it must map to the same SAM.
+  std::string fastq;
+  for (int i = 0; i < 6; ++i) {
+    const auto& read = reads_[static_cast<std::size_t>(i)];
+    std::string bases = dna_decode_string(read.codes);
+    if (i == 2) bases[7] = 'N';
+    if (i == 3) bases = std::string(bases.size() / 2, 'a') + bases.substr(bases.size() / 2);
+    const std::string eol = i % 2 == 0 ? "\r\n" : "\n";
+    fastq += "@r" + std::to_string(i) + (i == 4 ? "\tlane=1 x" : " c") + eol;
+    fastq += bases + eol + (i == 1 ? "+r1" : "+") + eol;
+    fastq += std::string(bases.size(), 'I') + eol + (i == 3 ? "\n\n" : "");
+  }
+  const std::string path = (dir_ / "small.fq").string();
+  write_file(path, fastq);
+
+  PipelineConfig config;
+  config.engine = MappingEngine::kEpr;
+  Pipeline pipeline(config);
+  pipeline.build_from_sequence("ref", dna_decode_string(genome_));
+  const MappingOutcome whole = pipeline.map_reads(path);
+  ASSERT_EQ(whole.reads, 6u);
+  EXPECT_NE(whole.sam.find("\nr4\t"), std::string::npos) << whole.sam;
+  for (std::size_t chunk = 1; chunk <= fastq.size(); ++chunk) {
+    const MappingOutcome chunked = pipeline.map_reads(path, "", chunk);
+    ASSERT_EQ(chunked.sam, whole.sam) << "chunk " << chunk;
+    ASSERT_EQ(chunked.reads, whole.reads) << "chunk " << chunk;
+  }
 }
 
 TEST_F(PipelineTest, SeededAndUnseededMappingProduceIdenticalSam) {

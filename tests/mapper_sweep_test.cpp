@@ -185,11 +185,12 @@ class SearchOrderRunner {
         break;
     }
     MappingOutcome outcome;
-    std::vector<SamAlignment> alignments;
-    resolve_query_results(pipeline_.reference(), base.suffix_array(), records, batch,
-                          results, PipelineConfig{}.max_hits_per_read, outcome,
-                          alignments);
-    return format_sam(sam_sequences_for(pipeline_.reference()), alignments);
+    std::vector<SamHit> hits;
+    locate_hits(pipeline_.reference(), base.suffix_array(), batch, 0, results,
+                PipelineConfig{}.max_hits_per_read, outcome, hits);
+    std::string sam = sam_header(pipeline_.reference());
+    write_sam_lines(pipeline_.reference(), batch, hits, sam);
+    return sam;
   }
 
  private:
