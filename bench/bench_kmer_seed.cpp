@@ -69,22 +69,25 @@ int main(int argc, char** argv) {
 
   ReadSimConfig rconfig;
   rconfig.num_reads = scaled(20000, setup.scale);
-  rconfig.read_length = 36;  // short reads: seed skips 12 of 36 steps
+  rconfig.read_length = 36;  // short reads: the seed skips k of 36 steps
   rconfig.mapping_ratio = 1.0;
   rconfig.seed = setup.seed;
   const auto reads = simulate_reads(genome, rconfig);
   const ReadBatch batch = ReadBatch::from_simulated(reads);
 
   timer.reset();
-  index.build_seed_table(genome, KmerSeedTable::kDefaultK);
+  index.build_seed_table(genome);  // k by the served budget rule
   const double table_build_ms = timer.milliseconds();
   const unsigned k = index.seed_table()->k();
   const auto table = index.shared_seed_table();
+  const double table_bytes_per_base =
+      static_cast<double>(table->size_in_bytes()) / static_cast<double>(genome.size());
 
-  std::printf("%zu reads of %u bp, seed k = %u (table %.1f MiB, built in %.1f ms)\n\n",
+  std::printf("%zu reads of %u bp, seed k = %u (table %.1f MiB, %.2f B/base, built in "
+              "%.1f ms)\n\n",
               batch.size(), rconfig.read_length, k,
               static_cast<double>(table->size_in_bytes()) / (1024.0 * 1024.0),
-              table_build_ms);
+              table_bytes_per_base, table_build_ms);
   std::printf("%-10s %12s %12s %9s\n", "path", "wall [ms]", "reads/s", "speedup");
 
   index.set_seed_table(nullptr);
@@ -133,6 +136,7 @@ int main(int argc, char** argv) {
   report.metric("index_build_ms", index_build_ms);
   report.metric("table_build_ms", table_build_ms);
   report.metric("seed_k", k);
+  report.metric("table_bytes_per_base", table_bytes_per_base);
   report.metric("unseeded_reads_per_sec", unseeded_rps);
   report.metric("seeded_reads_per_sec", seeded_rps);
   report.metric("speedup", speedup);

@@ -125,7 +125,11 @@ int main(int argc, char** argv) {
   FmIndex<RrrWaveletOcc> index(genome, [](std::span<const std::uint8_t> bwt) {
     return RrrWaveletOcc(bwt, RrrParams{15, 50});
   });
-  index.build_seed_table(genome, KmerSeedTable::kDefaultK);
+  index.build_seed_table(genome);  // k by the served budget rule
+  const KmerSeedTable& seeds = *index.seed_table();
+  const double table_bytes_per_base =
+      static_cast<double>(seeds.size_in_bytes()) / static_cast<double>(genome.size());
+  std::printf("seed k = %u (table %.2f B/base)\n", seeds.k(), table_bytes_per_base);
 
   // The registry's derived-engine path: a vector Occ structure over the
   // same BWT/SA/C array/seed table (searches are interval-identical).
@@ -155,6 +159,8 @@ int main(int argc, char** argv) {
 
   JsonReport report("bench_sweep_search", setup.json);
   report.metric("reads", static_cast<double>(batch.size()));
+  report.metric("seed_k", seeds.k());
+  report.metric("table_bytes_per_base", table_bytes_per_base);
   report.metric("per_read_ms_rrr", rrr.per_read_ms);
   report.metric("sweep_ms_rrr", rrr.sweep_ms);
   report.metric("sweep_vs_per_read_speedup_rrr", rrr.speedup);

@@ -8,7 +8,8 @@
 //   index            --ref ref.fa[.gz] --out ref.bwvr            (pipeline step 1)
 //   index build      --ref ref.fa[.gz] --store-dir DIR [--name N] [--b B] [--sf SF]
 //                    [--seed-k K]  builds steps 1+2 (including the k-mer seed
-//                    table; --seed-k 0 disables it) and persists a checksummed
+//                    table, k sized to <= 2 bytes/base unless --seed-k sets
+//                    it; --seed-k 0 disables it) and persists a checksummed
 //                    archive into the store directory (creating/updating its
 //                    manifest)
 //                    [--memory-budget-mb M] peak-RAM target: when the direct
@@ -122,8 +123,7 @@ PipelineConfig config_from_args(const ArgParser& args) {
   config.engine =
       engine_arg.empty() ? kernels::default_engine() : parse_engine(engine_arg);
   config.threads = static_cast<unsigned>(args.get_int("threads", 1));
-  config.seed_k = static_cast<unsigned>(
-      args.get_int("seed-k", static_cast<std::int64_t>(KmerSeedTable::kDefaultK)));
+  if (args.has("seed-k")) config.seed_k = static_cast<unsigned>(args.get_int("seed-k", 0));
   config.shard_size = static_cast<std::size_t>(args.get_int("shards", 0));
   return config;
 }
@@ -240,6 +240,21 @@ void print_engine_resolution(const ArgParser& args) {
   std::printf("cpu features: %s\n", cpu_features_string(cpu_features()).c_str());
 }
 
+/// "seed table: k 10, 4194372 bytes (0.904 B/base)", or "seed table: none".
+std::string seed_table_summary(const ArchiveInfo& info) {
+  for (const auto& section : info.sections) {
+    if (section.name != kSectionKmer) continue;
+    char line[128];
+    std::snprintf(line, sizeof line, "seed table: k %u, %llu bytes (%.3f B/base)",
+                  info.seed_k, static_cast<unsigned long long>(section.length),
+                  info.text_length == 0
+                      ? 0.0
+                      : static_cast<double>(section.length) / info.text_length);
+    return line;
+  }
+  return "seed table: none";
+}
+
 int cmd_index_info(const ArgParser& args) {
   const std::string archive = args.get("archive");
   const std::string store_dir = args.get("store-dir");
@@ -256,6 +271,7 @@ int cmd_index_info(const ArgParser& args) {
     }
     std::printf("text: %u bp, %zu sequence(s)\n", info.text_length,
                 info.sequences.size());
+    std::printf("%s\n", seed_table_summary(info).c_str());
     for (const auto& seq : info.sequences) {
       std::printf("  %s: offset %u, %u bp\n", seq.name.c_str(), seq.offset, seq.length);
     }
@@ -283,11 +299,12 @@ int cmd_index_info(const ArgParser& args) {
     IndexRegistry registry(store_dir);
     std::printf("store: %s (%zu reference(s))\n", store_dir.c_str(), registry.size());
     for (const auto& entry : registry.list()) {
-      std::printf("  %s: %llu bp, %llu sequence(s), %llu archive bytes\n",
+      std::printf("  %s: %llu bp, %llu sequence(s), %llu archive bytes, %s\n",
                   entry.name.c_str(),
                   static_cast<unsigned long long>(entry.text_length),
                   static_cast<unsigned long long>(entry.num_sequences),
-                  static_cast<unsigned long long>(entry.archive_bytes));
+                  static_cast<unsigned long long>(entry.archive_bytes),
+                  seed_table_summary(read_index_archive_info(entry.archive_path)).c_str());
     }
     print_engine_resolution(args);
     return 0;

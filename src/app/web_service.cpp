@@ -540,6 +540,20 @@ HttpResponse WebService::handle_metrics() {
   metrics_
       ->gauge("bwaver_traces_completed", "Traces completed since start")
       .set(static_cast<double>(traces_->completed()));
+  // One series per section of each resident reference, rebuilt per scrape
+  // so evicted references and dropped sections leave no stale series.
+  constexpr const char* kSectionBytes = "bwaver_index_section_bytes";
+  constexpr const char* kSectionBytesHelp =
+      "Resident bytes of each index section (heap or mapped), by reference";
+  metrics_->clear_gauges(kSectionBytes);
+  for (const RegistryEntry& entry : registry_.list()) {
+    for (const SectionFootprint& section : entry.sections) {
+      metrics_
+          ->gauge(kSectionBytes, kSectionBytesHelp,
+                  {{"ref", entry.name}, {"section", section.name}})
+          .set(static_cast<double>(section.bytes));
+    }
+  }
   // Monotonic sources owned by IndexRegistry: advance the exported counter
   // by the delta since the last scrape (guarded by scrape_mutex_).
   const auto sync_counter = [this](const char* name, const char* help,

@@ -138,7 +138,8 @@ BlockwiseBuilder::BlockwiseBuilder(const ReferenceSet& reference, BlockwiseConfi
   if (config_.block_bases != 0) {
     block_bases_ = config_.block_bases;
   } else if (config_.memory_budget_bytes != 0) {
-    block_bases_ = derive_block_bases(n, config_.memory_budget_bytes);
+    block_bases_ = derive_block_bases(n, config_.memory_budget_bytes,
+                                      KmerSeedTable::resolve_k(config_.seed_k, n));
   } else {
     block_bases_ = std::max<std::size_t>(1, n);  // one block == direct order
   }
@@ -311,7 +312,7 @@ BlockwiseStats BlockwiseBuilder::build_archive(const std::string& path) {
   if (kmer.enabled()) {
     obs::TraceSpan kmer_span("build:kmer");
     ByteWriter kmer_section;
-    kmer.finish().save_flat(kmer_section);
+    save_kmer_section(kmer_section, kmer.finish(), config_.format_version);
     writer.begin_section(kSectionKmer);
     writer.append(kmer_section.data());
     writer.end_section();

@@ -36,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "fmindex/bwt.hpp"
@@ -57,8 +58,9 @@ struct BlockwiseConfig {
   std::size_t block_bases = 0;
   /// Peak-memory target in bytes (0 = unbounded); see build_plan.hpp.
   std::size_t memory_budget_bytes = 0;
-  /// Seed-table k, capped exactly like the direct path (0 disables).
-  unsigned seed_k = KmerSeedTable::kDefaultK;
+  /// Seed-table k, resolved exactly like the direct path: no value picks
+  /// KmerSeedTable::budget_k, an explicit one is capped, 0 disables.
+  std::optional<unsigned> seed_k;
   RrrParams rrr{};
   std::uint32_t format_version = kArchiveVersionLatest;
   /// Appends the optional "build" provenance section. Off by default so

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "fmindex/kmer_table.hpp"
+
 namespace bwaver::build {
 
 namespace {
@@ -27,42 +29,48 @@ constexpr std::size_t kFixedOverheadBytes = std::size_t{32} << 20;
 
 }  // namespace
 
-std::size_t direct_build_peak_bytes(std::size_t text_bases) {
-  return text_bases * kDirectBytesPerBase + kFixedOverheadBytes;
+std::size_t direct_build_peak_bytes(std::size_t text_bases, unsigned seed_k) {
+  return text_bases * kDirectBytesPerBase + KmerSeedTable::table_bytes(seed_k) +
+         kFixedOverheadBytes;
 }
 
-std::size_t blockwise_build_peak_bytes(std::size_t text_bases, std::size_t block_bases) {
+std::size_t blockwise_build_peak_bytes(std::size_t text_bases, std::size_t block_bases,
+                                       unsigned seed_k) {
   return text_bases * kBlockwiseBytesPerBase +
-         block_bases * kBlockwiseBytesPerBlockBase + kFixedOverheadBytes;
+         block_bases * kBlockwiseBytesPerBlockBase + KmerSeedTable::table_bytes(seed_k) +
+         kFixedOverheadBytes;
 }
 
-std::size_t derive_block_bases(std::size_t text_bases, std::size_t budget_bytes) {
-  const std::size_t floor_bytes = blockwise_build_peak_bytes(text_bases, 1);
+std::size_t derive_block_bases(std::size_t text_bases, std::size_t budget_bytes,
+                               unsigned seed_k) {
+  const std::size_t floor_bytes = blockwise_build_peak_bytes(text_bases, 1, seed_k);
   if (budget_bytes < floor_bytes) {
     throw std::invalid_argument(
         "build: memory budget " + std::to_string(budget_bytes) +
         " bytes is below the blockwise floor of " + std::to_string(floor_bytes) +
         " bytes for a " + std::to_string(text_bases) + "-base reference");
   }
-  const std::size_t spare = budget_bytes - blockwise_build_peak_bytes(text_bases, 0);
+  const std::size_t spare =
+      budget_bytes - blockwise_build_peak_bytes(text_bases, 0, seed_k);
   const std::size_t block = std::max<std::size_t>(1, spare / kBlockwiseBytesPerBlockBase);
   return std::min(block, std::max<std::size_t>(1, text_bases));
 }
 
 BuildPlan plan_build(std::size_t text_bases, std::size_t budget_bytes,
-                     std::size_t block_bases) {
+                     std::size_t block_bases, unsigned seed_k) {
   BuildPlan plan;
   if (block_bases != 0) {
     plan.blockwise = true;
     plan.block_bases = block_bases;
-    plan.estimated_peak_bytes = blockwise_build_peak_bytes(text_bases, block_bases);
+    plan.estimated_peak_bytes = blockwise_build_peak_bytes(text_bases, block_bases, seed_k);
     return plan;
   }
-  plan.estimated_peak_bytes = direct_build_peak_bytes(text_bases);
+  plan.estimated_peak_bytes = direct_build_peak_bytes(text_bases, seed_k);
   if (budget_bytes != 0 && plan.estimated_peak_bytes > budget_bytes) {
     plan.blockwise = true;
-    plan.block_bases = derive_block_bases(text_bases, budget_bytes);
-    plan.estimated_peak_bytes = blockwise_build_peak_bytes(text_bases, plan.block_bases);
+    plan.block_bases = derive_block_bases(text_bases, budget_bytes, seed_k);
+    plan.estimated_peak_bytes =
+        blockwise_build_peak_bytes(text_bases, plan.block_bases, seed_k);
   }
   return plan;
 }

@@ -333,7 +333,10 @@ ClientResponse HttpClient::request(
   const std::string key = host + ":" + std::to_string(port);
   for (int attempt = 0;; ++attempt) {
     bool reused = false;
-    Connection connection = checkout(host, port, reused);
+    // The retry below follows a pooled connection the server had closed;
+    // the rest of the pool idled as long, so it opens a fresh one.
+    Connection connection =
+        attempt == 0 ? checkout(host, port, reused) : open_connection(host, port);
     bool reusable = false;
     bool died_early = false;
     try {

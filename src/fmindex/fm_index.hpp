@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -285,8 +286,10 @@ class FmIndex {
   }
 
   /// Builds and attaches a seed table for this index from its own text and
-  /// suffix array (requested k capped by reference size; 0 disables).
-  void build_seed_table(std::span<const std::uint8_t> text, unsigned requested_k) {
+  /// suffix array (k from KmerSeedTable::resolve_k: no request means the
+  /// byte-budget rule, 0 disables).
+  void build_seed_table(std::span<const std::uint8_t> text,
+                        std::optional<unsigned> requested_k = std::nullopt) {
     if (text.size() != size()) {
       throw std::invalid_argument("FmIndex::build_seed_table: text size mismatch");
     }

@@ -7,17 +7,27 @@
 // lookups touch distant superblocks (EPR-dictionaries and Snytsar make the
 // same observation for CPU FM-index search).
 //
-// The table is built with a single ordered scan of the suffix array: rows
-// whose suffixes share a first-k prefix are contiguous in SA order, so each
-// k-mer's interval is one [run-start, run-end) range; suffixes shorter than
-// k never interrupt a run (any row between two rows sharing a k-prefix also
-// carries that prefix). Absent k-mers keep an empty interval, which
-// FmIndex::count treats as "fall back to the classic recurrence" — that rule
-// is what makes the seeded search byte-identical to the unseeded one. The
-// sweep scheduler (mapper/batch_scheduler.hpp) instead retires such a search
-// as no hit: a pattern ending in an absent k-mer cannot occur.
+// Rows whose suffixes share a first-k prefix are contiguous in SA order,
+// and those runs appear in k-mer code order, so the runs tile the suffix
+// array. The table is therefore ONE array B of 4^k + 1 run boundaries:
+// the run of code x starts at row B[x], and B[4^k] is the SA row count.
+// The only rows outside every run are the sentinel row (row 0) and the
+// rows of the <= k-1 suffixes shorter than k. A short suffix s of length
+// j sorts just before the run of code s·A^(k-j) (its `$` is smaller than
+// any base), so
+//
+//     lo(x) = B[x],   hi(x) = B[x+1] - (short suffixes whose code is x+1).
+//
+// The short suffixes are the text's last k-1 bases, so their codes come
+// from the text and are not stored. An absent k-mer gets the empty
+// interval [B[x], B[x]), which FmIndex::count treats as "fall back to the
+// classic recurrence" — that rule is what makes the seeded search
+// byte-identical to the unseeded one. The sweep scheduler
+// (mapper/batch_scheduler.hpp) instead retires such a search as no hit: a
+// pattern ending in an absent k-mer cannot occur.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -32,36 +42,48 @@ namespace bwaver {
 
 class KmerSeedTable {
  public:
-  /// Hard upper bound on k: 4^15 entries is already 8 GiB of intervals.
+  /// Hard upper bound on k: 4^15 boundaries are already 4 GiB.
   static constexpr unsigned kMaxK = 15;
 
-  /// Default seed length — 4^12 entries (128 MiB of intervals), the point
-  /// where table size is still dwarfed by a mammalian-chromosome index but
-  /// a third of a short read's steps are precomputed.
-  static constexpr unsigned kDefaultK = 12;
+  /// Largest k the budget rule picks: 4^12 boundaries, 64 MiB.
+  static constexpr unsigned kMaxBudgetK = 12;
 
   KmerSeedTable() = default;
 
   /// Largest usable k <= requested_k for a text of `text_length` bases:
   /// caps 4^k at max(4096, 16 * text_length) so tiny (test) references get
-  /// proportionally small tables while anything E. coli-sized or larger
-  /// still gets the full requested k. Returns 0 when requested_k is 0
-  /// (seeding disabled).
+  /// proportionally small tables. Returns 0 when requested_k is 0 (seeding
+  /// disabled).
   static unsigned capped_k(unsigned requested_k, std::size_t text_length);
 
+  /// The seed length when none is requested: the largest k <= kMaxBudgetK
+  /// with 4^k <= max(4096, text_length / 2), so the boundary array stays at
+  /// or under 2 bytes per base (beyond the 16 KiB capped_k also grants tiny
+  /// references). k = 10 for E. coli, 12 for human chr21.
+  static unsigned budget_k(std::size_t text_length);
+
+  /// An explicit request capped by capped_k(); no request means budget_k().
+  static unsigned resolve_k(std::optional<unsigned> requested_k, std::size_t text_length);
+
+  /// Bytes of the boundary array at seed length k (0 for k == 0).
+  static std::size_t table_bytes(unsigned k) noexcept {
+    return k == 0 ? 0 : ((std::size_t{1} << (2 * k)) + 1) * sizeof(std::uint32_t);
+  }
+
   /// Builds the table over the 2-bit-coded text and its suffix array
-  /// (sa.size() == text.size() + 1, sentinel row included). `requested_k`
-  /// is capped via capped_k(); a cap of 0 yields an empty table (k() == 0).
+  /// (sa.size() == text.size() + 1, sentinel row included), with k from
+  /// resolve_k(); k == 0 or a text shorter than k yields an empty table
+  /// (k() == 0).
   static KmerSeedTable build(std::span<const std::uint8_t> text,
                              std::span<const std::uint32_t> sa,
-                             unsigned requested_k);
+                             std::optional<unsigned> requested_k);
 
   /// Seed length; 0 means the table is absent/disabled.
   unsigned k() const noexcept { return k_; }
   bool enabled() const noexcept { return k_ != 0; }
 
-  /// Number of table entries (4^k).
-  std::size_t entries() const noexcept { return lo_.size(); }
+  /// Number of k-mer codes (4^k).
+  std::size_t entries() const noexcept { return k_ == 0 ? 0 : bounds_.size() - 1; }
 
   /// Interval of the k-mer `kmer` (exactly k() codes, pattern order). An
   /// empty interval means the k-mer does not occur (see the file comment for
@@ -74,13 +96,19 @@ class KmerSeedTable {
       if (c > 3) return std::nullopt;
       code = (code << 2) | c;
     }
-    return SaInterval{lo_[code], hi_[code]};
+    return interval(code);
   }
 
-  /// Software-prefetches the two entries lookup(kmer) will read (a 4^k
-  /// table is far larger than any cache, so each lookup is two misses);
-  /// a no-op where lookup would return nullopt. always_inline for the
-  /// reason FmIndex::prefetch_step gives.
+  /// Interval of k-mer code `code` (< entries()): two adjacent boundaries,
+  /// so one cache line in 15 of 16 codes.
+  SaInterval interval(std::uint32_t code) const noexcept {
+    return SaInterval{bounds_[code], bounds_[code + 1] - short_rows(code + 1)};
+  }
+
+  /// Software-prefetches the boundaries lookup(kmer) will read (a 4^k
+  /// table is far larger than any cache, so each lookup is a miss); a
+  /// no-op where lookup would return nullopt. always_inline for the reason
+  /// FmIndex::prefetch_step gives.
   [[gnu::always_inline]] void prefetch(std::span<const std::uint8_t> kmer) const noexcept {
     if (k_ == 0 || kmer.size() != k_) return;
     std::uint32_t code = 0;
@@ -88,36 +116,69 @@ class KmerSeedTable {
       if (c > 3) return;
       code = (code << 2) | c;
     }
-    __builtin_prefetch(lo_.data() + code);
-    __builtin_prefetch(hi_.data() + code);
+    __builtin_prefetch(bounds_.data() + code);
+    __builtin_prefetch(bounds_.data() + code + 1);
   }
 
-  /// Payload bytes of the two interval arrays (heap or mapped).
+  /// Payload bytes of the boundary array (heap or mapped).
   std::size_t size_in_bytes() const noexcept {
-    return (lo_.size() + hi_.size()) * sizeof(std::uint32_t) + sizeof(std::uint32_t);
+    return bounds_.bytes() + sizeof(std::uint32_t);
   }
 
   /// Bytes actually on the heap (0 payload for a mapped view).
   std::size_t heap_size_in_bytes() const noexcept {
-    return lo_.heap_bytes() + hi_.heap_bytes() + sizeof(std::uint32_t);
+    return bounds_.heap_bytes() + sizeof(std::uint32_t);
   }
 
-  void save(ByteWriter& writer) const;
-  static KmerSeedTable load(ByteReader& reader);
-
-  /// Flat 64-byte-aligned layout (archive format v3); adopt=true borrows
-  /// both interval arrays from the reader's backing buffer.
+  /// The boundary layout (archive format v5): u32 k, u64 count, zero padding
+  /// to 64 bytes, then the 4^k + 1 raw u32 boundaries. adopt=true borrows
+  /// the array from the reader's backing buffer. `text` is the indexed
+  /// text: the short-suffix codes come from its tail, and the boundaries
+  /// are checked against its row count.
   void save_flat(ByteWriter& writer) const;
-  static KmerSeedTable load_flat(ByteReader& reader, bool adopt);
+  static KmerSeedTable load_flat(ByteReader& reader, bool adopt,
+                                 std::span<const std::uint8_t> text);
+
+  /// The two-array layout of archive formats v2..v4: u32 k, then the 4^k
+  /// interval starts and the 4^k interval ends (absent k-mers as [0, 0)),
+  /// either as two length-prefixed streams (flat=false, v2) or as two
+  /// 64-byte-aligned flat arrays (flat=true, v3/v4). Loading converts to
+  /// boundaries, so the ends must agree with them.
+  void save_intervals(ByteWriter& writer, bool flat) const;
+  static KmerSeedTable load_intervals(ByteReader& reader, bool flat,
+                                      std::span<const std::uint8_t> text);
 
  private:
   friend class KmerTableBuilder;
 
-  void validate() const;
+  /// Marks a short-suffix slot as unused; no code equals it (4^15 < 2^32).
+  static constexpr std::uint32_t kNoCode = ~std::uint32_t{0};
+
+  /// Rows of suffixes shorter than k that sort just before the run of
+  /// `code`: a branch-free scan of the fixed short-code list.
+  unsigned short_rows(std::uint32_t code) const noexcept {
+    unsigned rows = 0;
+    for (const std::uint32_t c : short_codes_) rows += c == code ? 1 : 0;
+    return rows;
+  }
+
+  /// k_ and short_codes_ for `text`; bounds_ stays empty.
+  KmerSeedTable(unsigned k, std::span<const std::uint8_t> text);
+
+  /// Fills every boundary still 0 (codes with no run) from its successor,
+  /// with B[4^k] = rows. Present codes' run starts are >= 1 (row 0 is the
+  /// sentinel), so 0 is free to mean "no run".
+  void fill_absent(std::vector<std::uint32_t>& bounds, std::size_t rows) const;
+
+  /// Throws IoError unless the boundaries are well-formed for `rows` SA
+  /// rows: 4^k + 1 of them, non-decreasing, B[4^k] == rows, and each gap
+  /// wide enough for the short suffixes sorting into it (B[0] holds the
+  /// sentinel row too). Then every interval lies in [1, rows].
+  void validate(std::size_t rows) const;
 
   unsigned k_ = 0;
-  FlatArray<std::uint32_t> lo_;  // one interval per k-mer code
-  FlatArray<std::uint32_t> hi_;
+  FlatArray<std::uint32_t> bounds_;  // 4^k + 1 run boundaries
+  std::array<std::uint32_t, kMaxK - 1> short_codes_{};
 };
 
 /// Incremental row-feed construction of a KmerSeedTable.
@@ -125,17 +186,18 @@ class KmerSeedTable {
 /// The blockwise index constructor recovers suffix-array rows in ascending
 /// row order while streaming them to disk, never holding the whole SA — so
 /// it cannot call KmerSeedTable::build. Feeding every (row, position) pair
-/// in ascending row order performs the same run-recording scan and yields a
-/// table identical to build() over the full SA (same code definition, same
-/// short-suffix skip rule); the equivalence is pinned by fm_kmer_table_test.
-/// Each feed re-reads k bases (O(k)) instead of using build()'s rolling
-/// code array, trading a 4 bytes/base side table for bounded memory.
+/// in ascending row order records the same run starts straight into the one
+/// boundary array and yields a table identical to build() over the full SA
+/// (build() itself runs through this class); the equivalence is pinned by
+/// fm_kmer_table_test. Each feed re-reads k bases (O(k)) instead of using
+/// build()'s rolling code array, trading a 4 bytes/base side table for
+/// bounded memory.
 class KmerTableBuilder {
  public:
-  /// `requested_k` is capped via KmerSeedTable::capped_k, like build().
-  KmerTableBuilder(std::span<const std::uint8_t> text, unsigned requested_k);
+  /// `requested_k` resolves like build()'s (KmerSeedTable::resolve_k).
+  KmerTableBuilder(std::span<const std::uint8_t> text, std::optional<unsigned> requested_k);
 
-  /// Active after construction iff the capped k is usable for this text;
+  /// Active after construction iff the resolved k is usable for this text;
   /// when false, feed() is a no-op and finish() returns a disabled table.
   bool enabled() const noexcept { return k_ != 0; }
   unsigned k() const noexcept { return k_; }
@@ -146,21 +208,26 @@ class KmerTableBuilder {
     if (k_ == 0 || pos + k_ > text_.size()) return;
     std::uint32_t code = 0;
     for (unsigned i = 0; i < k_; ++i) code = (code << 2) | (text_[pos + i] & 3);
-    if (code != prev_) {
-      lo_[code] = row;
-      prev_ = code;
-    }
-    hi_[code] = row + 1;
+    record(row, code);
   }
 
   KmerSeedTable finish();
 
  private:
+  friend class KmerSeedTable;
+
+  /// A full-length row of code `code`: the first row of a run is its start.
+  void record(std::uint32_t row, std::uint32_t code) noexcept {
+    if (code != prev_) {
+      bounds_[code] = row;
+      prev_ = code;
+    }
+  }
+
   std::span<const std::uint8_t> text_;
   unsigned k_ = 0;
   std::uint64_t prev_ = ~std::uint64_t{0};
-  std::vector<std::uint32_t> lo_;
-  std::vector<std::uint32_t> hi_;
+  std::vector<std::uint32_t> bounds_;
 };
 
 }  // namespace bwaver

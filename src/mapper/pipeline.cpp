@@ -204,9 +204,9 @@ void Pipeline::save_index(const std::string& path) const {
 BuildArchiveResult Pipeline::build_archive(
     const std::string& path, const ReferenceSet& reference, const PipelineConfig& config,
     const std::function<void(const std::string&)>& progress) {
-  const build::BuildPlan plan = build::plan_build(reference.total_length(),
-                                                  config.build_memory_budget_bytes,
-                                                  config.build_block_bases);
+  const build::BuildPlan plan = build::plan_build(
+      reference.total_length(), config.build_memory_budget_bytes, config.build_block_bases,
+      KmerSeedTable::resolve_k(config.seed_k, reference.total_length()));
   BuildArchiveResult result;
   result.blockwise = plan.blockwise;
   result.estimated_peak_bytes = plan.estimated_peak_bytes;

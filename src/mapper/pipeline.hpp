@@ -39,11 +39,12 @@ struct PipelineConfig {
   unsigned threads = 1;              ///< software engines only
   DeviceSpec device{};               ///< FPGA engine only
   std::size_t max_hits_per_read = 64;  ///< SAM lines emitted per read (cap)
-  /// Requested k-mer seed length for new index builds (0 disables the
-  /// table; the effective k is capped by reference size — see
-  /// KmerSeedTable::capped_k). Ignored by from_archive(): a loaded archive
+  /// Requested k-mer seed length for new index builds. No value sizes k
+  /// from the reference (KmerSeedTable::budget_k: at most 2 bytes/base);
+  /// an explicit k is capped by reference size (KmerSeedTable::capped_k),
+  /// and 0 disables the table. Ignored by from_archive(): a loaded archive
   /// carries (or lacks) its own table.
-  unsigned seed_k = KmerSeedTable::kDefaultK;
+  std::optional<unsigned> seed_k;
   /// Reads per parallel mapping shard for software engines (0 = auto-size
   /// from the batch and thread count). Only used when threads > 1.
   std::size_t shard_size = 0;

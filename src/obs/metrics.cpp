@@ -202,6 +202,14 @@ std::vector<std::pair<Labels, std::uint64_t>> MetricsRegistry::counter_values(
   return values;
 }
 
+void MetricsRegistry::clear_gauges(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = families_.find(name);
+  if (it != families_.end() && it->second.kind == MetricKind::kGauge) {
+    it->second.children.clear();
+  }
+}
+
 std::string MetricsRegistry::render_prometheus() const {
   std::string out;
   std::lock_guard<std::mutex> lock(mutex_);

@@ -121,6 +121,11 @@ class MetricsRegistry {
   std::vector<std::pair<Labels, std::uint64_t>> counter_values(
       const std::string& name) const;
 
+  /// Drops every child of gauge family `name`, for a scrape-time family
+  /// whose label sets come and go (the children are set again after). A
+  /// no-op when the family does not exist; references to its gauges dangle.
+  void clear_gauges(const std::string& name);
+
   /// Prometheus text exposition of every family, families in name order.
   std::string render_prometheus() const;
 

@@ -184,7 +184,7 @@ StoredIndex load_v1v2(std::span<const std::uint8_t> file,
   std::shared_ptr<const KmerSeedTable> seeds;
   if (find_section_entry(header, kSectionKmer) != nullptr) {
     ByteReader reader = section_reader(file, header, kSectionKmer, path);
-    auto table = KmerSeedTable::load(reader);
+    auto table = KmerSeedTable::load_intervals(reader, /*flat=*/false, text);
     if (!reader.done()) {
       throw IoError("index archive: trailing bytes in kmer section: " + path);
     }
@@ -208,8 +208,10 @@ FlatArray<std::uint8_t> read_flat_u8(ByteReader& reader, bool adopt) {
       std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
 }
 
-/// v3: flat 64-byte-aligned payloads; adopt=true borrows every bulk array
+/// v3+: flat 64-byte-aligned payloads; adopt=true borrows every bulk array
 /// from `file` (which the caller keeps mapped), adopt=false copies them.
+/// A v3/v4 seed table has the two-array layout and is converted onto the
+/// heap in both modes.
 StoredIndex load_v3(std::span<const std::uint8_t> file,
                     const ParsedHeader& header, const std::string& path,
                     bool adopt) {
@@ -280,7 +282,10 @@ StoredIndex load_v3(std::span<const std::uint8_t> file,
   std::shared_ptr<const KmerSeedTable> seeds;
   if (find_section_entry(header, kSectionKmer) != nullptr) {
     ByteReader reader = section_reader(file, header, kSectionKmer, path);
-    auto table = KmerSeedTable::load_flat(reader, adopt);
+    auto table = header.version >= 5
+                     ? KmerSeedTable::load_flat(reader, adopt, reference.concatenated())
+                     : KmerSeedTable::load_intervals(reader, /*flat=*/true,
+                                                     reference.concatenated());
     if (!reader.done()) {
       throw IoError("index archive: trailing bytes in kmer section: " + path);
     }
@@ -329,33 +334,38 @@ const char* load_mode_name(LoadMode mode) {
   return mode == LoadMode::kMmap ? "mmap" : "copy";
 }
 
-IndexFootprint stored_index_footprint(const StoredIndex& stored) {
-  const KmerSeedTable* seeds = stored.index.seed_table();
-  const auto mapped_part = [](std::size_t payload, std::size_t heap) {
-    return payload > heap ? payload - heap : std::size_t{0};
+std::vector<SectionFootprint> stored_index_sections(const StoredIndex& stored) {
+  // Heap bytes never exceed the payload in the footprint: a heap copy's
+  // spare capacity is not charged, and a view's payload is all mapped.
+  const auto section = [](const char* name, std::size_t bytes, std::size_t heap) {
+    return SectionFootprint{name, bytes, std::min(bytes, heap)};
   };
+  const auto& text = stored.reference.concatenated();
+  const auto& bwt = stored.index.bwt().symbols;
+  const auto& sa = stored.index.suffix_array();
+  const auto& occ = stored.index.occ_backend();
+  std::vector<SectionFootprint> sections{
+      section(kSectionText, text.bytes(), text.heap_bytes()),
+      section(kSectionBwt, bwt.bytes(), bwt.heap_bytes()),
+      section(kSectionOcc, occ.size_in_bytes(), occ.heap_size_in_bytes()),
+      section(kSectionSa, sa.bytes(), sa.heap_bytes())};
+  if (const KmerSeedTable* seeds = stored.index.seed_table()) {
+    sections.push_back(
+        section(kSectionKmer, seeds->size_in_bytes(), seeds->heap_size_in_bytes()));
+  }
+  if (stored.epr) {
+    sections.push_back(
+        section(kSectionEpr, stored.epr->size_in_bytes(), stored.epr->heap_size_in_bytes()));
+  }
+  return sections;
+}
+
+IndexFootprint stored_index_footprint(const StoredIndex& stored) {
   IndexFootprint footprint;
-  const std::size_t total =
-      stored.reference.total_length() + stored.index.bwt().symbols.size() +
-      stored.index.suffix_array().size() * sizeof(std::uint32_t) +
-      stored.index.occ_size_in_bytes() +
-      (seeds ? seeds->size_in_bytes() : 0) +
-      (stored.epr ? stored.epr->size_in_bytes() : 0);
-  footprint.mapped_bytes =
-      mapped_part(stored.reference.concatenated().bytes(),
-                  stored.reference.concatenated().heap_bytes()) +
-      mapped_part(stored.index.bwt().symbols.bytes(),
-                  stored.index.bwt().symbols.heap_bytes()) +
-      mapped_part(stored.index.suffix_array().bytes(),
-                  stored.index.suffix_array().heap_bytes()) +
-      mapped_part(stored.index.occ_backend().size_in_bytes(),
-                  stored.index.occ_backend().heap_size_in_bytes()) +
-      (seeds ? mapped_part(seeds->size_in_bytes(), seeds->heap_size_in_bytes())
-             : 0) +
-      (stored.epr ? mapped_part(stored.epr->size_in_bytes(),
-                                stored.epr->heap_size_in_bytes())
-                  : 0);
-  footprint.heap_bytes = total - footprint.mapped_bytes;
+  for (const SectionFootprint& section : stored_index_sections(stored)) {
+    footprint.heap_bytes += section.heap_bytes;
+    footprint.mapped_bytes += section.bytes - section.heap_bytes;
+  }
   return footprint;
 }
 
@@ -389,6 +399,15 @@ std::vector<std::uint8_t> render_archive_header(std::uint32_t format_version,
   }
   writer.u32(crc32_ieee(writer.data()));
   return writer.take();
+}
+
+void save_kmer_section(ByteWriter& writer, const KmerSeedTable& table,
+                       std::uint32_t format_version) {
+  if (format_version >= 5) {
+    table.save_flat(writer);
+  } else {
+    table.save_intervals(writer, /*flat=*/format_version >= 3);
+  }
 }
 
 void save_build_provenance(ByteWriter& writer, const BuildProvenance& provenance) {
@@ -458,11 +477,7 @@ void write_index_archive(const std::string& path, const ReferenceSet& reference,
   // archives stay loadable and the table stays skippable.
   ByteWriter kmer_section;
   if (format_version >= 2 && index.seed_table() != nullptr) {
-    if (flat) {
-      index.seed_table()->save_flat(kmer_section);
-    } else {
-      index.seed_table()->save(kmer_section);
-    }
+    save_kmer_section(kmer_section, *index.seed_table(), format_version);
     sections.emplace_back(kSectionKmer, &kmer_section.data());
   }
 
@@ -572,6 +587,11 @@ ArchiveInfo read_index_archive_info(const std::string& path) {
   info.sections = header.sections;
   info.sequences = meta.sequences;
   info.text_length = meta.text_length;
+  if (const ArchiveSection* entry = find_section_entry(header, kSectionKmer)) {
+    const auto word = read_slice(
+        entry->offset, static_cast<std::size_t>(std::min<std::uint64_t>(entry->length, 4)));
+    info.seed_k = ByteReader(word, kSectionKmer, entry->offset).u32();
+  }
   if (const ArchiveSection* entry = find_section_entry(header, kSectionBuild)) {
     const auto build_bytes = read_section(kSectionBuild);
     ByteReader reader(build_bytes, kSectionBuild, entry->offset);

@@ -11,7 +11,7 @@
 // Layout (all integers little-endian):
 //
 //   u32 magic   "BWVA"
-//   u32 version (currently 4; v1..v3 archives still load)
+//   u32 version (currently 5; v1..v4 archives still load)
 //   u32 section_count
 //   section table, section_count entries:
 //     str name | u64 file offset | u64 length | u32 crc32 (IEEE, of payload)
@@ -51,7 +51,15 @@
 //            BWT at load. v3 archives (no such section) still load; the epr
 //            engine then transposes the BWT once per loaded index.
 //
-// A v3/v4 archive can therefore be loaded two ways (LoadMode):
+// v5 changes the "kmer" payload (same name, same optionality) from two
+// arrays of 4^k interval starts and ends to ONE flat array of 4^k + 1 run
+// boundaries (KmerSeedTable::save_flat; fmindex/kmer_table.hpp gives the
+// rule), half the bytes. The codes of the <= k-1 suffixes shorter than k
+// come from the "text" section's tail, so they are not stored. v2..v4
+// tables are converted to boundaries on the heap at load; tables of every
+// version are checked against the text's SA row count before serving.
+//
+// A v3+ archive can therefore be loaded two ways (LoadMode):
 //
 //   kCopy — the flat arrays are copied into heap vectors (like v1/v2);
 //   kMmap — the file is mapped read-only and every flat array is adopted
@@ -137,6 +145,18 @@ IndexFootprint stored_index_footprint(const StoredIndex& stored);
 /// historical single-number form; equals stored_index_footprint().total().
 std::size_t stored_index_bytes(const StoredIndex& stored);
 
+/// Resident bytes of one section of a loaded index.
+struct SectionFootprint {
+  const char* name = "";       ///< the archive's section name
+  std::size_t bytes = 0;       ///< payload, heap or mapped
+  std::size_t heap_bytes = 0;  ///< the part on the heap (<= bytes)
+};
+
+/// The bulk sections of a loaded index, named as the archive names them:
+/// text, bwt, occ, sa, then kmer and epr when present. Their sum is
+/// stored_index_footprint().
+std::vector<SectionFootprint> stored_index_sections(const StoredIndex& stored);
+
 struct ArchiveSection {
   std::string name;
   std::uint64_t offset = 0;  ///< absolute file offset of the payload
@@ -164,13 +184,16 @@ struct ArchiveInfo {
   std::uint32_t text_length = 0;
   /// Present when the archive carries a "build" section.
   std::optional<BuildProvenance> build;
+  /// Seed length of the "kmer" section (0 when there is none), read from
+  /// the section's leading word; its payload CRC is checked at load.
+  std::uint32_t seed_k = 0;
 };
 
 /// Oldest archive format the loader still accepts (no "kmer" section).
 inline constexpr std::uint32_t kArchiveVersionMin = 1;
-/// Format written by write_index_archive: flat 64-byte-aligned sections
-/// plus the optional "epr" dictionary section.
-inline constexpr std::uint32_t kArchiveVersionLatest = 4;
+/// Format written by write_index_archive: flat 64-byte-aligned sections,
+/// the optional "epr" dictionary and the boundary-array "kmer" section.
+inline constexpr std::uint32_t kArchiveVersionLatest = 5;
 
 /// Canonical section names. The loader resolves sections by name and ignores
 /// unknown ones, so writers may append new optional sections freely.
@@ -208,6 +231,11 @@ std::uint64_t archive_payload_start(std::span<const ArchiveSectionPlan> sections
 std::vector<std::uint8_t> render_archive_header(std::uint32_t format_version,
                                                 std::span<const ArchiveSectionPlan> sections);
 
+/// Serializes the "kmer" section payload in the layout of `format_version`
+/// (v5: boundaries; v3/v4: two flat interval arrays; v2: two streams).
+void save_kmer_section(ByteWriter& writer, const KmerSeedTable& table,
+                       std::uint32_t format_version);
+
 /// Serializes the "build" section payload (see BuildProvenance).
 void save_build_provenance(ByteWriter& writer, const BuildProvenance& provenance);
 
@@ -231,10 +259,11 @@ StoredIndex read_index_archive(const std::string& path, LoadMode mode);
 /// Same, with the process default mode (see default_load_mode()).
 StoredIndex read_index_archive(const std::string& path);
 
-/// Header + section table + meta/build sections only — the `index info` and
-/// registry-adoption path. Reads O(header) bytes regardless of archive size:
-/// the header CRC, the section bounds and the CRCs of the sections it parses
-/// are verified; bulk payload CRCs are checked when the archive is loaded.
+/// Header + section table + meta/build sections (and the kmer section's
+/// k word) only — the `index info` and registry-adoption path. Reads
+/// O(header) bytes regardless of archive size: the header CRC, the section
+/// bounds and the CRCs of the sections it parses are verified; bulk payload
+/// CRCs are checked when the archive is loaded.
 ArchiveInfo read_index_archive_info(const std::string& path);
 
 }  // namespace bwaver

@@ -366,6 +366,7 @@ std::vector<RegistryEntry> IndexRegistry::list() const {
     snapshot.text_length = entry->text_length;
     snapshot.num_sequences = entry->num_sequences;
     snapshot.generation = entry->generation;
+    if (entry->resident) snapshot.sections = stored_index_sections(*entry->resident);
     entries.push_back(std::move(snapshot));
   }
   return entries;

@@ -49,6 +49,8 @@ struct RegistryEntry {
   std::uint64_t text_length = 0;
   std::uint64_t num_sequences = 0;
   std::uint64_t generation = 1;    ///< bumped by add()-replace and rollover()
+  /// Per-section bytes of the resident copy (empty when not resident).
+  std::vector<SectionFootprint> sections;
 };
 
 class IndexRegistry {

@@ -163,10 +163,14 @@ TEST_F(CliTest, IndexStoreBuildInfoAndMap) {
   auto contents = log_contents();
   EXPECT_NE(contents.find("refA"), std::string::npos) << contents;
   EXPECT_NE(contents.find("refB"), std::string::npos) << contents;
+  EXPECT_NE(contents.find("seed table: k "), std::string::npos) << contents;
 
   ASSERT_EQ(run("index info --archive " + path("store/refA.bwva")), 0);
   contents = log_contents();
-  EXPECT_NE(contents.find("format version: 4"), std::string::npos) << contents;
+  EXPECT_NE(contents.find("format version: 5"), std::string::npos) << contents;
+  // 40 kbp affords 4^7 <= 20,000 boundaries: 4 * (4^7 + 1) bytes plus the
+  // section's 64-byte head.
+  EXPECT_NE(contents.find("seed table: k 7, 65604 bytes"), std::string::npos) << contents;
   for (const char* section : {"meta", "text", "bwt", "occ", "sa", "kmer"}) {
     EXPECT_NE(contents.find(section), std::string::npos) << contents;
   }

@@ -235,6 +235,47 @@ TEST_F(MultiRefServiceTest, EvictEndpointDropsResidency) {
   EXPECT_EQ(sam, expected_sam_a_);
 }
 
+TEST_F(MultiRefServiceTest, SectionBytesGaugeFollowsResidentReferences) {
+  const auto scrape = [this] {
+    return response_body(http_request(service_->port(), "GET", "/metrics"));
+  };
+  const std::string sa_a =
+      "bwaver_index_section_bytes{ref=\"refA\",section=\"sa\"} ";
+  const std::string sa_b =
+      "bwaver_index_section_bytes{ref=\"refB\",section=\"sa\"} ";
+  EXPECT_EQ(scrape().find(sa_a), std::string::npos);
+
+  // Adding a reference adds its sections: the SA is 4 bytes per row.
+  ASSERT_NE(http_request(service_->port(), "POST", "/reference?name=refA", fasta_a_)
+                .find("200 OK"),
+            std::string::npos);
+  std::string metrics = scrape();
+  EXPECT_NE(metrics.find(sa_a + std::to_string(4 * (genome_a_.size() + 1)) + "\n"),
+            std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("bwaver_index_section_bytes{ref=\"refA\",section=\"text\"} " +
+                         std::to_string(genome_a_.size()) + "\n"),
+            std::string::npos)
+      << metrics;
+  EXPECT_EQ(metrics.find(sa_b), std::string::npos);
+
+  ASSERT_NE(http_request(service_->port(), "POST", "/reference?name=refB", fasta_b_)
+                .find("200 OK"),
+            std::string::npos);
+  metrics = scrape();
+  EXPECT_NE(metrics.find(sa_a), std::string::npos) << metrics;
+  EXPECT_NE(metrics.find(sa_b + std::to_string(4 * (genome_b_.size() + 1)) + "\n"),
+            std::string::npos)
+      << metrics;
+
+  // An evicted reference holds no sections, so its series go.
+  ASSERT_NE(http_request(service_->port(), "POST", "/evict?ref=refA").find("evicted"),
+            std::string::npos);
+  metrics = scrape();
+  EXPECT_EQ(metrics.find(sa_a), std::string::npos) << metrics;
+  EXPECT_NE(metrics.find(sa_b), std::string::npos) << metrics;
+}
+
 TEST_F(MultiRefServiceTest, RestartedServiceServesArchivesFromStore) {
   upload_both();
   service_->stop();

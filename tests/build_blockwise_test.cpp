@@ -177,7 +177,7 @@ TEST_F(BlockwiseArchiveTest, ByteIdenticalAtFormatV3) {
   const auto sa = build_suffix_array(reference_.concatenated());
   Bwt bwt = build_bwt(reference_.concatenated(), sa);
   auto seeds = std::make_shared<const KmerSeedTable>(
-      KmerSeedTable::build(reference_.concatenated(), sa, KmerSeedTable::kDefaultK));
+      KmerSeedTable::build(reference_.concatenated(), sa, std::nullopt));
   FmIndex<RrrWaveletOcc> index(
       std::move(bwt), sa, [](std::span<const std::uint8_t> symbols) {
         return RrrWaveletOcc(symbols, RrrParams{});
@@ -196,10 +196,10 @@ TEST_F(BlockwiseArchiveTest, BudgetedPipelineBuildSelectsBlockwiseAndMatches) {
 
   PipelineConfig config;
   // Between the blockwise floor and the direct estimate: forces blockwise.
-  config.build_memory_budget_bytes =
-      build::blockwise_build_peak_bytes(reference_.total_length(), 64) + 1024;
-  ASSERT_GT(build::direct_build_peak_bytes(reference_.total_length()),
-            config.build_memory_budget_bytes);
+  const std::size_t n = reference_.total_length();
+  const unsigned k = KmerSeedTable::budget_k(n);
+  config.build_memory_budget_bytes = build::blockwise_build_peak_bytes(n, 64, k) + 1024;
+  ASSERT_GT(build::direct_build_peak_bytes(n, k), config.build_memory_budget_bytes);
   std::vector<std::string> progress;
   const BuildArchiveResult result = Pipeline::build_archive(
       path("budget.bwva"), reference_, config,

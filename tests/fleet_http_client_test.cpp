@@ -125,6 +125,36 @@ TEST(FleetHttpClient, KeepAliveDisabledOpensPerRequest) {
   server.stop();
 }
 
+TEST(FleetHttpClient, RetryAfterAStalePooledConnectionOpensAFreshOne) {
+  // The server drops kept-alive connections after 100 ms idle; the client
+  // pools them for 10 s. After a pause, every pooled connection is stale,
+  // so the one retry must not take a second pooled connection.
+  HttpServerOptions server_options;
+  server_options.keep_alive_timeout = std::chrono::milliseconds(100);
+  HttpServer server(server_options);
+  server.route("GET", "/slow", [](const HttpRequest&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return HttpResponse::text(200, "pong");
+  });
+  server.start(0);
+
+  HttpClient client;
+  // Two overlapping requests leave two connections in the pool.
+  std::thread other([&client, &server] {
+    EXPECT_EQ(client.request("127.0.0.1", server.port(), "GET", "/slow").status, 200);
+  });
+  EXPECT_EQ(client.request("127.0.0.1", server.port(), "GET", "/slow").status, 200);
+  other.join();
+  ASSERT_EQ(client.connections_opened(), 2u);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  const ClientResponse response = client.request("127.0.0.1", server.port(), "GET", "/slow");
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, "pong");
+  EXPECT_EQ(client.connections_opened(), 3u);
+  server.stop();
+}
+
 TEST(FleetHttpClient, HttpErrorStatusesAreReturnedNotThrown) {
   HttpServer server;
   server.route("GET", "/missing",

@@ -53,7 +53,7 @@ class EngineSetTest : public ::testing::Test {
     Bwt bwt = build_bwt(reference.concatenated(), sa);
     RrrWaveletOcc occ(bwt.symbols, RrrParams{});
     FmIndex<RrrWaveletOcc> index(std::move(bwt), std::move(sa), std::move(occ));
-    index.build_seed_table(reference.concatenated(), KmerSeedTable::kDefaultK);
+    index.build_seed_table(reference.concatenated());
     return StoredIndex{std::move(reference), std::move(index), nullptr, nullptr,
                        LoadMode::kCopy};
   }

@@ -444,7 +444,7 @@ TEST(SweepMapBatchLowLevel, SeededAndUnseededIndexesBothMatchPerRead) {
     FmIndex<RrrWaveletOcc> index(genome, [](std::span<const std::uint8_t> bwt) {
       return RrrWaveletOcc(bwt, RrrParams{15, 50});
     });
-    if (seeded) index.build_seed_table(genome, KmerSeedTable::kDefaultK);
+    if (seeded) index.build_seed_table(genome);
     const std::span<const std::uint32_t> sa = index.suffix_array();
 
     ReadSimConfig rconfig;

@@ -1,20 +1,27 @@
-// Load-mode tests for the v3 zero-copy archive path: the full
-// version x mode matrix (v1/v2/v3, copy/mmap) must produce identical
-// structures and byte-identical SAM; corruption must be rejected at open in
-// mmap mode too; and the heap/mapped footprint split must be deterministic
-// so registry budgets and /references stay truthful.
+// Load-mode tests for the v3+ zero-copy archive path: the full
+// version x mode matrix (v1..v5, copy/mmap) must produce identical
+// structures and byte-identical SAM (v4's two-array seed table against
+// v5's boundaries on every engine); corruption must be rejected at open in
+// mmap mode too, including a seed table whose CRCs were recomputed; and the
+// heap/mapped footprint split must be deterministic so registry budgets and
+// /references stay truthful.
 #include "store/index_archive.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fmindex/dna.hpp"
 #include "io/byte_io.hpp"
+#include "io/checksum.hpp"
+#include "kernels/registry.hpp"
 #include "mapper/map_service.hpp"
 #include "mapper/pipeline.hpp"
 #include "sim/genome_sim.hpp"
@@ -49,7 +56,7 @@ class MmapLoadTest : public ::testing::Test {
     pipeline_->build_from_records(
         {{"chrA", bases.substr(0, 12000)}, {"chrB", bases.substr(12000)}});
 
-    for (std::uint32_t version = 1; version <= 4; ++version) {
+    for (std::uint32_t version = 1; version <= 5; ++version) {
       path_[version] =
           (dir_ / ("ref_v" + std::to_string(version) + ".bwva")).string();
       write_index_archive(path_[version], pipeline_->reference(),
@@ -70,11 +77,32 @@ class MmapLoadTest : public ::testing::Test {
   std::vector<std::uint8_t> genome_;
   std::vector<FastqRecord> reads_;
   std::unique_ptr<Pipeline> pipeline_;
-  std::string path_[5];
+  std::string path_[6];
 };
 
+/// Rewrites the header of `bytes` so every section CRC and the header CRC
+/// match the (possibly edited) payloads: what a tamperer who knows the
+/// format would do.
+void recompute_crcs(std::vector<std::uint8_t>& bytes, const ArchiveInfo& info) {
+  std::vector<ArchiveSectionPlan> plans;
+  for (const ArchiveSection& section : info.sections) {
+    plans.push_back({section.name, section.length,
+                     crc32_ieee(std::span<const std::uint8_t>(bytes).subspan(
+                         section.offset, section.length))});
+  }
+  const auto header = render_archive_header(info.version, plans);
+  std::copy(header.begin(), header.end(), bytes.begin());
+}
+
+const ArchiveSection& section_named(const ArchiveInfo& info, const std::string& name) {
+  for (const ArchiveSection& section : info.sections) {
+    if (section.name == name) return section;
+  }
+  throw std::out_of_range("no section " + name);
+}
+
 TEST_F(MmapLoadTest, VersionModeMatrixRebuildsIdenticalStructures) {
-  for (std::uint32_t version = 1; version <= 4; ++version) {
+  for (std::uint32_t version = 1; version <= 5; ++version) {
     for (const LoadMode mode : {LoadMode::kCopy, LoadMode::kMmap}) {
       SCOPED_TRACE("v" + std::to_string(version) + " " + load_mode_name(mode));
       const StoredIndex stored = read_index_archive(path_[version], mode);
@@ -102,6 +130,19 @@ TEST_F(MmapLoadTest, VersionModeMatrixRebuildsIdenticalStructures) {
       EXPECT_EQ(stored.index.suffix_array(), pipeline_->index().suffix_array());
       const std::span<const std::uint8_t> pattern(genome_.data() + 500, 28);
       EXPECT_EQ(stored.index.locate(pattern), pipeline_->index().locate(pattern));
+
+      // v2..v4 two-array tables convert to the built table's boundaries;
+      // only a v5 mmap load can adopt them.
+      const KmerSeedTable* built = pipeline_->index().seed_table();
+      const KmerSeedTable* seeds = stored.index.seed_table();
+      ASSERT_EQ(seeds != nullptr, version >= 2);
+      if (seeds == nullptr) continue;
+      ASSERT_EQ(seeds->k(), built->k());
+      for (std::uint32_t code = 0; code < built->entries(); ++code) {
+        ASSERT_EQ(seeds->interval(code), built->interval(code)) << "code " << code;
+      }
+      EXPECT_EQ(seeds->heap_size_in_bytes() < seeds->size_in_bytes(),
+                version >= 5 && mode == LoadMode::kMmap);
     }
   }
 }
@@ -110,12 +151,65 @@ TEST_F(MmapLoadTest, VersionModeMatrixProducesByteIdenticalSam) {
   const std::string want = pipeline_->map_records(reads_).sam;
   PipelineConfig config;
   config.engine = MappingEngine::kCpu;
-  for (std::uint32_t version = 1; version <= 4; ++version) {
+  for (std::uint32_t version = 1; version <= 5; ++version) {
     for (const LoadMode mode : {LoadMode::kCopy, LoadMode::kMmap}) {
       SCOPED_TRACE("v" + std::to_string(version) + " " + load_mode_name(mode));
       Pipeline loaded = Pipeline::from_archive(path_[version], config, mode);
       ASSERT_TRUE(loaded.ready());
       EXPECT_EQ(loaded.map_records(reads_).sam, want);
+    }
+  }
+}
+
+TEST_F(MmapLoadTest, V4AndV5MapIdenticallyOnEveryEngine) {
+  // The v4 two-array table is converted on load; the v5 boundaries are
+  // served as written. Every engine must write the same SAM bytes from both.
+  for (const kernels::EngineSpec& spec : kernels::engines()) {
+    PipelineConfig config;
+    config.engine = spec.engine;
+    std::string want;
+    for (const std::uint32_t version : {5u, 4u}) {
+      for (const LoadMode mode : {LoadMode::kCopy, LoadMode::kMmap}) {
+        SCOPED_TRACE(std::string(spec.name) + " v" + std::to_string(version) + " " +
+                     load_mode_name(mode));
+        Pipeline loaded = Pipeline::from_archive(path_[version], config, mode);
+        const std::string sam = loaded.map_records(reads_).sam;
+        if (want.empty()) want = sam;
+        EXPECT_EQ(sam, want);
+      }
+    }
+    EXPECT_NE(want.find("\tchr"), std::string::npos) << spec.name;
+  }
+}
+
+TEST_F(MmapLoadTest, CrcValidButInconsistentSeedTableIsRejected) {
+  // A kmer section edited and re-checksummed passes every CRC, so only the
+  // table's own checks stand between it and out-of-bounds SA reads. v5:
+  // one boundary past the SA; v4: one interval end past the SA (the parent
+  // format's loader checked entry counts only and served it).
+  for (const std::uint32_t version : {5u, 4u}) {
+    const ArchiveInfo info = read_index_archive_info(path_[version]);
+    const ArchiveSection& kmer = section_named(info, "kmer");
+    ASSERT_EQ(info.seed_k, pipeline_->index().seed_table()->k());
+    const std::size_t entries = pipeline_->index().seed_table()->entries();
+    // v5: [head 64][B]; v4: [head 64][lo][count 8, pad to 64][hi].
+    const std::size_t entry = version == 5
+                                  ? kmer.offset + 64 + 4 * (entries / 2)
+                                  : kmer.offset + 64 + 4 * entries + 64 + 4 * (entries / 2);
+    auto bytes = read_file(path_[version]);
+    const std::uint32_t huge = 0xFFFFFF00u;
+    std::memcpy(bytes.data() + entry, &huge, sizeof huge);
+    recompute_crcs(bytes, info);
+    const std::string path =
+        write_variant("tampered_v" + std::to_string(version) + ".bwva", bytes);
+    for (const LoadMode mode : {LoadMode::kCopy, LoadMode::kMmap}) {
+      SCOPED_TRACE("v" + std::to_string(version) + " " + load_mode_name(mode));
+      try {
+        read_index_archive(path, mode);
+        FAIL() << "served a seed table with an entry past the suffix array";
+      } catch (const IoError& e) {
+        EXPECT_NE(std::string(e.what()).find("kmer section"), std::string::npos) << e.what();
+      }
     }
   }
 }
