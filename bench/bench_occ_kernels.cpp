@@ -1,19 +1,19 @@
-// SIMD rank-kernel and Occ-engine throughput.
+// Occ-engine rank throughput.
 //
-// Three tiers of the same question — how fast can this machine count
-// characters in the packed BWT?
-//   1. raw kernels: every compiled count_words implementation (portable
-//      SWAR, SSE4.2, AVX2/NEON when the CPU has them) streaming the whole
-//      packed E. coli text, in GB/s;
-//   2. Occ engines: random rank() and narrow-interval rank2() probes (the
+// Two tiers of the same question — how fast can this machine count
+// characters in the BWT?
+//   1. Occ engines: random rank() and narrow-interval rank2() probes (the
 //      backward-search access pattern) against each software backend, in
 //      Mranks/s, with a cross-engine checksum so a wrong answer can never
 //      look fast;
-//   3. end to end: count-only mapping through the FM-index over each
+//   2. end to end: count-only mapping through the FM-index over each
 //      backend.
-// The vector-vs-sampled rank ratio is the paper-motivated payoff (Snytsar:
-// vectorized counting beats scalar SWAR) and is enforced as a hard
-// `vector_vs_scalar_speedup_min` floor in bench/baseline.json.
+// The epr-vs-sampled rank ratio is the paper-motivated payoff (Snytsar:
+// vectorized counting beats scalar SWAR; the EPR dictionary answers a rank
+// with one line and one popcount pass) and is enforced as a hard
+// `epr_vs_scalar_speedup_min` floor in bench/baseline.json, as is the
+// served engine's count-only mapping lead over sampled
+// (`map_epr_vs_sampled`).
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -23,7 +23,6 @@
 #include "fmindex/fm_index.hpp"
 #include "fmindex/occ_backends.hpp"
 #include "kernels/rank_kernel.hpp"
-#include "kernels/vector_occ.hpp"
 #include "mapper/read_batch.hpp"
 #include "sim/read_sim.hpp"
 #include "util/cpu_features.hpp"
@@ -94,45 +93,12 @@ int main(int argc, char** argv) {
         return RrrWaveletOcc(bwt, RrrParams{15, 50});
       });
   const auto& bwt = base.bwt().symbols;
-  std::printf("reference: %zu bp, BWT: %zu symbols\n\n", genome.size(), bwt.size());
+  std::printf("reference: %zu bp, BWT: %zu symbols\n", genome.size(), bwt.size());
 
-  // ---- tier 1: raw kernels over the whole packed text, GB/s -------------
-  std::vector<std::uint64_t> packed((bwt.size() + 31) / 32, 0);
-  for (std::size_t i = 0; i < bwt.size(); ++i) {
-    packed[i / 32] |= (std::uint64_t{bwt[i]} & 3) << ((i % 32) * 2);
-  }
-  const std::size_t sweep_bytes = packed.size() * sizeof(std::uint64_t);
-  // Repeat until ~256 MB have streamed so the figure is not timer noise.
-  const std::size_t repeats =
-      std::max<std::size_t>(1, (256u << 20) / std::max<std::size_t>(1, sweep_bytes));
-  std::printf("%-26s %12s %12s\n", "kernel", "GB/s", "checksum");
-  std::uint64_t kernel_reference_sum = 0;
-  for (const kernels::RankKernel& kernel : kernels::available_kernels()) {
-    WallTimer timer;
-    std::uint64_t sum = 0;
-    for (std::size_t r = 0; r < repeats; ++r) {
-      for (std::uint8_t c = 0; c < 4; ++c) {
-        sum += kernel.count_words(packed.data(), packed.size(), c);
-      }
-    }
-    const double seconds = timer.seconds();
-    const double gbps = static_cast<double>(sweep_bytes) * 4.0 *
-                        static_cast<double>(repeats) / seconds / 1e9;
-    std::printf("%-26s %12.2f %16llx\n", kernel.name, gbps,
-                static_cast<unsigned long long>(sum));
-    report.metric(std::string("kernel_") + kernel.name + "_gbps", gbps);
-    if (kernel_reference_sum == 0) kernel_reference_sum = sum;
-    if (sum != kernel_reference_sum) {
-      std::fprintf(stderr, "FATAL: kernel %s checksum mismatch\n", kernel.name);
-      return 1;
-    }
-  }
-
-  // ---- tier 2: Occ engines, random rank probes --------------------------
+  // ---- tier 1: Occ engines, random rank probes --------------------------
   const SampledOcc sampled(bwt);
   const PlainWaveletOcc plain(bwt);
   const RrrWaveletOcc& rrr = base.occ_backend();
-  const VectorOcc vector(bwt);
   const EprOcc epr(bwt);
 
   const std::size_t num_queries = scaled(2'000'000, setup.scale);
@@ -164,23 +130,16 @@ int main(int argc, char** argv) {
                 sum);
   if (sum != want) return std::fprintf(stderr, "FATAL: plain checksum\n"), 1;
 
-  const double vector_seconds = time_ranks(
-      queries, sum, [&](const RankQuery& q) { return vector.rank(q.code, q.pos); });
-  report_engine("vector (SIMD kernels)", num_queries, vector_seconds,
-                vector.size_in_bytes(), sum);
-  if (sum != want) return std::fprintf(stderr, "FATAL: vector checksum\n"), 1;
-
   const double epr_seconds = time_ranks(
       queries, sum, [&](const RankQuery& q) { return epr.rank(q.code, q.pos); });
   report_engine("epr (bit-transposed)", num_queries, epr_seconds,
                 epr.size_in_bytes(), sum);
   if (sum != want) return std::fprintf(stderr, "FATAL: epr checksum\n"), 1;
 
-  const double rank_speedup = sampled_seconds / vector_seconds;
+  const double rank_speedup = sampled_seconds / epr_seconds;
   report.metric("rank_sampled_mops", num_queries / sampled_seconds / 1e6);
   report.metric("rank_rrr_mops", num_queries / rrr_seconds / 1e6);
   report.metric("rank_plain_mops", num_queries / plain_seconds / 1e6);
-  report.metric("rank_vector_mops", num_queries / vector_seconds / 1e6);
   report.metric("rank_epr_mops", num_queries / epr_seconds / 1e6);
 
   // rank2 over narrow intervals — the actual occ2 shape in the search loop.
@@ -192,34 +151,28 @@ int main(int argc, char** argv) {
   }
   const double sampled2_seconds = sampled2_timer.seconds();
 
-  WallTimer vector2_timer;
+  WallTimer epr2_timer;
   std::uint64_t pair_sum = 0;
   for (std::size_t i = 0; i < num_queries; ++i) {
-    const auto [a, b] = vector.rank2(queries[i].code, pairs[i].pos, queries[i].pos);
+    const auto [a, b] = epr.rank2(queries[i].code, pairs[i].pos, queries[i].pos);
     pair_sum += a + b;
   }
-  const double vector2_seconds = vector2_timer.seconds();
+  const double epr2_seconds = epr2_timer.seconds();
   if (pair_sum != pair_want) return std::fprintf(stderr, "FATAL: rank2 checksum\n"), 1;
 
-  const double rank2_speedup = sampled2_seconds / vector2_seconds;
-  std::printf("\nrank2 narrow pairs:        sampled %.1f ms, vector %.1f ms "
-              "(%.2fx)\n", sampled2_seconds * 1e3, vector2_seconds * 1e3,
+  const double rank2_speedup = sampled2_seconds / epr2_seconds;
+  std::printf("\nrank2 narrow pairs:        sampled %.1f ms, epr %.1f ms "
+              "(%.2fx)\n", sampled2_seconds * 1e3, epr2_seconds * 1e3,
               rank2_speedup);
   report.metric("rank2_sampled_mops", num_queries / sampled2_seconds / 1e6);
-  report.metric("rank2_vector_mops", num_queries / vector2_seconds / 1e6);
+  report.metric("rank2_epr_mops", num_queries / epr2_seconds / 1e6);
 
-  // The enforced headline: vectorized counting vs the scalar-SWAR backend
-  // on the same packed text, single random ranks.
-  std::printf("vector vs sampled speedup: %.2fx rank, %.2fx rank2\n", rank_speedup,
+  // The enforced headline: the served engine's one-line/one-popcount rank
+  // vs the scalar-SWAR backend on the same BWT, single random ranks.
+  std::printf("epr vs sampled speedup:    %.2fx rank, %.2fx rank2\n", rank_speedup,
               rank2_speedup);
-  report.metric("vector_vs_scalar_speedup", rank_speedup);
-  report.metric("vector_vs_scalar_rank2_speedup", rank2_speedup);
-
-  // The second enforced headline: the EPR dictionary's one-line/one-popcount
-  // rank against the vectorized 192-base-block scan, same random probes.
-  const double epr_speedup = vector_seconds / epr_seconds;
-  std::printf("epr vs vector speedup:     %.2fx rank\n", epr_speedup);
-  report.metric("epr_vs_vector_speedup", epr_speedup);
+  report.metric("epr_vs_scalar_speedup", rank_speedup);
+  report.metric("epr_vs_scalar_rank2_speedup", rank2_speedup);
 
   // rank_all — the bidirectional-extension primitive: all four symbol
   // counts at one offset against four independent rank() calls.
@@ -242,7 +195,7 @@ int main(int argc, char** argv) {
   report.metric("epr_rank_all_mops", num_queries / all_seconds / 1e6);
   report.metric("epr_rank_all_vs_four_ranks", four_seconds / all_seconds);
 
-  // ---- tier 3: end-to-end count-only mapping delta ----------------------
+  // ---- tier 2: end-to-end count-only mapping delta ----------------------
   ReadSimConfig rc;
   rc.num_reads = scaled(100'000, setup.scale);
   rc.read_length = 50;
@@ -266,32 +219,25 @@ int main(int argc, char** argv) {
   const FmIndex<SampledOcc> sampled_index(
       borrow_bwt(), FlatArray<std::uint32_t>::view_of(base.suffix_array()),
       [](std::span<const std::uint8_t> b) { return SampledOcc(b); });
-  const FmIndex<VectorOcc> vector_index(
-      borrow_bwt(), FlatArray<std::uint32_t>::view_of(base.suffix_array()),
-      [](std::span<const std::uint8_t> b) { return VectorOcc(b); });
   const FmIndex<EprOcc> epr_index(
       borrow_bwt(), FlatArray<std::uint32_t>::view_of(base.suffix_array()),
       [](std::span<const std::uint8_t> b) { return EprOcc(b); });
 
-  std::uint64_t mapped_sampled = 0, mapped_vector = 0, mapped_rrr = 0,
-                mapped_epr = 0;
+  std::uint64_t mapped_sampled = 0, mapped_rrr = 0, mapped_epr = 0;
   const double map_rrr = count_throughput(base, mapped_rrr);
   const double map_sampled = count_throughput(sampled_index, mapped_sampled);
-  const double map_vector = count_throughput(vector_index, mapped_vector);
   const double map_epr = count_throughput(epr_index, mapped_epr);
-  if (mapped_sampled != mapped_rrr || mapped_vector != mapped_rrr ||
-      mapped_epr != mapped_rrr) {
+  if (mapped_sampled != mapped_rrr || mapped_epr != mapped_rrr) {
     std::fprintf(stderr, "FATAL: engines disagree on mapped-read count\n");
     return 1;
   }
   std::printf("\ncount-only mapping (%zu reads x %u bp): rrr %.1f, sampled %.1f, "
-              "vector %.1f, epr %.1f kreads/s\n", batch.size(), rc.read_length,
-              map_rrr, map_sampled, map_vector, map_epr);
+              "epr %.1f kreads/s\n", batch.size(), rc.read_length, map_rrr, map_sampled,
+              map_epr);
   report.metric("map_rrr_kreads_per_sec", map_rrr);
   report.metric("map_sampled_kreads_per_sec", map_sampled);
-  report.metric("map_vector_kreads_per_sec", map_vector);
   report.metric("map_epr_kreads_per_sec", map_epr);
-  report.metric("map_vector_vs_sampled", map_vector / map_sampled);
+  report.metric("map_epr_vs_sampled", map_epr / map_sampled);
 
   report.emit();
   return 0;

@@ -21,11 +21,10 @@
 //   index info       --archive ref.bwva | --store-dir DIR
 //                    archive section table / store manifest listing
 //   map              --index ref.bwvr --reads reads.fq[.gz] --out out.sam
-//                    [--engine fpga|rrr|sampled|vector|epr] [--threads T]
-//                    (cpu/bowtie2like accepted as aliases; default from
-//                    $BWAVER_ENGINE, else fpga; each engine searches in its
-//                    own order — sweep for vector and epr, per-read for the
-//                    rest; see docs/serving.md) [--b B] [--sf SF]
+//                    [--engine fpga|rrr|sampled|epr] [--threads T]
+//                    (cpu/bowtie2like accepted as aliases; default fpga;
+//                    the host engines search by the batched sweep, see
+//                    docs/serving.md) [--b B] [--sf SF]
 //                    [--shards N] (reads per parallel shard, 0 = auto)
 //                    [--profile FILE] write a per-stage profile (parse/search/
 //                    locate/sam ms, wall, load mode, span tree) as JSON
@@ -120,8 +119,7 @@ PipelineConfig config_from_args(const ArgParser& args) {
   config.rrr.block_bits = static_cast<unsigned>(args.get_int("b", 15));
   config.rrr.superblock_factor = static_cast<unsigned>(args.get_int("sf", 50));
   const std::string engine_arg = args.get("engine");
-  config.engine =
-      engine_arg.empty() ? kernels::default_engine() : parse_engine(engine_arg);
+  if (!engine_arg.empty()) config.engine = parse_engine(engine_arg);
   config.threads = static_cast<unsigned>(args.get_int("threads", 1));
   if (args.has("seed-k")) config.seed_k = static_cast<unsigned>(args.get_int("seed-k", 0));
   config.shard_size = static_cast<std::size_t>(args.get_int("shards", 0));
@@ -232,11 +230,10 @@ int cmd_index_build(const ArgParser& args) {
 void print_engine_resolution(const ArgParser& args) {
   const std::string engine_arg = args.get("engine");
   const MappingEngine engine =
-      engine_arg.empty() ? kernels::default_engine() : parse_engine(engine_arg);
+      engine_arg.empty() ? PipelineConfig{}.engine : parse_engine(engine_arg);
   const auto& spec = kernels::engine_spec(engine);
-  std::printf("mapping engine: %s (occ %s, kernel %s, order %s)\n", spec.name,
-              spec.occ_backend, kernels::engine_kernel_name(engine),
-              spec.sweep ? "sweep" : "per-read");
+  std::printf("mapping engine: %s (occ %s, kernel %s)\n", spec.name, spec.occ_backend,
+              kernels::engine_kernel_name(engine));
   std::printf("cpu features: %s\n", cpu_features_string(cpu_features()).c_str());
 }
 

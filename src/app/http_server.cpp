@@ -216,6 +216,22 @@ std::string generate_request_id() {
 
 }  // namespace
 
+std::string url_encode(const std::string& value) {
+  static const char* hex = "0123456789ABCDEF";
+  std::string out;
+  out.reserve(value.size());
+  for (const unsigned char c : value) {
+    if (std::isalnum(c) || c == '-' || c == '_' || c == '.' || c == '~') {
+      out.push_back(static_cast<char>(c));
+    } else {
+      out.push_back('%');
+      out.push_back(hex[c >> 4]);
+      out.push_back(hex[c & 0xf]);
+    }
+  }
+  return out;
+}
+
 HttpResponse HttpResponse::text(int status, std::string message) {
   HttpResponse response;
   response.status = status;

@@ -25,6 +25,12 @@
 
 namespace bwaver {
 
+/// Percent-encodes a query-string value: every byte but ASCII letters,
+/// digits and `-_.~` becomes %XX, so a value can carry `&`, `=`, `%`, CR or
+/// LF into a request target without splitting the query or the request
+/// line. The server's query parser decodes it back to the same bytes.
+std::string url_encode(const std::string& value);
+
 struct HttpRequest {
   std::string method;
   std::string path;                            ///< without the query string

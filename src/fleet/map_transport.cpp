@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "app/http_server.hpp"
 #include "io/fastq.hpp"
 #include "kernels/registry.hpp"
 #include "mapper/map_service.hpp"
@@ -12,24 +13,6 @@
 namespace bwaver::fleet {
 
 namespace {
-
-/// Percent-encodes a query-string value (reference names are usually plain
-/// tokens, but user-supplied ones may not be).
-std::string url_encode(const std::string& value) {
-  static const char* hex = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(value.size());
-  for (const unsigned char c : value) {
-    if (std::isalnum(c) || c == '-' || c == '_' || c == '.' || c == '~') {
-      out.push_back(static_cast<char>(c));
-    } else {
-      out.push_back('%');
-      out.push_back(hex[c >> 4]);
-      out.push_back(hex[c & 0xf]);
-    }
-  }
-  return out;
-}
 
 /// Minimal field extraction from the replica's flat JSON documents
 /// ({"id":7,...} / {"state":"running",...}); not a general parser.

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "io/fastq.hpp"
+#include "util/json.hpp"
 
 namespace bwaver::fleet {
 
@@ -15,20 +16,6 @@ namespace {
 
 constexpr std::size_t kLatencyWindow = 256;  ///< shard latencies kept for quantiles
 constexpr std::size_t kMinHedgeSamples = 16;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 /// Splits a SAM document into its leading header block ('@' lines) and the
 /// alignment lines that follow.
@@ -584,7 +571,7 @@ HttpResponse RouterService::handle_rollover(const HttpRequest& request) {
     return HttpResponse::text(400, "empty reference upload\n");
   }
   const std::string body(request.body.begin(), request.body.end());
-  const std::string target = "/admin/rollover?ref=" + ref;
+  const std::string target = "/admin/rollover?ref=" + url_encode(ref);
   const std::vector<std::pair<std::string, std::string>> headers{
       {"X-Request-Id", request.request_id()}};
 

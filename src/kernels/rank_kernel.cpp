@@ -9,10 +9,6 @@
 #define BWAVER_KERNEL_X86 0
 #endif
 
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#endif
-
 namespace bwaver::kernels {
 
 namespace {
@@ -25,25 +21,6 @@ constexpr std::uint64_t kLowBits = 0x5555555555555555ULL;
 inline std::uint64_t match_mask(std::uint64_t word, std::uint64_t pattern) noexcept {
   const std::uint64_t diff = word ^ pattern;
   return ~(diff | (diff >> 1)) & kLowBits;
-}
-
-std::uint64_t count_words_portable(const std::uint64_t* words, std::size_t n_words,
-                                   std::uint8_t c) {
-  const std::uint64_t pattern = kLowBits * c;
-  std::uint64_t total = 0;
-  std::size_t w = 0;
-  // Match bits occupy even positions only, so two words' masks interleave
-  // into one popcount — halves the (libcall-expensive at -march=x86-64)
-  // popcounts.
-  for (; w + 2 <= n_words; w += 2) {
-    const std::uint64_t merged =
-        match_mask(words[w], pattern) | (match_mask(words[w + 1], pattern) << 1);
-    total += static_cast<unsigned>(__builtin_popcountll(merged));
-  }
-  if (w < n_words) {
-    total += static_cast<unsigned>(__builtin_popcountll(match_mask(words[w], pattern)));
-  }
-  return total;
 }
 
 std::uint64_t count_block_prefix_portable(const std::uint64_t* words, unsigned off,
@@ -206,91 +183,10 @@ __attribute__((target("avx2,popcnt"))) std::uint64_t count_block_prefix_avx2(
          static_cast<std::uint64_t>(_mm_extract_epi64(folded, 1));
 }
 
-__attribute__((target("sse4.2,popcnt"))) std::uint64_t count_words_sse42(
-    const std::uint64_t* words, std::size_t n_words, std::uint8_t c) {
-  const __m128i pattern = _mm_set1_epi64x(static_cast<long long>(kLowBits * c));
-  const __m128i low = _mm_set1_epi64x(static_cast<long long>(kLowBits));
-  std::uint64_t total = 0;
-  std::size_t w = 0;
-  for (; w + 4 <= n_words; w += 4) {
-    const __m128i da = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(words + w)), pattern);
-    const __m128i db = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(words + w + 2)), pattern);
-    const __m128i ma =
-        _mm_andnot_si128(_mm_or_si128(da, _mm_srli_epi64(da, 1)), low);
-    const __m128i mb =
-        _mm_andnot_si128(_mm_or_si128(db, _mm_srli_epi64(db, 1)), low);
-    const __m128i merged = _mm_or_si128(ma, _mm_slli_epi64(mb, 1));
-    total += static_cast<unsigned>(__builtin_popcountll(
-        static_cast<std::uint64_t>(_mm_cvtsi128_si64(merged))));
-    total += static_cast<unsigned>(__builtin_popcountll(
-        static_cast<std::uint64_t>(_mm_extract_epi64(merged, 1))));
-  }
-  return total + count_words_portable(words + w, n_words - w, c);
-}
-
-__attribute__((target("avx2,popcnt"))) std::uint64_t count_words_avx2(
-    const std::uint64_t* words, std::size_t n_words, std::uint8_t c) {
-  const __m256i pattern = _mm256_set1_epi64x(static_cast<long long>(kLowBits * c));
-  const __m256i low = _mm256_set1_epi64x(static_cast<long long>(kLowBits));
-  // Byte-wise popcount via the nibble LUT (Mula), horizontally widened with
-  // SAD — no cross-lane extracts in the hot loop.
-  const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3,
-                                       4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3,
-                                       3, 4);
-  const __m256i nibble = _mm256_set1_epi8(0x0F);
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc = zero;
-  std::size_t w = 0;
-  for (; w + 8 <= n_words; w += 8) {
-    const __m256i da = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + w)), pattern);
-    const __m256i db = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + w + 4)), pattern);
-    const __m256i ma =
-        _mm256_andnot_si256(_mm256_or_si256(da, _mm256_srli_epi64(da, 1)), low);
-    const __m256i mb =
-        _mm256_andnot_si256(_mm256_or_si256(db, _mm256_srli_epi64(db, 1)), low);
-    const __m256i merged = _mm256_or_si256(ma, _mm256_slli_epi64(mb, 1));
-    const __m256i lo4 = _mm256_and_si256(merged, nibble);
-    const __m256i hi4 = _mm256_and_si256(_mm256_srli_epi16(merged, 4), nibble);
-    const __m256i bytes = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo4),
-                                          _mm256_shuffle_epi8(lut, hi4));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(bytes, zero));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  return lanes[0] + lanes[1] + lanes[2] + lanes[3] +
-         count_words_portable(words + w, n_words - w, c);
-}
-
 #endif  // BWAVER_KERNEL_X86
 
-#if defined(__aarch64__)
-
-std::uint64_t count_words_neon(const std::uint64_t* words, std::size_t n_words,
-                               std::uint8_t c) {
-  const uint64x2_t pattern = vdupq_n_u64(kLowBits * c);
-  const uint64x2_t low = vdupq_n_u64(kLowBits);
-  std::uint64_t total = 0;
-  std::size_t w = 0;
-  for (; w + 4 <= n_words; w += 4) {
-    const uint64x2_t da = veorq_u64(vld1q_u64(words + w), pattern);
-    const uint64x2_t db = veorq_u64(vld1q_u64(words + w + 2), pattern);
-    const uint64x2_t ma = vbicq_u64(low, vorrq_u64(da, vshrq_n_u64(da, 1)));
-    const uint64x2_t mb = vbicq_u64(low, vorrq_u64(db, vshrq_n_u64(db, 1)));
-    const uint64x2_t merged = vorrq_u64(ma, vshlq_n_u64(mb, 1));
-    total += vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(merged)));
-  }
-  return total + count_words_portable(words + w, n_words - w, c);
-}
-
-#endif  // __aarch64__
-
 const RankKernel kPortableKernel{"portable", SimdLevel::kPortable,
-                                 &count_words_portable, &count_block_prefix_portable,
-                                 &count_epr_prefix_portable};
+                                 &count_block_prefix_portable, &count_epr_prefix_portable};
 
 std::vector<RankKernel> build_available() {
   std::vector<RankKernel> kernels;
@@ -298,22 +194,12 @@ std::vector<RankKernel> build_available() {
   (void)features;
 #if BWAVER_KERNEL_X86
   if (features.avx2) {
-    kernels.push_back({"avx2", SimdLevel::kAvx2, &count_words_avx2,
-                       &count_block_prefix_avx2, &count_epr_prefix_avx2});
+    kernels.push_back(
+        {"avx2", SimdLevel::kAvx2, &count_block_prefix_avx2, &count_epr_prefix_avx2});
   }
   if (features.sse42) {
-    kernels.push_back({"sse42", SimdLevel::kSse42, &count_words_sse42,
-                       &count_block_prefix_sse42, &count_epr_prefix_sse42});
-  }
-#endif
-#if defined(__aarch64__)
-  if (features.neon) {
-    // NEON bulk counting pays off in count_words; the short block prefix
-    // stays on the scalar path (no per-lane saturating shifts to lean on).
-    // The EPR prefix is two masked popcounts — aarch64 lowers the portable
-    // __builtin_popcountll to cnt directly, so it shares that path too.
-    kernels.push_back({"neon", SimdLevel::kNeon, &count_words_neon,
-                       &count_block_prefix_portable, &count_epr_prefix_portable});
+    kernels.push_back(
+        {"sse42", SimdLevel::kSse42, &count_block_prefix_sse42, &count_epr_prefix_sse42});
   }
 #endif
   kernels.push_back(kPortableKernel);
@@ -321,28 +207,6 @@ std::vector<RankKernel> build_available() {
 }
 
 }  // namespace
-
-std::uint64_t count_range(const RankKernel& kernel, const std::uint64_t* words,
-                          std::size_t lo, std::size_t hi, std::uint8_t c) noexcept {
-  if (lo >= hi) return 0;
-  std::size_t w0 = lo >> 5;
-  const std::size_t w1 = hi >> 5;
-  const unsigned r0 = static_cast<unsigned>(lo & 31);
-  const unsigned r1 = static_cast<unsigned>(hi & 31);
-  if (w0 == w1) {
-    return static_cast<std::uint64_t>(
-        count_partial_word(words[w0] >> (2 * r0), c, r1 - r0));
-  }
-  std::uint64_t total = 0;
-  if (r0 != 0) {
-    total += static_cast<std::uint64_t>(
-        count_partial_word(words[w0] >> (2 * r0), c, 32 - r0));
-    ++w0;
-  }
-  if (w1 > w0) total += kernel.count_words(words + w0, w1 - w0, c);
-  if (r1 != 0) total += static_cast<std::uint64_t>(count_partial_word(words[w1], c, r1));
-  return total;
-}
 
 std::span<const RankKernel> available_kernels() {
   static const std::vector<RankKernel> kernels = build_available();

@@ -1,8 +1,10 @@
 // Vectorized character-counting kernels for 2-bit-packed DNA text.
 //
-// A RankKernel answers "how many slots of these packed 64-bit words hold
-// code c?" — the inner loop of every sampled/checkpointed Occ rank
-// (Snytsar, *Vectorized Character Counting for Faster Pattern Matching*).
+// A RankKernel answers "how many of the first `off` bases of this block
+// hold code c?" — the inner step of a checkpointed Occ rank, for the EPR
+// dictionary the engines search and for VectorOcc, the blockwise builder's
+// rank (Snytsar, *Vectorized Character Counting for Faster Pattern
+// Matching*).
 // Several implementations of the same contract are compiled into the
 // binary with per-function target attributes (so a -march=x86-64 baseline
 // build still carries AVX2/SSE4.2 code paths) and one is selected at
@@ -17,12 +19,6 @@
 #include "util/cpu_features.hpp"
 
 namespace bwaver::kernels {
-
-/// Occurrences of 2-bit code `c` across `n_words` packed words (32 bases
-/// per word, all slots counted — callers mask partial words themselves
-/// with count_partial_word below).
-using CountWordsFn = std::uint64_t (*)(const std::uint64_t* words,
-                                       std::size_t n_words, std::uint8_t c);
 
 /// Occurrences of code `c` among the first `off` bases of exactly six
 /// packed words — one VectorOcc block (192 bases), off in [0, 192]. This is
@@ -45,16 +41,15 @@ using CountEprPrefixFn = std::uint64_t (*)(const std::uint64_t* planes,
 /// One character-counting implementation. Plain struct of function
 /// pointers so kernels enumerate, bench and test uniformly.
 struct RankKernel {
-  const char* name = "portable";       ///< "portable" / "sse42" / "avx2" / "neon"
+  const char* name = "portable";       ///< "portable" / "sse42" / "avx2"
   SimdLevel level = SimdLevel::kPortable;
-  CountWordsFn count_words = nullptr;
   CountBlockPrefixFn count_block_prefix = nullptr;
   CountEprPrefixFn count_epr_prefix = nullptr;
 };
 
 /// Occurrences of code `c` among the low `bases` slots of one word
-/// (bases in [0, 32]). Scalar SWAR — partial words are never the hot
-/// part, every kernel shares this edge handling.
+/// (bases in [0, 32]). Scalar SWAR — the partial word of a block prefix is
+/// never the hot part, so the scalar block-prefix kernels share it.
 inline int count_partial_word(std::uint64_t word, std::uint8_t c,
                               unsigned bases) noexcept {
   if (bases == 0) return 0;
@@ -63,13 +58,6 @@ inline int count_partial_word(std::uint64_t word, std::uint8_t c,
   if (bases < 32) match &= (std::uint64_t{1} << (2 * bases)) - 1;
   return static_cast<int>(static_cast<unsigned>(__builtin_popcountll(match)));
 }
-
-/// Occurrences of code `c` in the packed base range [lo, hi) of `words`
-/// (base positions relative to words[0]; hi/32 must stay within the
-/// span). Full interior words go through the kernel, the ragged edges
-/// through count_partial_word.
-std::uint64_t count_range(const RankKernel& kernel, const std::uint64_t* words,
-                          std::size_t lo, std::size_t hi, std::uint8_t c) noexcept;
 
 /// Every kernel this binary can run on this machine (respecting the
 /// $BWAVER_CPU_FEATURES cap), best first. The portable kernel is always

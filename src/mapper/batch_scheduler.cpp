@@ -9,7 +9,6 @@
 
 #include "fmindex/dna.hpp"
 #include "fmindex/occ_backends.hpp"
-#include "kernels/vector_occ.hpp"
 #include "mapper/software_mapper.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -361,9 +360,6 @@ template std::vector<QueryResult> sweep_map_batch<PlainWaveletOcc>(
     SoftwareMapReport*);
 template std::vector<QueryResult> sweep_map_batch<SampledOcc>(
     const FmIndex<SampledOcc>&, std::span<const std::uint8_t>, ReadSpan, unsigned,
-    SoftwareMapReport*);
-template std::vector<QueryResult> sweep_map_batch<VectorOcc>(
-    const FmIndex<VectorOcc>&, std::span<const std::uint8_t>, ReadSpan, unsigned,
     SoftwareMapReport*);
 template std::vector<QueryResult> sweep_map_batch<EprOcc>(
     const FmIndex<EprOcc>&, std::span<const std::uint8_t>, ReadSpan, unsigned, SoftwareMapReport*);

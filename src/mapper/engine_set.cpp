@@ -16,28 +16,25 @@ namespace {
 /// the Bowtie2-like baseline's default.
 constexpr unsigned kSampledCheckpointWords = 4;
 
-/// An FM-index searched in its engine's registry order. `derived` owns the
-/// index for engines whose Occ structure is derived from the loaded BWT;
-/// `rrr` leaves it null and searches the loaded index in place. `text` is
-/// the loaded reference's concatenated codes, which the sweep finishes its
-/// one-row searches against.
+/// An FM-index searched by the sweep. `derived` owns the index for engines
+/// whose Occ structure is derived from the loaded BWT; `rrr` leaves it null
+/// and searches the loaded index in place. `text` is the loaded reference's
+/// concatenated codes, which the sweep finishes its one-row searches
+/// against.
 template <typename Occ>
 class OccEngine final : public HostEngine {
  public:
-  OccEngine(const FmIndex<Occ>& index, std::span<const std::uint8_t> text, bool sweep)
-      : index_(index), text_(text), sweep_(sweep) {}
+  OccEngine(const FmIndex<Occ>& index, std::span<const std::uint8_t> text)
+      : index_(index), text_(text) {}
 
-  OccEngine(const FmIndex<RrrWaveletOcc>& base, Occ occ, std::span<const std::uint8_t> text,
-            bool sweep)
+  OccEngine(const FmIndex<RrrWaveletOcc>& base, Occ occ, std::span<const std::uint8_t> text)
       : derived_(std::make_unique<const DerivedOccMapper<Occ>>(base, std::move(occ))),
         index_(derived_->index()),
-        text_(text),
-        sweep_(sweep) {}
+        text_(text) {}
 
   std::vector<QueryResult> map(ReadSpan batch, unsigned threads,
                                SoftwareMapReport* report) const override {
-    return sweep_ ? detail::sweep_map_batch(index_, text_, batch, threads, report)
-                  : detail::map_batch(index_, batch, threads, report);
+    return detail::sweep_map_batch(index_, text_, batch, threads, report);
   }
 
   std::size_t heap_bytes() const noexcept override {
@@ -54,7 +51,6 @@ class OccEngine final : public HostEngine {
   std::unique_ptr<const DerivedOccMapper<Occ>> derived_;
   const FmIndex<Occ>& index_;
   std::span<const std::uint8_t> text_;
-  bool sweep_;
 };
 
 std::unique_ptr<const HostEngine> build_engine(MappingEngine engine,
@@ -62,21 +58,18 @@ std::unique_ptr<const HostEngine> build_engine(MappingEngine engine,
   const FmIndex<RrrWaveletOcc>& base = stored.index;
   const std::span<const std::uint8_t> bwt = base.bwt().symbols;
   const std::span<const std::uint8_t> text = stored.reference.concatenated();
-  const bool sweep = kernels::engine_spec(engine).sweep;
   switch (engine) {
     case MappingEngine::kCpu:
-      return std::make_unique<OccEngine<RrrWaveletOcc>>(base, text, sweep);
+      return std::make_unique<OccEngine<RrrWaveletOcc>>(base, text);
     case MappingEngine::kBowtie2Like:
       return std::make_unique<OccEngine<SampledOcc>>(
-          base, SampledOcc(bwt, kSampledCheckpointWords), text, sweep);
-    case MappingEngine::kVector:
-      return std::make_unique<OccEngine<VectorOcc>>(base, VectorOcc(bwt), text, sweep);
+          base, SampledOcc(bwt, kSampledCheckpointWords), text);
     case MappingEngine::kEpr: {
       // The archive's dictionary is aliased when it indexes this BWT;
       // otherwise (v1..v3 archives, in-memory builds) the BWT is transposed.
       const bool adopt = stored.epr != nullptr && stored.epr->size() == bwt.size();
       return std::make_unique<OccEngine<EprOcc>>(
-          base, adopt ? EprOcc::view_of(*stored.epr) : EprOcc(bwt), text, sweep);
+          base, adopt ? EprOcc::view_of(*stored.epr) : EprOcc(bwt), text);
     }
     case MappingEngine::kFpga:
       break;

@@ -4,13 +4,12 @@
 // queries through it. An EngineSet does the same for the host engines of a
 // loaded index (StoredIndex): each engine is built at most once, on first
 // use, and then shared by every mapping call and thread that holds the
-// index. `rrr` searches the loaded RRR index itself; `sampled`, `vector`
-// and `epr` derive their Occ structure from the loaded BWT and borrow its
-// suffix array, C array and seed table (DerivedOccMapper); `epr` adopts the
+// index. `rrr` searches the loaded RRR index itself; `sampled` and `epr`
+// derive their Occ structure from the loaded BWT and borrow its suffix
+// array, C array and seed table (DerivedOccMapper); `epr` adopts the
 // archive's v4 "epr" section when one was loaded, so it builds nothing.
-// Each engine searches in the order its registry entry names
-// (kernels::EngineSpec::sweep); the sweep engines also read the loaded
-// reference text, against which they finish one-row searches.
+// Every engine searches by the sweep (detail::sweep_map_batch), which also
+// reads the loaded reference text to finish one-row searches.
 //
 // The modeled FPGA is not in the table: its runtime accumulates device
 // state per batch, so every mapping call programs a fresh one.
@@ -32,7 +31,7 @@ namespace bwaver {
 struct StoredIndex;
 struct SoftwareMapReport;
 
-/// A built host engine: an FM-index searched in its registry order.
+/// A built host engine: an FM-index searched by the sweep.
 class HostEngine {
  public:
   virtual ~HostEngine() = default;

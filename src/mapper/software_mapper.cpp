@@ -60,8 +60,6 @@ template std::vector<QueryResult> map_batch<PlainWaveletOcc>(
     const FmIndex<PlainWaveletOcc>&, ReadSpan, unsigned, SoftwareMapReport*);
 template std::vector<QueryResult> map_batch<SampledOcc>(
     const FmIndex<SampledOcc>&, ReadSpan, unsigned, SoftwareMapReport*);
-template std::vector<QueryResult> map_batch<VectorOcc>(
-    const FmIndex<VectorOcc>&, ReadSpan, unsigned, SoftwareMapReport*);
 template std::vector<QueryResult> map_batch<EprOcc>(
     const FmIndex<EprOcc>&, ReadSpan, unsigned, SoftwareMapReport*);
 

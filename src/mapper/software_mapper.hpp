@@ -24,7 +24,6 @@
 #include "fmindex/fm_index.hpp"
 #include "fmindex/occ_backends.hpp"
 #include "fpga/query_packet.hpp"
-#include "kernels/vector_occ.hpp"
 #include "mapper/batch_scheduler.hpp"
 #include "mapper/read_batch.hpp"
 #include "util/thread_pool.hpp"
@@ -115,7 +114,5 @@ class DerivedOccMapper {
  private:
   FmIndex<Occ> index_;  ///< views into the base index, which must outlive this
 };
-
-using VectorMapper = DerivedOccMapper<VectorOcc>;
 
 }  // namespace bwaver

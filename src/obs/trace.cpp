@@ -5,6 +5,8 @@
 #include <thread>
 #include <utility>
 
+#include "util/json.hpp"
+
 namespace bwaver::obs {
 
 namespace {
@@ -17,29 +19,6 @@ std::string format_ms(double ms) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.3f", ms);
   return buffer;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -259,11 +259,11 @@ TEST_F(CliTest, MapMissingArgumentsShowsUsage) {
 
 TEST_F(CliTest, PlainEngineIsRejected) {
   // `plain` is an ablation backend, not an engine: the error names
-  // the five that are.
+  // the four that are.
   EXPECT_EQ(run("map --index " + path("x.bwvr") + " --reads " + path("x.fq") +
                 " --engine plain"),
             1);
-  EXPECT_NE(log_contents().find("unknown engine: plain (fpga|rrr|sampled|vector|epr)"),
+  EXPECT_NE(log_contents().find("unknown engine: plain (fpga|rrr|sampled|epr)"),
             std::string::npos)
       << log_contents();
 }

@@ -9,59 +9,17 @@
 
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <thread>
 
 #include "app/http_server.hpp"
 #include "fleet/http_client.hpp"
+#include "scripted_server.hpp"
 
 namespace bwaver::fleet {
 namespace {
 
-/// Raw listening socket driven by a per-connection script, for failure
-/// modes a well-behaved HttpServer cannot produce (malformed status lines,
-/// mid-body hangups, never-ending header waits).
-class ScriptedServer {
- public:
-  using Script = std::function<void(int client_fd)>;
-
-  explicit ScriptedServer(Script script) : script_(std::move(script)) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(listen_fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    socklen_t len = sizeof(addr);
-    EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-    port_ = ntohs(addr.sin_port);
-    EXPECT_EQ(::listen(listen_fd_, 4), 0);
-    thread_ = std::thread([this] {
-      while (true) {
-        const int client = ::accept(listen_fd_, nullptr, nullptr);
-        if (client < 0) return;  // listen socket closed -> shut down
-        script_(client);
-        ::close(client);
-      }
-    });
-  }
-
-  ~ScriptedServer() {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    if (thread_.joinable()) thread_.join();
-  }
-
-  std::uint16_t port() const { return port_; }
-
- private:
-  Script script_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::thread thread_;
-};
+using test::ScriptedServer;
 
 /// Drains the request head so the client's send() is not racing our close.
 void read_request_head(int fd) {

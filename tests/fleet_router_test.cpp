@@ -1,16 +1,22 @@
 // Router/gateway behaviour against real WebService replicas: sharded
 // byte-identity with the single-replica document, failover when a replica
 // dies, hedging with loser cancellation (against a scripted slow backend),
-// per-tenant 429s, and zero-5xx index rollover under live mapping load.
+// per-tenant 429s, and zero-5xx index rollover under live mapping load;
+// plus the rollover fan-out's request and report bytes against a raw
+// scripted backend.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,6 +30,7 @@
 #include "io/fasta.hpp"
 #include "io/fastq.hpp"
 #include "mapper/pipeline.hpp"
+#include "scripted_server.hpp"
 #include "sim/genome_sim.hpp"
 #include "sim/read_sim.hpp"
 
@@ -380,6 +387,96 @@ TEST_F(FleetRouterTest, RolloverServesZero5xxUnderLiveLoad) {
   router.stop();
   replica_a->stop();
   replica_b->stop();
+}
+
+/// Reads one request (head, then a Content-Length body) from `fd` and
+/// returns its head; answers a rollover with a 500 whose body carries
+/// control bytes, anything else (the health probes) with 200.
+std::string answer_scripted_request(int fd) {
+  std::string seen;
+  char chunk[4096];
+  std::size_t head_end = std::string::npos;
+  while ((head_end = seen.find("\r\n\r\n")) == std::string::npos) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return seen;
+    seen.append(chunk, static_cast<std::size_t>(n));
+  }
+  std::string head = seen.substr(0, head_end + 2);
+  std::string lower = head;
+  std::transform(lower.begin(), lower.end(), lower.begin(),
+                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  constexpr std::string_view kLengthHeader = "\r\ncontent-length:";
+  std::size_t body_length = 0;
+  if (const std::size_t at = lower.find(kLengthHeader); at != std::string::npos) {
+    body_length = std::stoul(head.substr(at + kLengthHeader.size()));
+  }
+  std::size_t have = seen.size() - (head_end + 4);
+  while (have < body_length) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    have += static_cast<std::size_t>(n);
+  }
+  const bool rollover = head.rfind("POST /admin/rollover", 0) == 0;
+  const std::string body = rollover ? std::string("bad\r\n\tbuild\x01\n") : "ok\n";
+  const std::string response = std::string("HTTP/1.1 ") +
+                               (rollover ? "500 Internal Server Error" : "200 OK") +
+                               "\r\nContent-Length: " + std::to_string(body.size()) +
+                               "\r\nConnection: close\r\n\r\n" + body;
+  ::send(fd, response.data(), response.size(), MSG_NOSIGNAL);
+  return head;
+}
+
+TEST(FleetRouterRollover, ForwardsRefPercentEncodedAndReportsValidJson) {
+  std::mutex heads_mutex;
+  std::vector<std::string> rollover_heads;
+  test::ScriptedServer backend([&](int fd) {
+    const std::string head = answer_scripted_request(fd);
+    if (head.rfind("POST /admin/rollover", 0) != 0) return;
+    std::lock_guard<std::mutex> lock(heads_mutex);
+    rollover_heads.push_back(head);
+  });
+  RouterOptions options;
+  options.backends.push_back(BackendAddress{"127.0.0.1", backend.port()});
+  options.health_interval = std::chrono::seconds(10);
+  RouterService router(options);
+  router.start(0);
+  HttpClient client;
+
+  // `&` must reach the replica as data, not as a second query parameter.
+  ClientResponse response = client.request("127.0.0.1", router.port(), "POST",
+                                           "/admin/rollover?ref=a%26b", ">a\nACGT\n");
+  EXPECT_EQ(response.status, 502) << response.body;
+
+  // A CR LF in the name must not end the forwarded request line.
+  response = client.request("127.0.0.1", router.port(), "POST",
+                            "/admin/rollover?ref=x%0D%0AX-Injected:%201", ">x\nACGT\n");
+  EXPECT_EQ(response.status, 502) << response.body;
+  // The replica's error body and the name carry CR, LF, TAB and 0x01; the
+  // report escapes them all, so only its final newline is below 0x20.
+  ASSERT_FALSE(response.body.empty());
+  EXPECT_EQ(response.body.back(), '\n');
+  for (std::size_t i = 0; i + 1 < response.body.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(response.body[i]), 0x20)
+        << "raw control byte at " << i << " in " << response.body;
+  }
+  EXPECT_NE(response.body.find("\"ref\":\"x\\r\\nX-Injected: 1\""), std::string::npos)
+      << response.body;
+  EXPECT_NE(response.body.find("bad\\r\\n\\tbuild\\u0001\\n"), std::string::npos)
+      << response.body;
+  client.close_idle();
+  router.stop();
+
+  std::lock_guard<std::mutex> lock(heads_mutex);
+  ASSERT_EQ(rollover_heads.size(), 2u);
+  EXPECT_EQ(rollover_heads[0].rfind("POST /admin/rollover?ref=a%26b HTTP/1.1\r\n", 0), 0u)
+      << rollover_heads[0];
+  EXPECT_EQ(rollover_heads[1].rfind(
+                "POST /admin/rollover?ref=x%0D%0AX-Injected%3A%201 HTTP/1.1\r\n", 0),
+            0u)
+      << rollover_heads[1];
+  for (const std::string& head : rollover_heads) {
+    EXPECT_EQ(head.find("\nX-Injected"), std::string::npos) << head;
+  }
 }
 
 }  // namespace

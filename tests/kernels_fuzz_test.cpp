@@ -1,19 +1,21 @@
-// Satellite: randomized differential fuzzing of the Occ engines.
+// Satellite: randomized differential fuzzing of the Occ structures.
 //
 // Generates BWT-like symbol sequences across alphabet skews and lengths
 // chosen to straddle SIMD widths (32-base words), VectorOcc's 192-base
 // blocks, SampledOcc's checkpoints and the degenerate 0/1 cases, then
-// checks every engine's rank/rank2 — and the FmIndex occ/occ2 surface —
-// against the RRR wavelet tree reference.
+// checks every structure's rank (and rank2 where it has one) — and the
+// FmIndex occ/occ2 surface of the engines' backends — against the RRR
+// wavelet tree reference. VectorOcc is the blockwise builder's rank, fuzzed
+// once per counting kernel.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "fmindex/epr_occ.hpp"
 #include "fmindex/fm_index.hpp"
 #include "fmindex/occ_backends.hpp"
-#include "io/byte_io.hpp"
 #include "kernels/rank_kernel.hpp"
 #include "kernels/vector_occ.hpp"
 #include "test_util.hpp"
@@ -81,9 +83,9 @@ TEST(OccEngineFuzz, AllEnginesAgreeWithRrrOnRankAndRank2) {
       const RrrWaveletOcc reference(bwt, RrrParams{15, 50});
       const PlainWaveletOcc plain(bwt);
       const SampledOcc sampled(bwt);
-      std::vector<VectorOcc> vectors;
+      std::vector<std::pair<const char*, VectorOcc>> vectors;
       for (const kernels::RankKernel& kernel : kernels::available_kernels()) {
-        vectors.emplace_back(bwt, &kernel);
+        vectors.emplace_back(kernel.name, VectorOcc(bwt, &kernel));
       }
 
       const auto probes = probe_positions(n, rng);
@@ -94,10 +96,9 @@ TEST(OccEngineFuzz, AllEnginesAgreeWithRrrOnRankAndRank2) {
               << "plain " << skew.name << " n=" << n << " i=" << i;
           EXPECT_EQ(sampled.rank(c, i), want)
               << "sampled " << skew.name << " n=" << n << " i=" << i;
-          for (const VectorOcc& vec : vectors) {
+          for (const auto& [kernel, vec] : vectors) {
             EXPECT_EQ(vec.rank(c, i), want)
-                << "vector/" << vec.kernel().name << " " << skew.name
-                << " n=" << n << " i=" << i;
+                << "vector/" << kernel << " " << skew.name << " n=" << n << " i=" << i;
           }
         }
       }
@@ -112,50 +113,6 @@ TEST(OccEngineFuzz, AllEnginesAgreeWithRrrOnRankAndRank2) {
             // SampledOcc has no rank2 — its pair is two independent ranks.
             EXPECT_EQ(std::make_pair(sampled.rank(c, i1), sampled.rank(c, i2)), want)
                 << skew.name << " n=" << n;
-            for (const VectorOcc& vec : vectors) {
-              EXPECT_EQ(vec.rank2(c, i1, i2), want)
-                  << "vector/" << vec.kernel().name << " " << skew.name
-                  << " n=" << n << " [" << i1 << "," << i2 << ")";
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(OccEngineFuzz, VectorOccBulkRankMatchesScalarRank2) {
-  // rank2_bulk must answer exactly like per-query rank2 for every kernel,
-  // across skews and block-boundary-straddling positions — including the
-  // empty batch and single-query batches.
-  Xoshiro256 rng(4096);
-  for (const Skew& skew : kSkews) {
-    for (const std::size_t n : {std::size_t{0}, std::size_t{96}, std::size_t{192},
-                                std::size_t{193}, std::size_t{1000}}) {
-      const auto bwt = skewed_symbols(n, skew, 9000 + n);
-      for (const kernels::RankKernel& kernel : kernels::available_kernels()) {
-        const VectorOcc vec(bwt, &kernel);
-        std::vector<VectorOcc::BulkQuery> queries;
-        const auto probes = probe_positions(n, rng);
-        for (std::size_t a = 0; a < probes.size(); ++a) {
-          for (std::size_t b = a; b < probes.size(); b += 5) {
-            std::size_t i1 = probes[a], i2 = probes[b];
-            if (i1 > i2) std::swap(i1, i2);
-            queries.push_back({static_cast<std::uint32_t>(i1),
-                               static_cast<std::uint32_t>(i2),
-                               static_cast<std::uint8_t>(rng.below(4))});
-          }
-        }
-        for (const std::size_t batch : {std::size_t{0}, std::size_t{1}, queries.size()}) {
-          const std::span<const VectorOcc::BulkQuery> span(queries.data(), batch);
-          std::vector<std::pair<std::uint32_t, std::uint32_t>> out(batch);
-          vec.rank2_bulk(span, out.data());
-          for (std::size_t q = 0; q < batch; ++q) {
-            const auto want = vec.rank2(queries[q].c, queries[q].lo, queries[q].hi);
-            EXPECT_EQ(out[q].first, want.first)
-                << kernel.name << " " << skew.name << " n=" << n << " q=" << q;
-            EXPECT_EQ(out[q].second, want.second)
-                << kernel.name << " " << skew.name << " n=" << n << " q=" << q;
           }
         }
       }
@@ -177,8 +134,8 @@ TEST(OccEngineFuzz, FmIndexOccSurfaceAgreesAcrossEngines) {
         text, [](std::span<const std::uint8_t> bwt) { return SampledOcc(bwt); });
     const FmIndex<PlainWaveletOcc> plain(
         text, [](std::span<const std::uint8_t> bwt) { return PlainWaveletOcc(bwt); });
-    const FmIndex<VectorOcc> vector(
-        text, [](std::span<const std::uint8_t> bwt) { return VectorOcc(bwt); });
+    const FmIndex<EprOcc> epr(
+        text, [](std::span<const std::uint8_t> bwt) { return EprOcc(bwt); });
 
     for (std::size_t trial = 0; trial < 400; ++trial) {
       std::size_t r1 = rng.below(rrr.rows() + 1);
@@ -188,29 +145,8 @@ TEST(OccEngineFuzz, FmIndexOccSurfaceAgreesAcrossEngines) {
         const auto want = rrr.occ2(c, r1, r2);
         EXPECT_EQ(sampled.occ2(c, r1, r2), want) << "n=" << n << " rows=" << r1;
         EXPECT_EQ(plain.occ2(c, r1, r2), want) << "n=" << n << " rows=" << r1;
-        EXPECT_EQ(vector.occ2(c, r1, r2), want) << "n=" << n << " rows=" << r1;
-        EXPECT_EQ(vector.occ(c, r1), want.first);
-      }
-    }
-  }
-}
-
-TEST(OccEngineFuzz, VectorOccSerializationRoundTrip) {
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{192},
-                              std::size_t{777}}) {
-    const auto bwt = testing::random_symbols(n, 4, 3 + n);
-    const VectorOcc original(bwt);
-    ByteWriter writer;
-    original.save(writer);
-    ByteReader reader(writer.data());
-    const VectorOcc loaded = VectorOcc::load(reader);
-    ASSERT_EQ(loaded.size(), n);
-    for (std::size_t i = 0; i <= n; ++i) {
-      for (std::uint8_t c = 0; c < 4; ++c) {
-        ASSERT_EQ(loaded.rank(c, i), original.rank(c, i)) << "n=" << n << " i=" << i;
-      }
-      if (i < n) {
-        ASSERT_EQ(loaded.access(i), bwt[i]);
+        EXPECT_EQ(epr.occ2(c, r1, r2), want) << "n=" << n << " rows=" << r1;
+        EXPECT_EQ(epr.occ(c, r1), want.first);
       }
     }
   }

@@ -43,7 +43,8 @@ TEST(RankKernel, RegistryShapeIsSane) {
   EXPECT_EQ(&active_kernel(), &kernels.front());
   std::set<std::string> names;
   for (const RankKernel& kernel : kernels) {
-    ASSERT_NE(kernel.count_words, nullptr) << kernel.name;
+    ASSERT_NE(kernel.count_block_prefix, nullptr) << kernel.name;
+    ASSERT_NE(kernel.count_epr_prefix, nullptr) << kernel.name;
     EXPECT_TRUE(names.insert(kernel.name).second) << "duplicate " << kernel.name;
     // Best-first ordering: levels never increase down the list.
     EXPECT_LE(static_cast<int>(kernel.level),
@@ -66,70 +67,10 @@ TEST(RankKernel, CountPartialWordMatchesNaive) {
   }
 }
 
-TEST(RankKernel, EveryKernelCountsWholeWordsExactly) {
-  // Word counts straddle every kernel's stride (4 words per SSE iteration,
-  // 8 per AVX2 iteration) plus the scalar tail.
-  for (const std::size_t n_words :
-       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
-        std::size_t{5}, std::size_t{7}, std::size_t{8}, std::size_t{9},
-        std::size_t{15}, std::size_t{16}, std::size_t{17}, std::size_t{40}}) {
-    const auto codes = random_codes(n_words * 32, 100 + n_words);
-    const auto words = pack(codes);
-    for (const RankKernel& kernel : available_kernels()) {
-      for (std::uint8_t c = 0; c < 4; ++c) {
-        EXPECT_EQ(kernel.count_words(words.data(), n_words, c),
-                  naive_count(codes, 0, codes.size(), c))
-            << kernel.name << " n_words=" << n_words << " c=" << int(c);
-      }
-    }
-  }
-}
-
-TEST(RankKernel, EveryKernelAgreesWithPortable) {
-  const std::size_t n_words = 64;
-  const auto codes = random_codes(n_words * 32, 42);
-  const auto words = pack(codes);
-  const RankKernel& portable = portable_kernel();
-  for (const RankKernel& kernel : available_kernels()) {
-    for (std::uint8_t c = 0; c < 4; ++c) {
-      EXPECT_EQ(kernel.count_words(words.data(), n_words, c),
-                portable.count_words(words.data(), n_words, c))
-          << kernel.name << " c=" << int(c);
-    }
-  }
-}
-
-TEST(RankKernel, CountRangeHandlesRaggedEdges) {
-  const std::size_t n = 7 * 32 + 11;  // partial final word
-  const auto codes = random_codes(n, 9);
-  auto words = pack(codes);
-  Xoshiro256 rng(17);
-  for (const RankKernel& kernel : available_kernels()) {
-    // Edge ranges: empty, single base, word-aligned, crossing every word.
-    for (const auto& [lo, hi] : std::vector<std::pair<std::size_t, std::size_t>>{
-             {0, 0}, {0, 1}, {0, n}, {31, 33}, {32, 64}, {1, n - 1}, {n, n},
-             {63, 65}, {96, 96}, {5, 27}}) {
-      for (std::uint8_t c = 0; c < 4; ++c) {
-        EXPECT_EQ(count_range(kernel, words.data(), lo, hi, c),
-                  naive_count(codes, lo, hi, c))
-            << kernel.name << " [" << lo << "," << hi << ") c=" << int(c);
-      }
-    }
-    for (int trial = 0; trial < 200; ++trial) {
-      std::size_t lo = rng.below(n + 1);
-      std::size_t hi = rng.below(n + 1);
-      if (lo > hi) std::swap(lo, hi);
-      const auto c = static_cast<std::uint8_t>(rng.below(4));
-      EXPECT_EQ(count_range(kernel, words.data(), lo, hi, c),
-                naive_count(codes, lo, hi, c))
-          << kernel.name << " [" << lo << "," << hi << ") c=" << int(c);
-    }
-  }
-}
-
 TEST(RankKernel, EveryKernelCountsBlockPrefixesExactly) {
-  // Exhaustive off sweep over a six-word block (the VectorOcc hot path),
-  // for every kernel and code — including off 0 and the full 192.
+  // Exhaustive off sweep over a six-word block (VectorOcc's rank, the
+  // blockwise builder's hot path), for every kernel and code — including
+  // off 0 and the full 192.
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const auto codes = random_codes(192, seed);
     const auto words = pack(codes);
@@ -198,17 +139,20 @@ TEST(RankKernel, EprPrefixHandlesUniformPlanes) {
 }
 
 TEST(RankKernel, AllSameSymbolTexts) {
-  // Degenerate skews: every slot the same code, including code 0, whose
-  // pattern (all-zero words) is also what padding looks like.
-  const std::size_t n_words = 12;
+  // Degenerate skews: every slot of a six-word block the same code,
+  // including code 0, whose pattern (all-zero words) is also what padding
+  // looks like.
   for (std::uint8_t fill = 0; fill < 4; ++fill) {
-    const std::vector<std::uint8_t> codes(n_words * 32, fill);
+    const std::vector<std::uint8_t> codes(192, fill);
     const auto words = pack(codes);
     for (const RankKernel& kernel : available_kernels()) {
       for (std::uint8_t c = 0; c < 4; ++c) {
-        EXPECT_EQ(kernel.count_words(words.data(), n_words, c),
-                  c == fill ? n_words * 32 : 0u)
-            << kernel.name << " fill=" << int(fill) << " c=" << int(c);
+        for (const unsigned off : {0u, 1u, 31u, 32u, 33u, 96u, 191u, 192u}) {
+          EXPECT_EQ(kernel.count_block_prefix(words.data(), off, c),
+                    c == fill ? off : 0u)
+              << kernel.name << " fill=" << int(fill) << " c=" << int(c)
+              << " off=" << off;
+        }
       }
     }
   }

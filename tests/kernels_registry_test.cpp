@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 
@@ -13,20 +12,17 @@ namespace {
 
 TEST(EngineRegistry, EnumeratesEveryEngineInEnumOrder) {
   const auto specs = engines();
-  ASSERT_EQ(specs.size(), 5u);
+  ASSERT_EQ(specs.size(), 4u);
   EXPECT_EQ(specs[0].engine, MappingEngine::kFpga);
   EXPECT_EQ(specs[1].engine, MappingEngine::kCpu);
   EXPECT_EQ(specs[2].engine, MappingEngine::kBowtie2Like);
-  EXPECT_EQ(specs[3].engine, MappingEngine::kVector);
-  EXPECT_EQ(specs[4].engine, MappingEngine::kEpr);
-  EXPECT_EQ(engine_choices(), "fpga|rrr|sampled|vector|epr");
+  EXPECT_EQ(specs[3].engine, MappingEngine::kEpr);
+  EXPECT_EQ(engine_choices(), "fpga|rrr|sampled|epr");
 
   std::set<std::string> names;
   for (const EngineSpec& spec : specs) {
     ASSERT_NE(spec.name, nullptr);
     ASSERT_NE(spec.occ_backend, nullptr);
-    ASSERT_NE(spec.description, nullptr);
-    EXPECT_GT(spec.approx_bytes_per_base, 0.0) << spec.name;
     EXPECT_TRUE(names.insert(spec.name).second) << "duplicate " << spec.name;
     if (spec.alias != nullptr) {
       EXPECT_TRUE(names.insert(spec.alias).second) << "alias collides: " << spec.alias;
@@ -47,45 +43,14 @@ TEST(EngineRegistry, ParseAcceptsCanonicalNamesAndAliases) {
   EXPECT_EQ(parse_engine_name("cpu"), MappingEngine::kCpu);
   EXPECT_EQ(parse_engine_name("sampled"), MappingEngine::kBowtie2Like);
   EXPECT_EQ(parse_engine_name("bowtie2like"), MappingEngine::kBowtie2Like);
-  EXPECT_EQ(parse_engine_name("vector"), MappingEngine::kVector);
   EXPECT_EQ(parse_engine_name("epr"), MappingEngine::kEpr);
   EXPECT_FALSE(parse_engine_name("").has_value());
   EXPECT_FALSE(parse_engine_name("FPGA").has_value());
   EXPECT_FALSE(parse_engine_name("simd").has_value());
-  // The ablation-only wavelet tree is not an engine.
+  // The ablation-only wavelet tree is not an engine, nor is the retired
+  // vector engine.
   EXPECT_FALSE(parse_engine_name("plain").has_value());
-}
-
-TEST(EngineRegistry, SearchOrderIsAnEngineProperty) {
-  // Sweep only where the Occ layout makes a rank's address computable up
-  // front; the paper's software baseline order everywhere else.
-  for (const EngineSpec& spec : engines()) {
-    const bool sweep =
-        spec.engine == MappingEngine::kVector || spec.engine == MappingEngine::kEpr;
-    EXPECT_EQ(spec.sweep, sweep) << spec.name;
-  }
-}
-
-TEST(EngineRegistry, DefaultEngineHonoursEnvironment) {
-  // default_engine() re-reads $BWAVER_ENGINE on every call (unlike the
-  // cached CPU-feature snapshot) so a test can exercise all branches.
-  const char* saved = std::getenv("BWAVER_ENGINE");
-  const std::string saved_value = saved ? saved : "";
-
-  unsetenv("BWAVER_ENGINE");
-  EXPECT_EQ(default_engine(), MappingEngine::kFpga);
-  setenv("BWAVER_ENGINE", "vector", 1);
-  EXPECT_EQ(default_engine(), MappingEngine::kVector);
-  setenv("BWAVER_ENGINE", "cpu", 1);
-  EXPECT_EQ(default_engine(), MappingEngine::kCpu);
-  setenv("BWAVER_ENGINE", "not-an-engine", 1);
-  EXPECT_EQ(default_engine(), MappingEngine::kFpga);
-
-  if (saved) {
-    setenv("BWAVER_ENGINE", saved_value.c_str(), 1);
-  } else {
-    unsetenv("BWAVER_ENGINE");
-  }
+  EXPECT_FALSE(parse_engine_name("vector").has_value());
 }
 
 TEST(EngineRegistry, KernelNameReflectsVectorization) {

@@ -26,9 +26,8 @@
 namespace bwaver {
 namespace {
 
-constexpr std::array<MappingEngine, 4> kHostEngines = {
-    MappingEngine::kCpu, MappingEngine::kBowtie2Like, MappingEngine::kVector,
-    MappingEngine::kEpr};
+constexpr std::array<MappingEngine, 3> kHostEngines = {
+    MappingEngine::kCpu, MappingEngine::kBowtie2Like, MappingEngine::kEpr};
 
 class EngineSetTest : public ::testing::Test {
  protected:
@@ -87,9 +86,9 @@ TEST_F(EngineSetTest, TwoEprJobsShareOneEngineOverTheArchiveSection) {
   EXPECT_EQ(handle->engines.builds(), 1u);
   EXPECT_EQ(&handle->engine(MappingEngine::kEpr), engine);
   // The engine aliases the handle's section: a transposed dictionary would
-  // be heap the engine owns (as the vector engine's Occ structure is).
+  // be heap the engine owns (as the sampled engine's Occ structure is).
   EXPECT_EQ(engine->heap_bytes(), 0u);
-  EXPECT_GT(handle->engine(MappingEngine::kVector).heap_bytes(), 0u);
+  EXPECT_GT(handle->engine(MappingEngine::kBowtie2Like).heap_bytes(), 0u);
   EXPECT_EQ(second, first);
   EXPECT_EQ(first, map_records_over(*handle, config(MappingEngine::kCpu), *records_).sam);
   std::filesystem::remove_all(dir);
@@ -131,22 +130,22 @@ TEST_F(EngineSetTest, RolloverGivesTheNewGenerationItsOwnEngines) {
   registry.add("ref", build());
   const IndexRegistry::Handle old_handle = registry.acquire("ref");
   const std::string sam =
-      map_records_over(*old_handle, config(MappingEngine::kVector), *records_).sam;
-  const HostEngine* old_engine = &old_handle->engine(MappingEngine::kVector);
+      map_records_over(*old_handle, config(MappingEngine::kBowtie2Like), *records_).sam;
+  const HostEngine* old_engine = &old_handle->engine(MappingEngine::kBowtie2Like);
 
   registry.rollover("ref", build());
   const IndexRegistry::Handle new_handle = registry.acquire("ref");
   ASSERT_NE(new_handle, old_handle);
   EXPECT_EQ(new_handle->engines.builds(), 0u);
-  EXPECT_EQ(map_records_over(*new_handle, config(MappingEngine::kVector), *records_).sam,
+  EXPECT_EQ(map_records_over(*new_handle, config(MappingEngine::kBowtie2Like), *records_).sam,
             sam);
   EXPECT_EQ(new_handle->engines.builds(), 1u);
-  EXPECT_NE(&new_handle->engine(MappingEngine::kVector), old_engine);
+  EXPECT_NE(&new_handle->engine(MappingEngine::kBowtie2Like), old_engine);
 
   // The in-flight handle keeps its generation's engine.
-  EXPECT_EQ(&old_handle->engine(MappingEngine::kVector), old_engine);
+  EXPECT_EQ(&old_handle->engine(MappingEngine::kBowtie2Like), old_engine);
   EXPECT_EQ(old_handle->engines.builds(), 1u);
-  EXPECT_EQ(map_records_over(*old_handle, config(MappingEngine::kVector), *records_).sam,
+  EXPECT_EQ(map_records_over(*old_handle, config(MappingEngine::kBowtie2Like), *records_).sam,
             sam);
 }
 

@@ -5,8 +5,8 @@
 // once its answer is known (one row left: finished on the text; absent
 // seed: no hit), so its hits — SA[row] - verified, strand by strand — and
 // hence the rendered SAM must be byte-identical to per-read search: over
-// every Occ backend (whatever order its registry engine runs in
-// production), across worker threads, on single- and multi-sequence
+// every Occ backend (every host engine serves by the sweep; per-read
+// search is the oracle), across worker threads, on single- and multi-sequence
 // references, and for adversarial batch shapes (empty, single-read,
 // randomized sizes, reads whose searches die at every depth, reads at the
 // ends of the text or straddling a sequence boundary). Any divergence here
@@ -29,7 +29,6 @@
 #include "io/fastq.hpp"
 #include "kernels/rank_kernel.hpp"
 #include "kernels/registry.hpp"
-#include "kernels/vector_occ.hpp"
 #include "mapper/map_service.hpp"
 #include "mapper/pipeline.hpp"
 #include "mapper/read_batch.hpp"
@@ -131,8 +130,8 @@ std::vector<FastqRecord> edge_records(std::span<const std::uint8_t> text,
 }
 
 /// Every Occ backend the scheduler runs over, numbered like MappingEngine;
-/// the ablation-only plain backend takes the value no engine uses.
-enum class OccBackend { kRrr = 1, kSampled = 2, kPlain = 3, kVector = 4, kEpr = 5 };
+/// the ablation-only plain backend takes a value no engine uses.
+enum class OccBackend { kRrr = 1, kSampled = 2, kPlain = 3, kEpr = 5 };
 
 /// Renders SAM for reads searched per-read (detail::map_batch) or by the
 /// sweep scheduler (detail::sweep_map_batch) over one Occ backend derived
@@ -176,9 +175,6 @@ class SearchOrderRunner {
         break;
       case OccBackend::kPlain:
         results = search(base, PlainWaveletOcc(bwt), text(), batch, sweep, threads);
-        break;
-      case OccBackend::kVector:
-        results = search(base, VectorOcc(bwt), text(), batch, sweep, threads);
         break;
       case OccBackend::kEpr:
         results = search(base, EprOcc(bwt, epr_kernel), text(), batch, sweep, threads);
@@ -318,7 +314,6 @@ std::string backend_name(const ::testing::TestParamInfo<OccBackend>& info) {
     case OccBackend::kRrr: return "rrr";
     case OccBackend::kSampled: return "sampled";
     case OccBackend::kPlain: return "plain";
-    case OccBackend::kVector: return "vector";
     case OccBackend::kEpr: return "epr";
   }
   return "unknown";
@@ -326,8 +321,7 @@ std::string backend_name(const ::testing::TestParamInfo<OccBackend>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, SweepEngineTest,
                          ::testing::Values(OccBackend::kRrr, OccBackend::kSampled,
-                                           OccBackend::kPlain, OccBackend::kVector,
-                                           OccBackend::kEpr),
+                                           OccBackend::kPlain, OccBackend::kEpr),
                          backend_name);
 
 MappingOutcome map_with(const std::vector<std::uint8_t>& genome,
@@ -340,8 +334,9 @@ MappingOutcome map_with(const std::vector<std::uint8_t>& genome,
 }
 
 TEST(SweepStatsCounters, PopulatedInSweepModeOnly) {
-  // The search order is the engine's: epr sweeps and reports scheduler
-  // counters, rrr searches per read and reports none.
+  // Every host engine sweeps, reports scheduler counters and renders the
+  // SAM of the FPGA model, which searches each read to completion (its
+  // counters stay zero: FpgaEngineIgnoresSweepMode).
   const auto genome = test_genome(10000, 41);
   ReadSimConfig rconfig;
   rconfig.num_reads = 50;
@@ -349,19 +344,21 @@ TEST(SweepStatsCounters, PopulatedInSweepModeOnly) {
   rconfig.mapping_ratio = 0.8;
   const auto records = reads_to_fastq(simulate_reads(genome, rconfig));
 
-  const MappingOutcome per_read = map_with(genome, records, MappingEngine::kCpu);
-  EXPECT_EQ(per_read.sweep.batches, 0u);
-  EXPECT_EQ(per_read.sweep.passes, 0u);
-
-  const MappingOutcome sweep = map_with(genome, records, MappingEngine::kEpr);
-  EXPECT_GT(sweep.sweep.batches, 0u);
-  EXPECT_GT(sweep.sweep.passes, 0u);
-  EXPECT_GT(sweep.sweep.state_steps, 0u);
-  // At most both strands of every read are in flight at once: searches that
-  // start at one row or at an absent seed retire before the first pass.
-  EXPECT_LE(sweep.sweep.peak_active, 2 * records.size());
-  EXPECT_GT(sweep.sweep.verified, 0u);
-  EXPECT_EQ(sweep.sam, per_read.sam);
+  const MappingOutcome per_read = map_with(genome, records, MappingEngine::kFpga);
+  for (const MappingEngine engine :
+       {MappingEngine::kCpu, MappingEngine::kBowtie2Like, MappingEngine::kEpr}) {
+    SCOPED_TRACE(kernels::engine_spec(engine).name);
+    const MappingOutcome sweep = map_with(genome, records, engine);
+    EXPECT_GT(sweep.sweep.batches, 0u);
+    EXPECT_GT(sweep.sweep.passes, 0u);
+    EXPECT_GT(sweep.sweep.state_steps, 0u);
+    // At most both strands of every read are in flight at once: searches
+    // that start at one row or at an absent seed retire before the first
+    // pass.
+    EXPECT_LE(sweep.sweep.peak_active, 2 * records.size());
+    EXPECT_GT(sweep.sweep.verified, 0u);
+    EXPECT_EQ(sweep.sam, per_read.sam);
+  }
 }
 
 TEST(SweepStatsCounters, FpgaEngineIgnoresSweepMode) {
@@ -372,7 +369,6 @@ TEST(SweepStatsCounters, FpgaEngineIgnoresSweepMode) {
   rconfig.num_reads = 30;
   rconfig.read_length = 30;
   const auto records = reads_to_fastq(simulate_reads(genome, rconfig));
-  EXPECT_FALSE(kernels::engine_spec(MappingEngine::kFpga).sweep);
   EXPECT_EQ(map_with(genome, records, MappingEngine::kFpga).sweep.batches, 0u);
 }
 
