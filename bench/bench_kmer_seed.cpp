@@ -1,13 +1,16 @@
-// K-mer seed-table benchmark: the exact-search hot path (both strands per
-// read, the query the FPGA kernel and the software mappers both run) with
-// and without the precomputed seed table.
+// K-mer seed-table benchmark: per-read two-strand exact search
+// (FmIndex::count_both_strands over the RRR index — the query the FPGA
+// model's host check and the paper's per-read mappers run) with and without
+// the precomputed seed table.
 //
-// Short reads are the table's sweet spot: with the default k = 12, a 36 bp
-// read skips a third of its backward-search steps — and precisely the wide
-// early intervals whose two occ lookups land in distant superblocks, the
-// most expensive steps of the search. The bench reports reads/sec for both
-// paths and their ratio; CI holds the ratio above the floor in
-// bench/baseline.json.
+// Short reads are the table's sweet spot: at the budget rule's k (k = 10 on
+// E. coli), a 36 bp read skips over a quarter of its backward-search steps
+// — and precisely the wide early intervals whose two occ lookups land in
+// distant superblocks, the most expensive steps of the search. The bench
+// reports reads/sec for both paths and their ratio; CI holds the ratio
+// above the floor in bench/baseline.json. The served host engines search by
+// the batched sweep instead; its use of the table is bench_sweep_search's
+// seeded/unseeded epr row (sweep_ms_epr_unseeded, seed_speedup_epr).
 #include <cstdio>
 #include <memory>
 

@@ -18,7 +18,10 @@
 // the sweep_vs_per_read_speedup_min floor in bench/baseline.json, and its
 // step and text-finish counts are report-only. Both orders produce
 // identical hits — positions SA[row] - verified and per-strand counts,
-// cross-checked here; their raw intervals differ by design.
+// cross-checked here; their raw intervals differ by design. A last,
+// report-only row runs the epr sweep over the same index without its seed
+// table, under the same hit checksum: what the table buys the sweep
+// (starting mid-pattern, retiring at an absent seed).
 #include <cstdio>
 #include <span>
 #include <vector>
@@ -84,21 +87,22 @@ struct ModeRow {
   double sweep_ms = 0.0;
   double speedup = 0.0;
   SweepStats stats;  ///< of the sweep runs
+  std::uint64_t checksum = 0;
 };
 
 template <typename Occ>
 ModeRow run_engine(const char* name, const FmIndex<Occ>& index,
                    std::span<const std::uint8_t> text, const ReadBatch& batch) {
   ModeRow row;
-  std::uint64_t per_read_sum = 0, sweep_sum = 0;
+  std::uint64_t per_read_sum = 0;
   SweepStats ignored;
   row.per_read_ms = best_of(index, text, batch, /*sweep=*/false, per_read_sum, ignored);
-  row.sweep_ms = best_of(index, text, batch, /*sweep=*/true, sweep_sum, row.stats);
+  row.sweep_ms = best_of(index, text, batch, /*sweep=*/true, row.checksum, row.stats);
   row.speedup = row.per_read_ms / (row.sweep_ms > 0.0 ? row.sweep_ms : 1.0);
-  if (per_read_sum != sweep_sum) {
+  if (per_read_sum != row.checksum) {
     std::printf("!! %s: per-read/sweep hit checksum mismatch (%llu vs %llu)\n",
                 name, static_cast<unsigned long long>(per_read_sum),
-                static_cast<unsigned long long>(sweep_sum));
+                static_cast<unsigned long long>(row.checksum));
     std::exit(1);
   }
   const double reads_per_sec =
@@ -125,6 +129,8 @@ int main(int argc, char** argv) {
   FmIndex<RrrWaveletOcc> index(genome, [](std::span<const std::uint8_t> bwt) {
     return RrrWaveletOcc(bwt, RrrParams{15, 50});
   });
+  // Derived before the table exists, so it never gets one.
+  const DerivedOccMapper<EprOcc> unseeded_epr_mapper(index, EprOcc(index.bwt().symbols));
   index.build_seed_table(genome);  // k by the served budget rule
   const KmerSeedTable& seeds = *index.seed_table();
   const double table_bytes_per_base =
@@ -153,10 +159,28 @@ int main(int argc, char** argv) {
   const ModeRow sampled = run_engine("sampled", sampled_mapper.index(), genome, batch);
   const ModeRow epr = run_engine("epr", epr_mapper.index(), genome, batch);
 
-  std::printf("\nidentical hits from both orders (checksummed); the enforced\n"
-              "floor tracks the epr engine (the served one), whose one-line\n"
-              "blocks let the sweep prefetch each step's lines ahead of use;\n"
-              "the rrr and sampled rows are report-only.\n");
+  std::uint64_t unseeded_sum = 0;
+  SweepStats unseeded_stats;
+  const double unseeded_ms = best_of(unseeded_epr_mapper.index(), genome, batch,
+                                     /*sweep=*/true, unseeded_sum, unseeded_stats);
+  const double seed_speedup = unseeded_ms / (epr.sweep_ms > 0.0 ? epr.sweep_ms : 1.0);
+  if (unseeded_sum != epr.checksum) {
+    std::printf("!! epr: seeded/unseeded sweep hit checksum mismatch (%llu vs %llu)\n",
+                static_cast<unsigned long long>(epr.checksum),
+                static_cast<unsigned long long>(unseeded_sum));
+    return 1;
+  }
+  std::printf("\nepr sweep without the seed table: %.1f ms, %llu steps (seeded %.1f ms, "
+              "%llu steps): seed speedup %.2fx\n",
+              unseeded_ms, static_cast<unsigned long long>(unseeded_stats.state_steps),
+              epr.sweep_ms, static_cast<unsigned long long>(epr.stats.state_steps),
+              seed_speedup);
+
+  std::printf("\nidentical hits from both orders and with or without the seed\n"
+              "table (checksummed); the enforced floor tracks the epr engine\n"
+              "(the served one), whose one-line blocks let the sweep prefetch\n"
+              "each step's lines ahead of use; the rrr, sampled and unseeded\n"
+              "rows are report-only.\n");
 
   JsonReport report("bench_sweep_search", setup.json);
   report.metric("reads", static_cast<double>(batch.size()));
@@ -173,6 +197,9 @@ int main(int argc, char** argv) {
   report.metric("sweep_vs_per_read_speedup", epr.speedup);
   report.metric("state_steps_epr", static_cast<double>(epr.stats.state_steps));
   report.metric("verified_epr", static_cast<double>(epr.stats.verified));
+  report.metric("sweep_ms_epr_unseeded", unseeded_ms);
+  report.metric("state_steps_epr_unseeded", static_cast<double>(unseeded_stats.state_steps));
+  report.metric("seed_speedup_epr", seed_speedup);
   report.emit();
   return 0;
 }

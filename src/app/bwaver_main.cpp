@@ -41,7 +41,9 @@
 //                    [--min-insert N] [--max-insert N] [--threads T]
 //   pipeline         --ref ref.fa[.gz] --reads reads.fq[.gz] --out out.sam [same options]
 //   stats            --index ref.bwvr [--b B] [--sf SF]   entropy/size/device-fit report
-//   serve            [--port P] [--b B] [--sf SF] [--engine ...] [--store-dir DIR]
+//   serve            [--port P] [--b B] [--sf SF] [--seed-k K] (the index of
+//                    uploads and rollovers, built as `index build` builds it)
+//                    [--engine ...] [--store-dir DIR]
 //                    [--load-mode mmap|copy] [--memory-budget-mb M]
 //                    [--workers N] [--max-queue N]
 //                    [--job-timeout S] [--http-threads N] [--max-body-mb M]
@@ -189,12 +191,7 @@ int cmd_index_build(const ArgParser& args) {
 
   const auto records = read_fasta(ref_path);
   const std::string name = args.get("name", records.front().name);
-
-  ReferenceSet reference;
-  for (const auto& record : records) {
-    reference.add(record.name,
-                  dna_encode_string(record.sequence, /*substitute_invalid=*/true));
-  }
+  const ReferenceSet reference = reference_from_fasta(records);
 
   // Build straight to a staging file in the store, then adopt(): the index
   // is registered without ever being resident, which is the whole point of

@@ -333,6 +333,13 @@ void HttpServer::stop() {
     ::close(fd);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  // Shutting every open connection for reading wakes a worker parked on an
+  // idle keep-alive connection at once (its poll sees EOF) instead of after
+  // the idle timeout; a handler already running still sends its response.
+  {
+    const std::lock_guard lock(clients_mutex_);
+    for (const int client : clients_) ::shutdown(client, SHUT_RD);
+  }
   // Joining the pool drains queued connections and finishes in-flight
   // handlers — no detached threads can outlive the server.
   workers_.reset();
@@ -357,8 +364,17 @@ void HttpServer::serve_loop() {
       ::close(client);
       continue;
     }
+    {
+      const std::lock_guard lock(clients_mutex_);
+      clients_.insert(client);
+    }
     workers_->post([this, client] {
       handle_connection(client);
+      // Deregistered before the close, so stop() never shuts a reused fd.
+      {
+        const std::lock_guard lock(clients_mutex_);
+        clients_.erase(client);
+      }
       ::close(client);
     });
   }

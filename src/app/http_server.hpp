@@ -16,6 +16,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -119,7 +121,8 @@ class HttpServer {
   /// background thread. Throws on bind failure.
   void start(std::uint16_t port = 0);
 
-  /// Stops accepting, drains and joins every in-flight handler.
+  /// Stops accepting, wakes every idle keep-alive connection, and drains
+  /// and joins every in-flight handler (each still sends its response).
   void stop();
 
   bool running() const noexcept { return running_.load(); }
@@ -156,6 +159,9 @@ class HttpServer {
   std::atomic<bool> running_{false};
   // Written by start()/stop(), read by the accept loop: must be atomic.
   std::atomic<int> listen_fd_{-1};
+  // Open client connections, which stop() shuts for reading.
+  std::mutex clients_mutex_;
+  std::set<int> clients_;
   std::uint16_t port_ = 0;
 };
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "fleet/map_transport.hpp"
-#include "fmindex/dna.hpp"
 #include "io/fasta.hpp"
 #include "kernels/registry.hpp"
 #include "mapper/map_service.hpp"
@@ -217,38 +216,20 @@ HttpResponse WebService::handle_reference(const HttpRequest& request) {
                                        "' (no whitespace or '/'); pass ?name=NAME\n");
   }
 
-  // Builds are CPU-heavy and briefly take the registry write lock at the
-  // end; serialize them so concurrent uploads don't thrash the host. Mapping
-  // requests keep flowing against already-registered references meanwhile.
+  // Builds are CPU-heavy; serialize them so concurrent uploads don't thrash
+  // the host. The install writes and checks the archive with no registry
+  // lock held, so mapping requests keep flowing meanwhile.
   std::lock_guard<std::mutex> build_lock(build_mutex_);
-  StoredIndex stored = build_stored_index(records);
-  const std::size_t length = stored.index.size();
-  registry_.add(name, std::move(stored));
+  const IndexRegistry::Handle handle = registry_.add(
+      name, build_stored_index(reference_from_fasta(records), options_.pipeline));
 
   std::string out = "reference '" + name + "' indexed (" +
                     std::to_string(records.size()) + " sequence(s), " +
-                    std::to_string(length) + " bp)";
+                    std::to_string(handle->index.size()) + " bp)";
   if (!registry_.store_dir().empty()) {
     out += ", persisted to " + registry_.archive_path(name);
   }
   return HttpResponse::text(200, out + "\n");
-}
-
-StoredIndex WebService::build_stored_index(const std::vector<FastaRecord>& records) const {
-  ReferenceSet reference;
-  for (const auto& record : records) {
-    reference.add(record.name,
-                  dna_encode_string(record.sequence, /*substitute_invalid=*/true));
-  }
-  const auto sa = build_suffix_array(reference.concatenated());
-  Bwt bwt = build_bwt(reference.concatenated(), sa);
-  const RrrParams params = options_.pipeline.rrr;
-  FmIndex<RrrWaveletOcc> index(
-      std::move(bwt), std::move(sa), [params](std::span<const std::uint8_t> symbols) {
-        return RrrWaveletOcc(symbols, params);
-      });
-  return StoredIndex{std::move(reference), std::move(index), nullptr, nullptr,
-                     LoadMode::kCopy};
 }
 
 HttpResponse WebService::handle_rollover(const HttpRequest& request) {
@@ -275,7 +256,8 @@ HttpResponse WebService::handle_rollover(const HttpRequest& request) {
   // takes the write lock.
   std::lock_guard<std::mutex> build_lock(build_mutex_);
   try {
-    registry_.rollover(name, build_stored_index(records));
+    registry_.rollover(name,
+                       build_stored_index(reference_from_fasta(records), options_.pipeline));
   } catch (const std::exception& e) {
     return HttpResponse::text(500, std::string("rollover failed: ") + e.what() + "\n");
   }
@@ -592,6 +574,12 @@ HttpResponse WebService::handle_evict(const HttpRequest& request) {
   }
   if (!registry_.contains(name)) {
     return HttpResponse::text(404, "unknown reference '" + name + "'\n");
+  }
+  if (registry_.store_dir().empty()) {
+    return HttpResponse::text(409, "reference '" + name +
+                                       "' has no archive to reload from; a server "
+                                       "without --store-dir keeps every reference "
+                                       "resident\n");
   }
   const bool evicted = registry_.evict(name);
   return HttpResponse::text(200, std::string(evicted ? "evicted" : "not resident") +

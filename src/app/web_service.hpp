@@ -6,16 +6,19 @@
 //   GET  /              — HTML landing page with usage instructions
 //   GET  /status        — registry state and memory budget
 //   GET  /references    — JSON listing of the loaded/stored references
-//   POST /reference     — body: FASTA or FASTA.gz; runs steps 1+2 and
-//                         registers (and, with a store directory, persists)
-//                         the index. `?name=X` overrides the reference name
-//                         (the first header line); a malformed FASTA or an
-//                         invalid name is a 400, before any build
+//   POST /reference     — body: FASTA or FASTA.gz; runs steps 1+2 (the
+//                         index `index build` writes, seed table included)
+//                         and registers (and, with a store directory,
+//                         persists) it. `?name=X` overrides the reference
+//                         name (the first header line); a malformed FASTA or
+//                         an invalid name is a 400, before any build
 //   POST /map           — body: FASTQ or FASTQ.gz; queued as a mapping job
 //                         like /jobs but waited on inline, then the SAM is
 //                         returned. Shares admission control: 503 +
 //                         Retry-After when the queue is full
-//   POST /evict         — `?ref=X`; drops the resident copy
+//   POST /evict         — `?ref=X`; drops the resident copy (409 when it is
+//                         the only copy: a memory-only server has no archive
+//                         to reload from)
 //
 // Fleet endpoints (docs/fleet.md — consumed by the router/gateway):
 //   GET  /healthz       — liveness: constant "ok", never touches the job
@@ -59,7 +62,6 @@
 #include <string>
 
 #include "app/http_server.hpp"
-#include "io/fasta.hpp"
 #include "jobs/job_manager.hpp"
 #include "mapper/pipeline.hpp"
 #include "obs/metrics.hpp"
@@ -127,9 +129,6 @@ class WebService {
   /// Resolves `?ref=` to a registry name, defaulting to the single loaded
   /// reference. Returns "" (with `error` filled) when ambiguous or unknown.
   std::string resolve_ref_name(const HttpRequest& request, HttpResponse& error) const;
-
-  /// Runs steps 1+2 (encode, build) over parsed FASTA records.
-  StoredIndex build_stored_index(const std::vector<FastaRecord>& records) const;
 
   WebServiceOptions options_;
   IndexRegistry registry_;

@@ -88,15 +88,57 @@ void Pipeline::load_index_file(const std::string& path, ReferenceSet& reference,
   reference = std::move(rebuilt);
 }
 
-std::string Pipeline::compute_bwt_sa(const std::string& fasta_path,
-                                     const std::string& index_path) {
-  WallTimer timer;
-  const auto records = read_fasta(fasta_path);
+ReferenceSet reference_from_fasta(const std::vector<FastaRecord>& records) {
   ReferenceSet reference;
   for (const auto& record : records) {
     reference.add(record.name,
                   dna_encode_string(record.sequence, /*substitute_invalid=*/true));
   }
+  return reference;
+}
+
+FmIndex<RrrWaveletOcc> build_fm_index(std::span<const std::uint8_t> text,
+                                      const PipelineConfig& config,
+                                      PipelineTimings* timings) {
+  WallTimer timer;
+  auto sa = build_suffix_array(text);
+  Bwt bwt = build_bwt(text, sa);
+  if (timings != nullptr) timings->bwt_sa_seconds = timer.seconds();
+  timer.reset();
+  FmIndex<RrrWaveletOcc> index = build_fm_index(text, std::move(sa), std::move(bwt), config);
+  if (timings != nullptr) timings->encode_seconds = timer.seconds();
+  return index;
+}
+
+FmIndex<RrrWaveletOcc> build_fm_index(std::span<const std::uint8_t> text,
+                                      std::vector<std::uint32_t> sa, Bwt bwt,
+                                      const PipelineConfig& config) {
+  // The seed table needs the SA before it moves into the index; its build
+  // is a single O(n) scan, charged to step 2 like the rest of the succinct
+  // construction.
+  auto seeds =
+      std::make_shared<const KmerSeedTable>(KmerSeedTable::build(text, sa, config.seed_k));
+  const RrrParams params = config.rrr;
+  FmIndex<RrrWaveletOcc> index(
+      std::move(bwt), std::move(sa), [params](std::span<const std::uint8_t> symbols) {
+        return RrrWaveletOcc(symbols, params);
+      });
+  index.set_seed_table(std::move(seeds));
+  return index;
+}
+
+StoredIndex build_stored_index(ReferenceSet reference, const PipelineConfig& config,
+                               PipelineTimings* timings) {
+  FmIndex<RrrWaveletOcc> index = build_fm_index(reference.concatenated(), config, timings);
+  return StoredIndex{std::move(reference), std::move(index), nullptr, nullptr,
+                     LoadMode::kCopy};
+}
+
+std::string Pipeline::compute_bwt_sa(const std::string& fasta_path,
+                                     const std::string& index_path) {
+  WallTimer timer;
+  const auto records = read_fasta(fasta_path);
+  const ReferenceSet reference = reference_from_fasta(records);
   const auto sa = build_suffix_array(reference.concatenated());
   const Bwt bwt = build_bwt(reference.concatenated(), sa);
   save_index_file(index_path, reference, bwt, sa);
@@ -109,7 +151,12 @@ void Pipeline::encode(const std::string& index_path) {
   Bwt bwt;
   std::vector<std::uint32_t> sa;
   load_index_file(index_path, reference, bwt, sa);
-  build_index(std::move(reference), std::move(bwt), std::move(sa));
+  WallTimer timer;
+  FmIndex<RrrWaveletOcc> index =
+      build_fm_index(reference.concatenated(), std::move(sa), std::move(bwt), config_);
+  stored_ = std::make_shared<const StoredIndex>(StoredIndex{
+      std::move(reference), std::move(index), nullptr, nullptr, LoadMode::kCopy});
+  timings_.encode_seconds = timer.seconds();
 }
 
 void Pipeline::build_from_sequence(const std::string& name, const std::string& bases) {
@@ -117,35 +164,8 @@ void Pipeline::build_from_sequence(const std::string& name, const std::string& b
 }
 
 void Pipeline::build_from_records(const std::vector<FastaRecord>& records) {
-  WallTimer timer;
-  ReferenceSet reference;
-  for (const auto& record : records) {
-    reference.add(record.name,
-                  dna_encode_string(record.sequence, /*substitute_invalid=*/true));
-  }
-  const auto sa = build_suffix_array(reference.concatenated());
-  Bwt bwt = build_bwt(reference.concatenated(), sa);
-  timings_.bwt_sa_seconds = timer.seconds();
-  build_index(std::move(reference), std::move(bwt), std::move(sa));
-}
-
-void Pipeline::build_index(ReferenceSet reference, Bwt bwt,
-                           std::vector<std::uint32_t> sa) {
-  WallTimer timer;
-  const RrrParams params = config_.rrr;
-  // The seed table needs the SA before it moves into the index; its build
-  // is a single O(n) scan, charged to encode_seconds like the rest of the
-  // succinct construction.
-  auto seeds = std::make_shared<const KmerSeedTable>(
-      KmerSeedTable::build(reference.concatenated(), sa, config_.seed_k));
-  FmIndex<RrrWaveletOcc> index(
-      std::move(bwt), std::move(sa), [params](std::span<const std::uint8_t> symbols) {
-        return RrrWaveletOcc(symbols, params);
-      });
-  index.set_seed_table(std::move(seeds));
-  stored_ = std::make_shared<const StoredIndex>(StoredIndex{
-      std::move(reference), std::move(index), nullptr, nullptr, LoadMode::kCopy});
-  timings_.encode_seconds = timer.seconds();
+  stored_ = std::make_shared<const StoredIndex>(
+      build_stored_index(reference_from_fasta(records), config_, &timings_));
 }
 
 MappingOutcome Pipeline::map_reads(const std::string& fastq_path,
@@ -231,17 +251,7 @@ BuildArchiveResult Pipeline::build_archive(
   if (progress) {
     progress("direct build: " + std::to_string(reference.total_length()) + " bases");
   }
-  const auto sa = build_suffix_array(reference.concatenated());
-  Bwt bwt = build_bwt(reference.concatenated(), sa);
-  auto seeds = std::make_shared<const KmerSeedTable>(
-      KmerSeedTable::build(reference.concatenated(), sa, config.seed_k));
-  const RrrParams params = config.rrr;
-  FmIndex<RrrWaveletOcc> index(
-      std::move(bwt), std::move(sa),
-      [params](std::span<const std::uint8_t> symbols) {
-        return RrrWaveletOcc(symbols, params);
-      });
-  index.set_seed_table(std::move(seeds));
+  const FmIndex<RrrWaveletOcc> index = build_fm_index(reference.concatenated(), config);
   BuildProvenance provenance;
   provenance.builder = "direct";
   provenance.memory_budget_bytes = config.build_memory_budget_bytes;

@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,31 @@ struct PipelineTimings {
   double mapping_seconds = 0.0;  ///< wall-clock (software) or modeled (FPGA)
 };
 
+/// Parsed FASTA records as the reference every index is built over: each
+/// record becomes one sequence, its bases 2-bit coded with invalid ones
+/// (N, IUPAC codes) substituted.
+ReferenceSet reference_from_fasta(const std::vector<FastaRecord>& records);
+
+/// The one in-memory builder of a servable index — steps 1 and 2 of the
+/// workflow over `text`: the suffix array and BWT, then the k-mer seed
+/// table at KmerSeedTable::resolve_k(config.seed_k, n) and the RRR Occ with
+/// config.rrr. `index build`, the web service's uploads and rollovers, and
+/// the Pipeline all build through it, so they serve the same structures.
+/// `timings`, when given, receives the step 1 / step 2 split.
+FmIndex<RrrWaveletOcc> build_fm_index(std::span<const std::uint8_t> text,
+                                      const PipelineConfig& config,
+                                      PipelineTimings* timings = nullptr);
+
+/// Step 2 alone, from step 1's `sa` and `bwt` of `text` (the index file
+/// Pipeline::encode reads).
+FmIndex<RrrWaveletOcc> build_fm_index(std::span<const std::uint8_t> text,
+                                      std::vector<std::uint32_t> sa, Bwt bwt,
+                                      const PipelineConfig& config);
+
+/// build_fm_index() over `reference`, as the handle a registry installs.
+StoredIndex build_stored_index(ReferenceSet reference, const PipelineConfig& config,
+                               PipelineTimings* timings = nullptr);
+
 /// Per-stage decomposition of one mapping run (milliseconds). parse covers
 /// packing FASTQ text into read batches in one pass (`bwaver map`; a served
 /// request is parsed on its connection thread, outside the run), pack the
@@ -134,7 +160,7 @@ class Pipeline {
   /// Step 2. Loads an index file and builds the succinct structure.
   void encode(const std::string& index_path);
 
-  /// Steps 1+2 without touching disk (used by tests and the web server).
+  /// Steps 1+2 without touching disk (used by tests and benches).
   void build_from_sequence(const std::string& name, const std::string& bases);
 
   /// Steps 1+2 over parsed multi-sequence FASTA records.
@@ -203,8 +229,6 @@ class Pipeline {
                               Bwt& bwt, std::vector<std::uint32_t>& sa);
 
  private:
-  void build_index(ReferenceSet reference, Bwt bwt, std::vector<std::uint32_t> sa);
-
   PipelineConfig config_;
   PipelineTimings timings_;
   std::shared_ptr<const StoredIndex> stored_;

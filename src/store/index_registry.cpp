@@ -126,7 +126,9 @@ void IndexRegistry::enforce_budget_locked(const std::string& keep) {
     std::string victim_name;
     std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
     for (const auto& [name, entry] : entries_) {
-      if (!entry->resident || name == keep) continue;
+      // An entry with no archive (memory-only) is never a victim: its
+      // resident copy is the only copy.
+      if (!entry->resident || name == keep || entry->archive_path.empty()) continue;
       const std::uint64_t used = entry->last_used.load(std::memory_order_relaxed);
       if (used < oldest) {
         oldest = used;
@@ -161,11 +163,6 @@ IndexRegistry::Handle IndexRegistry::acquire(const std::string& name) {
   }
   Entry& entry = *it->second;
   if (!entry.resident) {
-    if (entry.archive_path.empty()) {
-      // Memory-only entry whose resident copy was evicted: unrecoverable.
-      throw std::out_of_range("IndexRegistry: reference '" + name +
-                              "' was evicted and has no archive");
-    }
     auto loaded = std::make_shared<const StoredIndex>(
         read_index_archive(entry.archive_path, load_mode_));
     auto& counter =
@@ -183,32 +180,65 @@ IndexRegistry::Handle IndexRegistry::add(const std::string& name, StoredIndex st
   if (!valid_name(name)) {
     throw std::invalid_argument("IndexRegistry: invalid reference name '" + name + "'");
   }
-  auto handle = std::make_shared<const StoredIndex>(std::move(stored));
+  return install(name, std::move(stored), /*replace_only=*/false);
+}
 
-  std::unique_lock lock(mutex_);
-  auto& slot = entries_[name];
-  const bool replacing = slot != nullptr;
-  if (!slot) slot = std::make_unique<Entry>();
-  Entry& entry = *slot;
-  if (replacing) ++entry.generation;
-  if (!store_dir_.empty()) {
-    const auto archive =
-        std::filesystem::path(store_dir_) / (name + ".bwva");
-    write_index_archive(archive.string(), handle->reference, handle->index);
-    // A previous rollover may have left the entry on a generation-named
-    // archive; it is superseded now.
-    if (!entry.archive_path.empty() && entry.archive_path != archive.string()) {
-      std::error_code discard;
-      std::filesystem::remove(entry.archive_path, discard);
-    }
-    entry.archive_path = archive.string();
-    entry.archive_bytes = std::filesystem::file_size(archive);
+IndexRegistry::Handle IndexRegistry::rollover(const std::string& name,
+                                              StoredIndex stored) {
+  return install(name, std::move(stored), /*replace_only=*/true);
+}
+
+std::uint64_t IndexRegistry::next_generation(const std::string& name,
+                                             bool replace_only) const {
+  std::shared_lock lock(mutex_);
+  const auto it = entries_.find(name);
+  if (it != entries_.end()) return it->second->generation + 1;
+  if (replace_only) {
+    throw std::out_of_range("IndexRegistry: cannot roll over unknown reference '" + name +
+                            "'");
   }
-  set_resident_locked(entry, handle);
-  entry.last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
-  if (!store_dir_.empty()) save_manifest_locked();
-  enforce_budget_locked(name);
+  return 1;
+}
+
+std::string IndexRegistry::archive_path_for(const std::string& name,
+                                            std::uint64_t generation) const {
+  // Generation 1 keeps the plain name; each later one gets its own file, so
+  // the archive being served is never written over.
+  const std::string file =
+      generation == 1 ? name + ".bwva"
+                      : name + ".g" + std::to_string(generation) + ".bwva";
+  return (std::filesystem::path(store_dir_) / file).string();
+}
+
+IndexRegistry::Handle IndexRegistry::install(const std::string& name, StoredIndex stored,
+                                             bool replace_only) {
+  const std::lock_guard install_lock(install_mutex_);
+  Staged staged;
+  staged.generation = next_generation(name, replace_only);
+  if (store_dir_.empty()) {
+    // Memory-only: there is nothing to write or read back.
+    staged.handle = std::make_shared<const StoredIndex>(std::move(stored));
+  } else {
+    // Stage 1, with no registry lock held (traffic keeps flowing): write the
+    // new generation beside the current one. The write is temp + rename, so
+    // a failure leaves no file behind.
+    staged.archive_path = archive_path_for(name, staged.generation);
+    write_index_archive(staged.archive_path, stored.reference, stored.index);
+    // Stage 2: check it by a full read-back in the registry's load mode.
+    // The checked copy *is* the handle served — a corrupt or unreadable
+    // archive throws here, before the entry is touched.
+    try {
+      staged.handle = std::make_shared<const StoredIndex>(
+          read_index_archive(staged.archive_path, load_mode_));
+      staged.archive_bytes = std::filesystem::file_size(staged.archive_path);
+    } catch (...) {
+      std::error_code discard;
+      std::filesystem::remove(staged.archive_path, discard);
+      throw;
+    }
+  }
+  const Handle handle = staged.handle;
+  commit(name, std::move(staged));
   return handle;
 }
 
@@ -220,106 +250,56 @@ void IndexRegistry::adopt(const std::string& name, const std::string& archive_fi
     throw std::logic_error(
         "IndexRegistry: adopt() requires a persistent store directory");
   }
-  // Cheap validation: header structure plus every section CRC, without
-  // materializing the index. Throws IoError on a corrupt/truncated file.
+  // Cheap validation without materializing the index: the header CRC, the
+  // section bounds and the meta/build CRCs (bulk payload CRCs are checked
+  // when the archive is loaded). Throws IoError on a corrupt/truncated file.
   const ArchiveInfo info = read_index_archive_info(archive_file);
 
-  std::unique_lock lock(mutex_);
-  auto& slot = entries_[name];
-  const bool replacing = slot != nullptr;
-  if (!slot) slot = std::make_unique<Entry>();
-  Entry& entry = *slot;
-  if (replacing) {
-    ++entry.generation;
-    // The adopted archive supersedes the resident copy; in-flight readers
-    // drain via refcount exactly as in rollover().
-    drop_resident_locked(entry);
+  const std::lock_guard install_lock(install_mutex_);
+  Staged staged;
+  staged.generation = next_generation(name, /*replace_only=*/false);
+  staged.archive_path = archive_path_for(name, staged.generation);
+  if (std::filesystem::path(archive_file) != staged.archive_path) {
+    std::filesystem::rename(archive_file, staged.archive_path);
   }
-  const auto archive = std::filesystem::path(store_dir_) / (name + ".bwva");
-  if (std::filesystem::path(archive_file) != archive) {
-    std::filesystem::rename(archive_file, archive);
-  }
-  if (!entry.archive_path.empty() && entry.archive_path != archive.string()) {
-    std::error_code discard;
-    std::filesystem::remove(entry.archive_path, discard);
-  }
-  entry.archive_path = archive.string();
-  entry.archive_bytes = std::filesystem::file_size(archive);
-  entry.text_length = info.text_length;
-  entry.num_sequences = info.sequences.size();
-  entry.last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
-  save_manifest_locked();
+  staged.archive_bytes = std::filesystem::file_size(staged.archive_path);
+  staged.text_length = info.text_length;
+  staged.num_sequences = info.sequences.size();
+  commit(name, std::move(staged));
 }
 
-IndexRegistry::Handle IndexRegistry::rollover(const std::string& name,
-                                              StoredIndex stored) {
-  // Stage 1 (no registry lock held — traffic keeps flowing): persist the
-  // next generation beside the current one.
-  std::uint64_t next_generation = 0;
-  {
-    std::shared_lock lock(mutex_);
-    const auto it = entries_.find(name);
-    if (it == entries_.end()) {
-      throw std::out_of_range("IndexRegistry: cannot roll over unknown reference '" +
-                              name + "'");
-    }
-    next_generation = it->second->generation + 1;
-  }
-
-  Handle handle;
-  std::string new_archive;
-  std::uint64_t new_archive_bytes = 0;
-  if (!store_dir_.empty()) {
-    const auto archive = std::filesystem::path(store_dir_) /
-                         (name + ".g" + std::to_string(next_generation) + ".bwva");
-    write_index_archive(archive.string(), stored.reference, stored.index);
-    // Stage 2: validate by a full re-read through the normal load path.
-    // The validated copy *is* the handle we flip to — a corrupt or
-    // unwritable archive throws here, before the old generation is
-    // touched, and the serving entry never sees it.
-    try {
-      handle = std::make_shared<const StoredIndex>(
-          read_index_archive(archive.string(), load_mode_));
-    } catch (...) {
-      std::error_code discard;
-      std::filesystem::remove(archive, discard);
-      throw;
-    }
-    new_archive = archive.string();
-    new_archive_bytes = std::filesystem::file_size(archive);
-  } else {
-    handle = std::make_shared<const StoredIndex>(std::move(stored));
-  }
-
-  // Stage 3: flip. In-flight readers keep their generation-N handle alive
-  // via the shared_ptr refcount; new acquires see generation N+1.
-  std::string old_archive;
+void IndexRegistry::commit(const std::string& name, Staged staged) {
+  // Stage 3: flip under the write lock (a pointer swap). In-flight readers
+  // keep the previous generation's handle alive via its refcount; new
+  // acquires see the new one.
+  std::string replaced;
   {
     std::unique_lock lock(mutex_);
-    const auto it = entries_.find(name);
-    if (it == entries_.end()) {
-      throw std::out_of_range("IndexRegistry: reference '" + name +
-                              "' removed during rollover");
+    auto& slot = entries_[name];
+    if (!slot) slot = std::make_unique<Entry>();
+    Entry& entry = *slot;
+    replaced = entry.archive_path;
+    entry.generation = staged.generation;
+    entry.archive_path = staged.archive_path;
+    entry.archive_bytes = staged.archive_bytes;
+    if (staged.handle) {
+      set_resident_locked(entry, std::move(staged.handle));
+    } else {
+      drop_resident_locked(entry);
+      entry.text_length = staged.text_length;
+      entry.num_sequences = staged.num_sequences;
     }
-    Entry& entry = *it->second;
-    old_archive = entry.archive_path;
-    entry.generation = std::max(next_generation, entry.generation + 1);
-    entry.archive_path = new_archive;
-    entry.archive_bytes = new_archive_bytes;
-    set_resident_locked(entry, handle);
     entry.last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                           std::memory_order_relaxed);
     if (!store_dir_.empty()) save_manifest_locked();
     enforce_budget_locked(name);
   }
-  if (!old_archive.empty() && old_archive != new_archive) {
+  if (!replaced.empty() && replaced != staged.archive_path) {
     // Old mmap readers keep the unlinked file alive through their open
     // mapping; the name disappears now, the blocks when they drain.
     std::error_code discard;
-    std::filesystem::remove(old_archive, discard);
+    std::filesystem::remove(replaced, discard);
   }
-  return handle;
 }
 
 std::uint64_t IndexRegistry::generation(const std::string& name) const {
@@ -334,7 +314,9 @@ std::uint64_t IndexRegistry::generation(const std::string& name) const {
 bool IndexRegistry::evict(const std::string& name) {
   std::unique_lock lock(mutex_);
   const auto it = entries_.find(name);
-  if (it == entries_.end() || !it->second->resident) return false;
+  if (it == entries_.end() || !it->second->resident || it->second->archive_path.empty()) {
+    return false;
+  }
   drop_resident_locked(*it->second);
   evictions_explicit_.fetch_add(1, std::memory_order_relaxed);
   return true;

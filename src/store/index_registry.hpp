@@ -6,29 +6,33 @@
 // loaded lazily on first acquire() and handed out as refcounted
 // shared_ptr<const StoredIndex> read handles: any number of mapping requests
 // can read one index concurrently (all FmIndex/ReferenceSet queries are
-// const), while add/evict/load take the write side of a shared_mutex. When
-// resident indexes exceed the memory budget the least-recently-used ones are
-// evicted — eviction only drops the registry's reference, so in-flight
-// readers holding a handle finish undisturbed and the memory is reclaimed
-// when the last handle dies.
+// const), while evict, load and an install's final flip take the write side
+// of a shared_mutex. When resident indexes exceed the memory budget the
+// least-recently-used ones are evicted — eviction only drops the registry's
+// reference, so in-flight readers holding a handle finish undisturbed and
+// the memory is reclaimed when the last handle dies.
 //
 // With an empty store directory the registry is memory-only: add() keeps the
 // index resident but nothing is persisted (the web service's legacy
-// upload-and-map mode).
+// upload-and-map mode). The resident copy is then the only copy, so evict()
+// refuses such an entry and the LRU never drops it.
 //
-// Entries carry a monotonically increasing *generation*. rollover() swaps a
-// reference for a freshly built index with zero downtime: the new archive is
-// written and validated by a full re-read while mapping traffic keeps
-// flowing, then the registry entry flips to the new generation under the
-// write lock (a pointer swap) and the old archive is removed. In-flight
-// readers holding the previous generation's handle finish undisturbed and
-// drain via refcount.
+// Entries carry a monotonically increasing *generation*. add() and
+// rollover() are one staged install with zero downtime: the new generation's
+// archive is written and checked by a full read-back in the registry's load
+// mode while mapping traffic keeps flowing (no registry lock is held), then
+// the entry flips to it under the write lock (a pointer swap) and the
+// archive it replaced is removed. The handle served is the one read back.
+// In-flight readers holding the previous generation's handle finish
+// undisturbed and drain via refcount. A failed write or read-back leaves the
+// registry as it was. adopt() shares the flip but never loads the index.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -76,43 +80,47 @@ class IndexRegistry {
   /// for unreadable/corrupt archives.
   Handle acquire(const std::string& name);
 
-  /// Registers a freshly built index under `name` (replacing any previous
-  /// entry), persists it to the store directory when one is configured, and
-  /// returns a read handle. Throws std::invalid_argument unless
-  /// valid_name(name).
+  /// Registers a freshly built index under `name`, replacing any previous
+  /// entry, through the same staged install as rollover(): with a store
+  /// directory the handle returned is the archive's checked read-back (in
+  /// mmap mode it maps the file). Throws std::invalid_argument unless
+  /// valid_name(name), and whatever the write or read-back throws — then
+  /// no entry is created or changed.
   Handle add(const std::string& name, StoredIndex stored);
 
   /// Whether `name` can name a reference: non-empty, at most 256 bytes, and
   /// free of whitespace and '/' (names become manifest keys and file names).
   static bool valid_name(const std::string& name);
 
-  /// Replaces `name` with a new index generation without a serving gap.
-  /// The archive for generation N+1 is written to `<name>.g<N+1>.bwva` and
-  /// validated by a full re-read *before* the entry flips, so mapping
-  /// requests keep resolving against generation N until the new one is
-  /// proven loadable; the flip itself is a pointer swap under the write
-  /// lock and the old archive is deleted afterwards. Throws
-  /// std::out_of_range when `name` is not registered (rollover replaces,
-  /// it does not create — use add() for first registration).
+  /// Replaces `name` with a new index generation without a serving gap:
+  /// generation N+1 is written to `<name>.g<N+1>.bwva` and checked by a full
+  /// read-back *before* the entry flips, so mapping requests keep resolving
+  /// against generation N until the new one is proven loadable. Throws
+  /// std::out_of_range when `name` is not registered (rollover replaces, it
+  /// does not create — use add() for first registration).
   Handle rollover(const std::string& name, StoredIndex stored);
 
   /// Registers an existing archive file under `name` WITHOUT loading the
   /// index — the blockwise builder streams archives to disk precisely so
   /// the full index never has to be resident, and adopt() keeps that
-  /// property through registration. The file is validated by a cheap
-  /// header + per-section-CRC read and renamed into the store directory
-  /// (same filesystem expected), replacing any previous entry (its
-  /// resident copy, if any, is dropped; in-flight handles drain by
-  /// refcount). Requires a persistent store; throws std::logic_error in
-  /// memory-only mode and IoError when the archive does not validate.
+  /// property through registration. The file is checked by a cheap read of
+  /// its header (the header CRC, the section bounds, and the CRCs of the
+  /// meta and build sections; bulk payload CRCs are checked on load), then
+  /// renamed to the next generation's archive name in the store directory
+  /// (same filesystem expected) and committed like add(), replacing any
+  /// previous entry (its resident copy, if any, is dropped; in-flight
+  /// handles drain by refcount). Requires a persistent store; throws
+  /// std::logic_error in memory-only mode and IoError when the archive does
+  /// not validate.
   void adopt(const std::string& name, const std::string& archive_file);
 
   /// Current generation of `name` (throws std::out_of_range when unknown).
   std::uint64_t generation(const std::string& name) const;
 
-  /// Drops the resident copy of `name` (in-flight handles stay valid).
-  /// Returns false if the name is unknown or not resident. In persistent
-  /// mode the entry remains acquirable from its archive.
+  /// Drops the resident copy of `name` (in-flight handles stay valid); the
+  /// entry remains acquirable from its archive. Returns false if the name is
+  /// unknown, not resident, or has no archive (memory-only: the resident
+  /// copy is the only one, so it stays).
   bool evict(const std::string& name);
 
   bool contains(const std::string& name) const;
@@ -163,6 +171,28 @@ class IndexRegistry {
     std::atomic<std::uint64_t> last_used{0};
   };
 
+  /// What an install commits for one name.
+  struct Staged {
+    std::uint64_t generation = 1;
+    std::string archive_path;         ///< "" in memory-only mode
+    std::uint64_t archive_bytes = 0;
+    Handle handle;                    ///< null for adopt(): not loaded
+    std::uint64_t text_length = 0;    ///< adopt() only (a handle carries its own)
+    std::uint64_t num_sequences = 0;  ///< adopt() only
+  };
+
+  /// The staged install behind add() and rollover() (`replace_only`):
+  /// write, read back, then commit().
+  Handle install(const std::string& name, StoredIndex stored, bool replace_only);
+  /// The generation an install of `name` creates: 1 for a new name (which
+  /// `replace_only` refuses with std::out_of_range), else the current + 1.
+  std::uint64_t next_generation(const std::string& name, bool replace_only) const;
+  /// `<store>/<name>.bwva` for generation 1, `<store>/<name>.g<N>.bwva` after.
+  std::string archive_path_for(const std::string& name, std::uint64_t generation) const;
+  /// The locked flip every install ends with (adopt() too); removes the
+  /// archive it replaced once the lock is released.
+  void commit(const std::string& name, Staged staged);
+
   void load_manifest();
   void save_manifest_locked() const;
   /// Evicts LRU residents (never `keep`) until the budget is met or nothing
@@ -182,6 +212,10 @@ class IndexRegistry {
   std::atomic<std::uint64_t> evictions_explicit_{0};
   std::atomic<std::uint64_t> evictions_budget_{0};
   mutable std::shared_mutex mutex_;
+  // Serializes installs (never taken by acquire): generation numbers and
+  // archive names cannot collide, and nothing else changes an entry's
+  // generation between an install's first look and its flip.
+  std::mutex install_mutex_;
   std::atomic<std::uint64_t> clock_{0};
   // unique_ptr: Entry holds an atomic LRU stamp (bumped under the shared
   // lock) and is therefore not movable.

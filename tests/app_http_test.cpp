@@ -376,6 +376,30 @@ TEST(HttpServerKeepAlive, ConnectionCloseIsHonored) {
   server.stop();
 }
 
+TEST(HttpServerKeepAlive, StopDoesNotWaitOutAnIdleConnection) {
+  HttpServer server;  // 5-s keep-alive idle timeout
+  server.route("GET", "/ping",
+               [](const HttpRequest&) { return HttpResponse::text(200, "pong"); });
+  server.start(0);
+
+  // One answered request leaves the connection open and idle: its worker
+  // waits for the next request.
+  const int fd = connect_to(server.port());
+  const std::string request =
+      "GET /ping HTTP/1.1\r\nHost: localhost\r\nContent-Length: 0\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  ASSERT_NE(read_one_response(fd).find("Connection: keep-alive"), std::string::npos);
+
+  const auto start = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
+      << "stop() must wake an idle keep-alive connection, not wait out its timeout";
+  char byte;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "the server closes the connection";
+  ::close(fd);
+}
+
 TEST(HttpServerKeepAlive, DisabledKeepAliveClosesAfterEachResponse) {
   HttpServerOptions options;
   options.keep_alive = false;
@@ -507,6 +531,18 @@ TEST_F(WebServiceTest, FullUploadIndexMapWorkflow) {
   EXPECT_NE(sam.find("200 OK"), std::string::npos);
   EXPECT_NE(sam.find("@SQ\tSN:web_ref"), std::string::npos);
   EXPECT_NE(sam.find("40M"), std::string::npos);  // 40 bp exact matches
+}
+
+TEST_F(WebServiceTest, MemoryOnlyEvictIs409AndTheReferenceStaysServed) {
+  ASSERT_NE(http_request(service_.port(), "POST", "/reference", fasta_text_).find("200 OK"),
+            std::string::npos);
+  // With no store directory the resident copy is the only copy.
+  const std::string evict = http_request(service_.port(), "POST", "/evict?ref=web_ref");
+  EXPECT_NE(evict.find("HTTP/1.1 409"), std::string::npos) << evict;
+  EXPECT_NE(evict.find("no archive"), std::string::npos) << evict;
+  EXPECT_TRUE(service_.registry().list().front().resident);
+  const std::string sam = http_request(service_.port(), "POST", "/map", fastq_text_);
+  EXPECT_NE(sam.find("200 OK"), std::string::npos) << sam;
 }
 
 TEST_F(WebServiceTest, GzippedUploadsAccepted) {

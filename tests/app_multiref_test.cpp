@@ -1,7 +1,8 @@
 // Multi-tenant web service tests: several references served side by side
 // from a store directory, ?ref= selection, byte-identical SAM versus the
-// in-process pipeline, concurrent /map requests racing /evict, and a
-// restarted service picking the references back up from their archives.
+// in-process pipeline, concurrent /map requests racing /evict, uploads and
+// rollovers writing the archive `index build` writes, and a restarted
+// service picking the references back up from their archives.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -11,16 +12,19 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "app/web_service.hpp"
 #include "fmindex/dna.hpp"
+#include "io/byte_io.hpp"
 #include "io/fasta.hpp"
 #include "io/fastq.hpp"
 #include "mapper/pipeline.hpp"
 #include "sim/genome_sim.hpp"
 #include "sim/read_sim.hpp"
+#include "store/index_archive.hpp"
 
 #include "test_temp_dir.hpp"
 
@@ -274,6 +278,49 @@ TEST_F(MultiRefServiceTest, SectionBytesGaugeFollowsResidentReferences) {
   metrics = scrape();
   EXPECT_EQ(metrics.find(sa_a), std::string::npos) << metrics;
   EXPECT_NE(metrics.find(sa_b), std::string::npos) << metrics;
+}
+
+TEST_F(MultiRefServiceTest, ServedBuildsWriteTheIndexBuildArchive) {
+  // What `index build` writes for a FASTA under a config.
+  const auto index_build = [this](const std::string& fasta, const PipelineConfig& config) {
+    const std::string path = (dir_ / "index_build.bwva").string();
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(fasta.data());
+    Pipeline::build_archive(
+        path, reference_from_fasta(parse_fasta(std::span(bytes, fasta.size()))), config);
+    return read_file(path);
+  };
+  const auto has_kmer = [](const std::string& archive) {
+    for (const ArchiveSection& section : read_index_archive_info(archive).sections) {
+      if (section.name == kSectionKmer) return true;
+    }
+    return false;
+  };
+
+  for (const std::optional<unsigned> seed_k : {std::optional<unsigned>{}, std::optional(0u)}) {
+    PipelineConfig config = config_;
+    config.seed_k = seed_k;
+    WebServiceOptions options;
+    options.pipeline = config;
+    options.store_dir = (dir_ / (seed_k ? "unseeded" : "seeded")).string();
+    WebService service(options);
+    service.start(0);
+
+    ASSERT_NE(http_request(service.port(), "POST", "/reference?name=refA", fasta_a_)
+                  .find("200 OK"),
+              std::string::npos);
+    const std::string uploaded = service.registry().archive_path("refA");
+    EXPECT_EQ(read_file(uploaded), index_build(fasta_a_, config));
+    EXPECT_EQ(has_kmer(uploaded), !seed_k);
+
+    const std::string rolled = http_request(service.port(), "POST",
+                                            "/admin/rollover?ref=refA", fasta_b_);
+    ASSERT_NE(rolled.find("\"generation\":2"), std::string::npos) << rolled;
+    const std::string rolled_archive = service.registry().archive_path("refA");
+    EXPECT_NE(rolled_archive, uploaded);
+    EXPECT_EQ(read_file(rolled_archive), index_build(fasta_b_, config));
+    EXPECT_EQ(has_kmer(rolled_archive), !seed_k);
+    service.stop();
+  }
 }
 
 TEST_F(MultiRefServiceTest, RestartedServiceServesArchivesFromStore) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <span>
@@ -26,6 +27,7 @@
 #include "sim/genome_sim.hpp"
 #include "sim/read_sim.hpp"
 #include "store/index_registry.hpp"
+#include "test_temp_dir.hpp"
 
 namespace bwaver::fleet {
 namespace {
@@ -33,12 +35,7 @@ namespace {
 StoredIndex build_stored(const std::string& name, const std::vector<std::uint8_t>& genome) {
   ReferenceSet reference;
   reference.add(name, genome);
-  auto sa = build_suffix_array(reference.concatenated());
-  Bwt bwt = build_bwt(reference.concatenated(), sa);
-  RrrWaveletOcc occ(bwt.symbols, RrrParams{});
-  return StoredIndex{std::move(reference),
-                     FmIndex<RrrWaveletOcc>(std::move(bwt), std::move(sa), std::move(occ)),
-                     nullptr, nullptr, LoadMode::kCopy};
+  return build_stored_index(std::move(reference), PipelineConfig{});
 }
 
 class FleetTransportTest : public ::testing::Test {
@@ -197,30 +194,40 @@ TEST_F(FleetHttpTransportTest, HttpUnknownRefIsKBadRequestWith404) {
 }
 
 TEST_F(FleetHttpTransportTest, HttpFailedJobErrorArrivesWhole) {
-  // A memory-only replica cannot reload an evicted reference, so a job on
-  // one fails at run time with an error that quotes the name — here a name
-  // holding a quote and a backslash, which the replica's JSON escapes.
+  // A store-backed replica whose evicted reference lost its archive fails
+  // the job at run time with an error that quotes the archive path, and so
+  // the name — here one holding a quote and a backslash, which the
+  // replica's JSON escapes.
+  const std::filesystem::path dir = test::unique_test_dir("fleet_transport_failed_job");
+  WebServiceOptions options;
+  options.pipeline = config_;
+  options.store_dir = (dir / "store").string();
+  WebService replica(options);
+  replica.start(0);
+
   const std::string name = "q\"uote\\back";
   FastaRecord ref{"refB", dna_decode_string(genome_)};
   const std::string fasta = format_fasta(std::span<const FastaRecord>(&ref, 1));
   const ClientResponse upload = client_->request(
-      "127.0.0.1", service_->port(), "POST", "/reference?name=q%22uote%5Cback", fasta);
+      "127.0.0.1", replica.port(), "POST", "/reference?name=q%22uote%5Cback", fasta);
   ASSERT_EQ(upload.status, 200) << upload.body;
   const ClientResponse evict =
-      client_->request("127.0.0.1", service_->port(), "POST", "/evict?ref=q%22uote%5Cback");
+      client_->request("127.0.0.1", replica.port(), "POST", "/evict?ref=q%22uote%5Cback");
   ASSERT_EQ(evict.status, 200) << evict.body;
+  ASSERT_TRUE(std::filesystem::remove(replica.registry().archive_path(name)));
 
-  HttpMapTransport transport(client_, "127.0.0.1", service_->port());
+  HttpMapTransport transport(client_, "127.0.0.1", replica.port());
   transport.set_poll_interval(std::chrono::milliseconds(1), std::chrono::milliseconds(5));
   try {
     transport.map(request(name));
-    FAIL() << "a job on an evicted memory-only reference must fail";
+    FAIL() << "a job on a reference whose archive is gone must fail";
   } catch (const TransportError& error) {
     EXPECT_EQ(error.kind(), TransportErrorKind::kFailed);
-    EXPECT_NE(std::string(error.what()).find("reference '" + name + "' was evicted"),
-              std::string::npos)
+    EXPECT_NE(std::string(error.what()).find(name + ".bwva"), std::string::npos)
         << error.what();
   }
+  replica.stop();
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(FleetHttpTransportTest, HttpGiveUpCancelsTheReplicaJob) {

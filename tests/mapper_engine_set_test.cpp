@@ -48,13 +48,7 @@ class EngineSetTest : public ::testing::Test {
   StoredIndex build() const {
     ReferenceSet reference;
     reference.add("ref", genome_);
-    auto sa = build_suffix_array(reference.concatenated());
-    Bwt bwt = build_bwt(reference.concatenated(), sa);
-    RrrWaveletOcc occ(bwt.symbols, RrrParams{});
-    FmIndex<RrrWaveletOcc> index(std::move(bwt), std::move(sa), std::move(occ));
-    index.build_seed_table(reference.concatenated());
-    return StoredIndex{std::move(reference), std::move(index), nullptr, nullptr,
-                       LoadMode::kCopy};
+    return build_stored_index(std::move(reference), PipelineConfig{});
   }
 
   static PipelineConfig config(MappingEngine engine) {

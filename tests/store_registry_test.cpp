@@ -1,11 +1,14 @@
 // IndexRegistry tests: manifest persistence across registry instances, LRU
-// eviction under a memory budget, handle validity across eviction, and the
-// headline concurrency guarantee — many threads mapping against two
-// references while a third is being evicted and reloaded.
+// eviction under a memory budget, handle validity across eviction, the
+// staged install (the handle served is the archive read back; a failed
+// install changes nothing), and the headline concurrency guarantee — many
+// threads mapping against two references while a third is being evicted and
+// reloaded.
 #include "store/index_registry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -30,12 +33,7 @@ StoredIndex build_stored(const std::string& name,
                          const std::vector<std::uint8_t>& genome) {
   ReferenceSet reference;
   reference.add(name, genome);
-  auto sa = build_suffix_array(reference.concatenated());
-  Bwt bwt = build_bwt(reference.concatenated(), sa);
-  RrrWaveletOcc occ(bwt.symbols, RrrParams{});
-  return StoredIndex{std::move(reference),
-                     FmIndex<RrrWaveletOcc>(std::move(bwt), std::move(sa), std::move(occ)),
-                     nullptr, nullptr, LoadMode::kCopy};
+  return build_stored_index(std::move(reference), PipelineConfig{});
 }
 
 std::vector<std::uint8_t> make_genome(std::size_t length, std::uint64_t seed) {
@@ -130,18 +128,76 @@ TEST_F(RegistryTest, EvictionKeepsInFlightHandlesValid) {
   EXPECT_TRUE(registry.list().front().resident);
 }
 
-TEST_F(RegistryTest, MemoryOnlyEvictionIsUnrecoverable) {
-  IndexRegistry registry;  // no store directory
-  registry.add("alpha", build_stored("alpha", genome_c_));
+TEST_F(RegistryTest, MemoryOnlyEntriesAreNeverEvicted) {
+  // No store directory and a 1-byte budget: each resident copy is the only
+  // copy, so neither evict() nor the LRU may drop one.
+  IndexRegistry registry("", /*memory_budget_bytes=*/1);
+  registry.add("alpha", build_stored("alpha", genome_a_));
+  registry.add("beta", build_stored("beta", genome_b_));  // over budget: LRU runs
   EXPECT_EQ(registry.archive_path("alpha"), "");
-  EXPECT_TRUE(registry.evict("alpha"));
-  try {
-    registry.acquire("alpha");
-    FAIL() << "acquired an evicted memory-only index";
-  } catch (const std::out_of_range& e) {
-    EXPECT_NE(std::string(e.what()).find("no archive"), std::string::npos)
-        << e.what();
+  EXPECT_FALSE(registry.evict("alpha"));
+  EXPECT_EQ(registry.evictions_explicit(), 0u);
+  EXPECT_EQ(registry.evictions_budget(), 0u);
+  for (const RegistryEntry& entry : registry.list()) {
+    EXPECT_TRUE(entry.resident) << entry.name;
   }
+  EXPECT_EQ(registry.acquire("alpha")->reference.concatenated(), genome_a_);
+  EXPECT_EQ(registry.acquire("beta")->reference.concatenated(), genome_b_);
+}
+
+TEST_F(RegistryTest, AddServesTheArchiveItReadBack) {
+  IndexRegistry registry(store_, IndexRegistry::kDefaultMemoryBudget, LoadMode::kMmap);
+  const IndexRegistry::Handle handle = registry.add("alpha", build_stored("alpha", genome_a_));
+  ASSERT_NE(handle->backing, nullptr) << "the handle must map the written archive";
+  EXPECT_EQ(handle->load_mode, LoadMode::kMmap);
+  EXPECT_NE(handle->epr, nullptr) << "the read-back carries the archive's epr section";
+  EXPECT_EQ(registry.acquire("alpha"), handle);
+  EXPECT_GT(registry.mapped_bytes(), 0u);
+  EXPECT_EQ(handle->reference.concatenated(), genome_a_);
+}
+
+TEST_F(RegistryTest, FailedInstallLeavesTheRegistryUnchanged) {
+  IndexRegistry registry(store_);
+  const auto store_files = [this] {
+    std::vector<std::string> names;
+    for (const auto& file : std::filesystem::directory_iterator(store_)) {
+      names.push_back(file.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  // A directory where an install's archive must go fails its rename.
+  const auto block = [this](const std::string& file) {
+    std::filesystem::create_directories(std::filesystem::path(store_) / file);
+  };
+
+  // A new name: no entry appears.
+  block("gamma.bwva");
+  EXPECT_THROW(registry.add("gamma", build_stored("gamma", genome_c_)), IoError);
+  EXPECT_FALSE(registry.contains("gamma"));
+  EXPECT_EQ(store_files(), (std::vector<std::string>{"gamma.bwva"}));
+
+  // Replacing an entry, by add() and by rollover(): nothing about it moves.
+  const IndexRegistry::Handle served = registry.add("alpha", build_stored("alpha", genome_a_));
+  const std::string archive = registry.archive_path("alpha");
+  const std::vector<std::uint8_t> manifest =
+      read_file((std::filesystem::path(store_) / "manifest.tsv").string());
+  block("alpha.g2.bwva");
+  const auto files = store_files();
+  EXPECT_THROW(registry.add("alpha", build_stored("alpha", genome_b_)), IoError);
+  EXPECT_THROW(registry.rollover("alpha", build_stored("alpha", genome_b_)), IoError);
+  EXPECT_EQ(registry.generation("alpha"), 1u);
+  EXPECT_EQ(registry.archive_path("alpha"), archive);
+  EXPECT_EQ(read_file((std::filesystem::path(store_) / "manifest.tsv").string()), manifest);
+  EXPECT_EQ(registry.acquire("alpha"), served);
+  EXPECT_EQ(store_files(), files) << "no stray file";
+
+  // Once the way is clear the same rollover lands as generation 2.
+  std::filesystem::remove(std::filesystem::path(store_) / "alpha.g2.bwva");
+  registry.rollover("alpha", build_stored("alpha", genome_b_));
+  EXPECT_EQ(registry.generation("alpha"), 2u);
+  EXPECT_FALSE(std::filesystem::exists(archive)) << "the replaced archive is removed";
+  EXPECT_EQ(registry.acquire("alpha")->reference.concatenated(), genome_b_);
 }
 
 TEST_F(RegistryTest, LruEvictionRespectsBudgetAndRecency) {
