@@ -45,14 +45,14 @@ int main(int argc, char** argv) {
     std::uint64_t located = 0;
     for (const SaInterval& iv : intervals) {
       for (std::uint32_t row = iv.lo; row < iv.hi; ++row) {
-        volatile std::uint32_t sink = index.suffix_array()[row];
+        volatile std::uint32_t sink = index.sa(row);
         (void)sink;
         ++located;
       }
     }
     const double ms = timer.milliseconds();
     std::printf("%8s %14.2f %16.3f %16.0f   <- paper: full SA on host\n", "full",
-                index.suffix_array().size() * 4.0 / 1e6, ms, located / ms * 1e3);
+                index.suffix_array().size_in_bytes() / 1e6, ms, located / ms * 1e3);
   }
   for (unsigned rate : {4u, 8u, 16u, 32u, 64u}) {
     const SampledSuffixArray sampled(index.suffix_array(), rate);

@@ -217,10 +217,10 @@ int main(int argc, char** argv) {
                base.bwt().primary, base.bwt().text_length};
   };
   const FmIndex<SampledOcc> sampled_index(
-      borrow_bwt(), FlatArray<std::uint32_t>::view_of(base.suffix_array()),
+      borrow_bwt(), base.suffix_array().unpack_u32(),
       [](std::span<const std::uint8_t> b) { return SampledOcc(b); });
   const FmIndex<EprOcc> epr_index(
-      borrow_bwt(), FlatArray<std::uint32_t>::view_of(base.suffix_array()),
+      borrow_bwt(), base.suffix_array().unpack_u32(),
       [](std::span<const std::uint8_t> b) { return EprOcc(b); });
 
   std::uint64_t mapped_sampled = 0, mapped_rrr = 0, mapped_epr = 0;

@@ -47,15 +47,15 @@ constexpr int kRepetitions = 3;
 /// Order-sensitive checksum of every read's resolved hits: per strand, the
 /// hit count and each position SA[row] - verified in row order — what the
 /// SAM depends on (raw intervals differ between the orders by design).
-std::uint64_t hit_checksum(const std::vector<QueryResult>& results,
-                           std::span<const std::uint32_t> sa) {
+std::uint64_t hit_checksum(const std::vector<QueryResult>& results, const IntVector& sa) {
   std::uint64_t sum = 0;
   const auto mix = [&sum](std::uint64_t value) { sum = sum * 1000003 + value; };
+  const auto entry = [&sa](std::uint32_t row) { return static_cast<std::uint32_t>(sa.get(row)); };
   for (const QueryResult& r : results) {
     mix(r.fwd_hi > r.fwd_lo ? r.fwd_hi - r.fwd_lo : 0);
-    for (std::uint32_t row = r.fwd_lo; row < r.fwd_hi; ++row) mix(sa[row] - r.fwd_verified);
+    for (std::uint32_t row = r.fwd_lo; row < r.fwd_hi; ++row) mix(entry(row) - r.fwd_verified);
     mix(r.rev_hi > r.rev_lo ? r.rev_hi - r.rev_lo : 0);
-    for (std::uint32_t row = r.rev_lo; row < r.rev_hi; ++row) mix(sa[row] - r.rev_verified);
+    for (std::uint32_t row = r.rev_lo; row < r.rev_hi; ++row) mix(entry(row) - r.rev_verified);
   }
   return sum;
 }
@@ -64,7 +64,7 @@ std::uint64_t hit_checksum(const std::vector<QueryResult>& results,
 /// thread: the per-core effect is what the scheduler changes; sharding
 /// multiplies both orders equally). Returns ms, fills checksum + stats.
 template <typename Occ>
-double best_of(const FmIndex<Occ>& index, std::span<const std::uint8_t> text,
+double best_of(const FmIndex<Occ>& index, const PackedText& text,
                const ReadBatch& batch, bool sweep, std::uint64_t& checksum,
                SweepStats& stats) {
   double best = 0.0;
@@ -92,7 +92,7 @@ struct ModeRow {
 
 template <typename Occ>
 ModeRow run_engine(const char* name, const FmIndex<Occ>& index,
-                   std::span<const std::uint8_t> text, const ReadBatch& batch) {
+                   const PackedText& text, const ReadBatch& batch) {
   ModeRow row;
   std::uint64_t per_read_sum = 0;
   SweepStats ignored;
@@ -155,13 +155,16 @@ int main(int argc, char** argv) {
 
   std::printf("%-8s %12s %12s %9s %12s\n", "engine", "per-read[ms]", "sweep[ms]",
               "speedup", "reads/s");
-  const ModeRow rrr = run_engine("rrr", index, genome, batch);
-  const ModeRow sampled = run_engine("sampled", sampled_mapper.index(), genome, batch);
-  const ModeRow epr = run_engine("epr", epr_mapper.index(), genome, batch);
+  const PackedText text(genome);
+  const ModeRow rrr = run_engine("rrr", index, text, batch);
+  const ModeRow sampled = run_engine("sampled", sampled_mapper.index(), text, batch);
+  const ModeRow epr = run_engine("epr", epr_mapper.index(), text, batch);
+  std::printf("\nepr hit checksum %llu (the served SAM's positions, per read and strand)\n",
+              static_cast<unsigned long long>(epr.checksum));
 
   std::uint64_t unseeded_sum = 0;
   SweepStats unseeded_stats;
-  const double unseeded_ms = best_of(unseeded_epr_mapper.index(), genome, batch,
+  const double unseeded_ms = best_of(unseeded_epr_mapper.index(), text, batch,
                                      /*sweep=*/true, unseeded_sum, unseeded_stats);
   const double seed_speedup = unseeded_ms / (epr.sweep_ms > 0.0 ? epr.sweep_ms : 1.0);
   if (unseeded_sum != epr.checksum) {

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   ReferenceSet reference;
   reference.add("chr_demo", genome);
   const FmIndex<RrrWaveletOcc> index(
-      reference.concatenated(), [](std::span<const std::uint8_t> bwt) {
+      genome, [](std::span<const std::uint8_t> bwt) {
         return RrrWaveletOcc(bwt, RrrParams{15, 50});
       });
   std::printf("reference: %zu bp (30%% repeats); %zu pairs, %u bp mates, "

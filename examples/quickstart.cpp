@@ -42,7 +42,7 @@ int main() {
   FpgaMapReport report;
   const auto results = fpga.map(reads, &report);
 
-  const auto& sa = cpu.index().suffix_array();
+  const auto& index = cpu.index();
   for (const auto& result : results) {
     std::printf("read %u: ", result.id);
     if (!result.mapped()) {
@@ -50,10 +50,10 @@ int main() {
       continue;
     }
     for (std::uint32_t row = result.fwd_lo; row < result.fwd_hi; ++row) {
-      std::printf("+%u ", sa[row]);
+      std::printf("+%u ", index.sa(row));
     }
     for (std::uint32_t row = result.rev_lo; row < result.rev_hi; ++row) {
-      std::printf("-%u ", sa[row]);
+      std::printf("-%u ", index.sa(row));
     }
     std::printf("\n");
   }

@@ -249,6 +249,16 @@ std::string seed_table_summary(const ArchiveInfo& info) {
   return "seed table: none";
 }
 
+/// "text packing: 2 bits/base; suffix array: 23 bits/entry" — the widths
+/// the archive stores (v1/v2 keep no text: it is recovered from the BWT).
+std::string layout_summary(const ArchiveInfo& info) {
+  const std::string text = info.text_bits == 0
+                               ? std::string("none (recovered from the BWT)")
+                               : std::to_string(info.text_bits) + " bits/base";
+  return "text packing: " + text + "; suffix array: " + std::to_string(info.sa_width) +
+         " bits/entry";
+}
+
 int cmd_index_info(const ArgParser& args) {
   const std::string archive = args.get("archive");
   const std::string store_dir = args.get("store-dir");
@@ -265,6 +275,7 @@ int cmd_index_info(const ArgParser& args) {
     }
     std::printf("text: %u bp, %zu sequence(s)\n", info.text_length,
                 info.sequences.size());
+    std::printf("%s\n", layout_summary(info).c_str());
     std::printf("%s\n", seed_table_summary(info).c_str());
     for (const auto& seq : info.sequences) {
       std::printf("  %s: offset %u, %u bp\n", seq.name.c_str(), seq.offset, seq.length);
@@ -429,7 +440,7 @@ int cmd_map_approx(const ArgParser& args) {
   if (approx_mode == ApproxMode::kScheme) {
     const RrrParams params = config.rrr;
     bidir = std::make_unique<BidirFmIndex<RrrWaveletOcc>>(
-        pipeline.index(), pipeline.reference().concatenated(),
+        pipeline.index(), pipeline.reference().concatenated().unpack(),
         [params](std::span<const std::uint8_t> symbols) {
           return RrrWaveletOcc(symbols, params);
         });

@@ -102,6 +102,10 @@ void ArchiveStreamWriter::append_raw_u32(std::span<const std::uint32_t> data) {
   append({reinterpret_cast<const std::uint8_t*>(data.data()), data.size_bytes()});
 }
 
+void ArchiveStreamWriter::append_raw_u64(std::span<const std::uint64_t> data) {
+  append({reinterpret_cast<const std::uint8_t*>(data.data()), data.size_bytes()});
+}
+
 void ArchiveStreamWriter::pad_section_to(std::size_t alignment) {
   if (!in_section_ || alignment == 0) return;
   const std::uint64_t section_bytes = bytes_written() - section_start_;

@@ -46,6 +46,7 @@ class ArchiveStreamWriter {
   void append_u64(std::uint64_t v);
   /// Raw little-endian element words, as ByteWriter::raw_u32 writes them.
   void append_raw_u32(std::span<const std::uint32_t> data);
+  void append_raw_u64(std::span<const std::uint64_t> data);
   /// Zero padding to `alignment` relative to the current section's start
   /// (ByteWriter::pad_to within a per-section buffer).
   void pad_section_to(std::size_t alignment);

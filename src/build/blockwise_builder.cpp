@@ -151,7 +151,10 @@ void BlockwiseBuilder::report(const std::string& line) const {
 }
 
 Bwt BlockwiseBuilder::build_merged_bwt() {
-  const std::span<const std::uint8_t> text = reference_.concatenated();
+  return build_merged_bwt(reference_.concatenated().unpack());
+}
+
+Bwt BlockwiseBuilder::build_merged_bwt(std::span<const std::uint8_t> text) {
   const std::size_t n = text.size();
   const std::size_t block = std::min(block_bases_, std::max<std::size_t>(1, n));
   const std::size_t num_blocks = n == 0 ? 1 : (n + block - 1) / block;
@@ -255,15 +258,20 @@ void BlockwiseBuilder::merge_block(std::span<const std::uint8_t> text, std::size
 
 BlockwiseStats BlockwiseBuilder::build_archive(const std::string& path) {
   obs::TraceSpan span("build:blockwise");
-  const std::span<const std::uint8_t> text = reference_.concatenated();
+  // The merge and the suffix-array walk read the text a code at a time, so
+  // it is unpacked once (1 B/base) for the build.
+  const std::vector<std::uint8_t> text = reference_.concatenated().unpack();
   const std::size_t n = text.size();
+  const bool packed = config_.format_version >= 6;
 
-  const Bwt bwt = build_merged_bwt();
+  const Bwt bwt = build_merged_bwt(text);
 
   KmerTableBuilder kmer(text, config_.seed_k);
 
-  std::vector<std::string> names{kSectionMeta, kSectionText, kSectionBwt, kSectionOcc,
-                                 kSectionSa};
+  std::vector<std::string> names{kSectionMeta, kSectionText};
+  if (!packed) names.emplace_back(kSectionBwt);
+  names.emplace_back(kSectionOcc);
+  names.emplace_back(kSectionSa);
   if (kmer.enabled()) names.emplace_back(kSectionKmer);
   if (config_.format_version >= 4) names.emplace_back(kSectionEpr);
   if (config_.write_provenance) names.emplace_back(kSectionBuild);
@@ -274,24 +282,33 @@ BlockwiseStats BlockwiseBuilder::build_archive(const std::string& path) {
     reference_.save_table(meta);
     meta.u32(bwt.text_length);
     for (const std::uint32_t c : c_table_of(bwt)) meta.u32(c);
+    if (packed) meta.u32(bwt.primary);
     writer.begin_section(kSectionMeta);
     writer.append(meta.data());
     writer.end_section();
   }
 
   writer.begin_section(kSectionText);
-  writer.append_u64(n);
-  writer.pad_section_to(kSectionAlign);
-  writer.append(text);
+  if (packed) {
+    ByteWriter text_section;
+    reference_.concatenated().save_flat(text_section);
+    writer.append(text_section.data());
+  } else {
+    writer.append_u64(n);
+    writer.pad_section_to(kSectionAlign);
+    writer.append(text);
+  }
   writer.end_section();
 
-  writer.begin_section(kSectionBwt);
-  writer.append_u32(bwt.text_length);
-  writer.append_u32(bwt.primary);
-  writer.append_u64(bwt.symbols.size());
-  writer.pad_section_to(kSectionAlign);
-  writer.append(bwt.symbols);
-  writer.end_section();
+  if (!packed) {
+    writer.begin_section(kSectionBwt);
+    writer.append_u32(bwt.text_length);
+    writer.append_u32(bwt.primary);
+    writer.append_u64(bwt.symbols.size());
+    writer.pad_section_to(kSectionAlign);
+    writer.append(bwt.symbols);
+    writer.end_section();
+  }
 
   {
     obs::TraceSpan occ_span("build:occ");
@@ -380,9 +397,33 @@ void BlockwiseBuilder::stream_suffix_array(ArchiveStreamWriter& writer,
     num_buckets = (rows_total + chunk_rows - 1) / chunk_rows;
   }
 
+  // v6 packs the rows at suffix_array_width(n) bits in IntVector's flat
+  // layout (what IntVector::save_flat writes), streamed a word at a time;
+  // older formats write raw 4-byte entries.
+  const bool packed = config_.format_version >= 6;
+  const unsigned width = suffix_array_width(n);
   writer.begin_section(kSectionSa);
   writer.append_u64(rows_total);
+  if (packed) writer.append_u32(width);
   writer.pad_section_to(kSectionAlign);
+  BitPacker packer(width);
+  std::vector<std::uint64_t> words;
+  const auto emit = [&words](std::uint64_t word) { words.push_back(word); };
+  const auto append_rows = [&](std::span<const std::uint32_t> rows) {
+    if (!packed) {
+      writer.append_raw_u32(rows);
+      return;
+    }
+    words.clear();
+    for (const std::uint32_t row_pos : rows) packer.put(row_pos, emit);
+    writer.append_raw_u64(words);
+  };
+  const auto finish_rows = [&] {
+    words.clear();
+    packer.finish(emit);
+    writer.append_raw_u64(words);
+    writer.end_section();
+  };
 
   const VectorOcc occ(bwt.symbols);
   const std::array<std::uint32_t, 4> c_full = c_table_of(bwt);
@@ -400,8 +441,8 @@ void BlockwiseBuilder::stream_suffix_array(ArchiveStreamWriter& writer,
     for (std::size_t r = 0; r < rows_total; ++r) {
       kmer.feed(static_cast<std::uint32_t>(r), sa[r]);
     }
-    writer.append_raw_u32(sa);
-    writer.end_section();
+    append_rows(sa);
+    finish_rows();
     return;
   }
 
@@ -425,9 +466,9 @@ void BlockwiseBuilder::stream_suffix_array(ArchiveStreamWriter& writer,
     for (std::size_t r = 0; r < count; ++r) {
       kmer.feed(static_cast<std::uint32_t>(base + r), chunk[r]);
     }
-    writer.append_raw_u32(chunk);
+    append_rows(chunk);
   }
-  writer.end_section();
+  finish_rows();
 }
 
 }  // namespace bwaver::build

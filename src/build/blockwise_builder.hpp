@@ -21,11 +21,12 @@
 //      linear scan. Only the text, the old and merged BWT columns, and the
 //      O(block) merge state are ever resident.
 //   3. Stream the archive sections through ArchiveStreamWriter in the flat
-//      v3/v4 layout. The suffix array is never materialized: an LF-walk
+//      layout (v6 by default: 2-bit text, bit-packed suffix array, no raw
+//      BWT section). The suffix array is never materialized: an LF-walk
 //      over the final BWT emits (row, position) pairs into row-range
 //      buckets on disk, and each bucket is scattered into a bounded chunk,
 //      fed to the incremental KmerTableBuilder, and streamed out in row
-//      order.
+//      order, packed a word at a time.
 //
 // The resulting archive is byte-identical to write_index_archive over the
 // directly built index (same sections, same layout, same header), which is
@@ -97,6 +98,7 @@ class BlockwiseBuilder {
   BlockwiseStats build_archive(const std::string& path);
 
  private:
+  Bwt build_merged_bwt(std::span<const std::uint8_t> text);
   void merge_block(std::span<const std::uint8_t> text, std::size_t lo, std::size_t hi,
                    Bwt& bwt);
   void stream_suffix_array(ArchiveStreamWriter& writer, KmerTableBuilder& kmer,

@@ -119,7 +119,7 @@ std::vector<std::pair<std::uint32_t, std::uint8_t>> approx_locate(
   std::vector<std::pair<std::uint32_t, std::uint8_t>> positions;
   for (const ApproxHit& hit : approx_count(index, pattern, max_mismatches)) {
     for (std::uint32_t row = hit.interval.lo; row < hit.interval.hi; ++row) {
-      positions.emplace_back(index.suffix_array()[row], hit.mismatches);
+      positions.emplace_back(index.sa(row), hit.mismatches);
     }
   }
   return positions;

@@ -74,6 +74,19 @@ EprOcc EprOcc::load_flat(ByteReader& reader, bool adopt) {
   return occ;
 }
 
+std::vector<std::uint8_t> EprOcc::symbols() const {
+  std::vector<std::uint8_t> bwt(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    const Block& block = blocks_[i / kBasesPerBlock];
+    const unsigned off = static_cast<unsigned>(i % kBasesPerBlock);
+    const unsigned w = off >> 6;
+    const unsigned b = off & 63;
+    bwt[i] = static_cast<std::uint8_t>(((block.planes[w] >> b) & 1) |
+                                       (((block.planes[2 + w] >> b) & 1) << 1));
+  }
+  return bwt;
+}
+
 EprOcc EprOcc::view_of(const EprOcc& other) {
   EprOcc occ;
   occ.n_ = other.n_;

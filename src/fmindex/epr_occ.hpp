@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "io/byte_io.hpp"
 #include "kernels/rank_kernel.hpp"
@@ -125,6 +126,10 @@ class EprOcc {
     return static_cast<std::uint8_t>(((block.planes[w] >> b) & 1) |
                                      (((block.planes[2 + w] >> b) & 1) << 1));
   }
+
+  /// Every symbol, one code per byte: the squeezed BWT the dictionary
+  /// transposes (a v6 archive's only copy of it).
+  std::vector<std::uint8_t> symbols() const;
 
   /// Pulls the cache line holding offset `i`'s block toward L1 ahead of a
   /// rank/rank2 at that offset (the sweep scheduler's lookahead hook).

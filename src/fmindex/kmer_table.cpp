@@ -22,11 +22,18 @@ unsigned largest_k(unsigned limit, std::size_t max_entries) {
 /// The seed length a stored table declares, refused when no table built
 /// over `text` could have it (it must also fit the text for the short-
 /// suffix codes to exist).
-unsigned checked_k(std::uint32_t k, std::span<const std::uint8_t> text) {
+unsigned checked_k(std::uint32_t k, const PackedText& text) {
   if (k > KmerSeedTable::kMaxK || k > text.size()) {
     throw IoError("seed table (kmer section): corrupt k " + std::to_string(k));
   }
   return k;
+}
+
+/// The text's last codes, one per byte: every short suffix a table of any
+/// k <= kMaxK needs.
+std::vector<std::uint8_t> text_tail(const PackedText& text) {
+  const std::size_t count = std::min<std::size_t>(text.size(), KmerSeedTable::kMaxK);
+  return text.unpack(text.size() - count, count);
 }
 
 std::vector<std::uint32_t> read_flat_u32(ByteReader& reader) {
@@ -56,7 +63,8 @@ unsigned KmerSeedTable::resolve_k(std::optional<unsigned> requested_k,
 KmerSeedTable::KmerSeedTable(unsigned k, std::span<const std::uint8_t> text) : k_(k) {
   short_codes_.fill(kNoCode);
   // The suffix of length j < k sorts just before the run of its code
-  // padded with A (code 0) to k bases.
+  // padded with A (code 0) to k bases. Only the text's last k - 1 codes
+  // are read, so `text` may be just its tail.
   const std::size_t n = text.size();
   for (unsigned j = 1; j < k; ++j) {
     std::uint32_t code = 0;
@@ -144,8 +152,8 @@ void KmerSeedTable::save_flat(ByteWriter& writer) const {
 }
 
 KmerSeedTable KmerSeedTable::load_flat(ByteReader& reader, bool adopt,
-                                       std::span<const std::uint8_t> text) {
-  KmerSeedTable table(checked_k(reader.u32(), text), text);
+                                       const PackedText& text) {
+  KmerSeedTable table(checked_k(reader.u32(), text), text_tail(text));
   const std::uint64_t count = reader.u64();
   reader.align_to(64);
   const auto values = reader.span_u32(count);
@@ -181,8 +189,8 @@ void KmerSeedTable::save_intervals(ByteWriter& writer, bool flat) const {
 }
 
 KmerSeedTable KmerSeedTable::load_intervals(ByteReader& reader, bool flat,
-                                            std::span<const std::uint8_t> text) {
-  KmerSeedTable table(checked_k(reader.u32(), text), text);
+                                            const PackedText& text) {
+  KmerSeedTable table(checked_k(reader.u32(), text), text_tail(text));
   const std::vector<std::uint32_t> lo = flat ? read_flat_u32(reader) : reader.vec_u32();
   const std::vector<std::uint32_t> hi = flat ? read_flat_u32(reader) : reader.vec_u32();
   const std::size_t entries = table.k_ == 0 ? 0 : std::size_t{1} << (2 * table.k_);

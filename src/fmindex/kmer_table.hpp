@@ -34,6 +34,7 @@
 #include <span>
 #include <vector>
 
+#include "fmindex/packed_text.hpp"
 #include "fmindex/sa_interval.hpp"
 #include "io/byte_io.hpp"
 #include "util/flat_array.hpp"
@@ -136,8 +137,7 @@ class KmerSeedTable {
   /// text: the short-suffix codes come from its tail, and the boundaries
   /// are checked against its row count.
   void save_flat(ByteWriter& writer) const;
-  static KmerSeedTable load_flat(ByteReader& reader, bool adopt,
-                                 std::span<const std::uint8_t> text);
+  static KmerSeedTable load_flat(ByteReader& reader, bool adopt, const PackedText& text);
 
   /// The two-array layout of archive formats v2..v4: u32 k, then the 4^k
   /// interval starts and the 4^k interval ends (absent k-mers as [0, 0)),
@@ -145,8 +145,7 @@ class KmerSeedTable {
   /// 64-byte-aligned flat arrays (flat=true, v3/v4). Loading converts to
   /// boundaries, so the ends must agree with them.
   void save_intervals(ByteWriter& writer, bool flat) const;
-  static KmerSeedTable load_intervals(ByteReader& reader, bool flat,
-                                      std::span<const std::uint8_t> text);
+  static KmerSeedTable load_intervals(ByteReader& reader, bool flat, const PackedText& text);
 
  private:
   friend class KmerTableBuilder;
@@ -162,7 +161,8 @@ class KmerSeedTable {
     return rows;
   }
 
-  /// k_ and short_codes_ for `text`; bounds_ stays empty.
+  /// k_ and short_codes_ for `text` (or just its last k - 1 codes);
+  /// bounds_ stays empty.
   KmerSeedTable(unsigned k, std::span<const std::uint8_t> text);
 
   /// Fills every boundary still 0 (codes with no run) from its successor,

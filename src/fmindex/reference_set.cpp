@@ -21,8 +21,7 @@ void ReferenceSet::add(const std::string& name, std::span<const std::uint8_t> co
   text_.append(codes);
 }
 
-ReferenceSet ReferenceSet::from_parts(std::vector<Sequence> sequences,
-                                      FlatArray<std::uint8_t> text) {
+ReferenceSet ReferenceSet::from_parts(std::vector<Sequence> sequences, PackedText text) {
   validate_table(sequences, text.size());
   ReferenceSet set;
   set.sequences_ = std::move(sequences);
@@ -71,13 +70,13 @@ std::optional<ReferenceSet::LocalPosition> ReferenceSet::resolve_span(
 
 void ReferenceSet::save(ByteWriter& writer) const {
   save_table(writer);
-  writer.vec_u8(text_);
+  writer.vec_u8(text_.unpack());
 }
 
 ReferenceSet ReferenceSet::load(ByteReader& reader) {
   ReferenceSet set;
   set.sequences_ = load_table(reader);
-  set.text_ = reader.vec_u8();
+  set.text_ = PackedText(reader.vec_u8());
   validate_table(set.sequences_, set.text_.size());
   return set;
 }

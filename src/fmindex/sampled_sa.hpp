@@ -30,6 +30,10 @@ class SampledSuffixArray {
  public:
   SampledSuffixArray() = default;
 
+  /// Samples a packed suffix array (FmIndex::suffix_array()).
+  SampledSuffixArray(const IntVector& sa, unsigned rate)
+      : SampledSuffixArray(sa.unpack_u32(), rate) {}
+
   /// Samples the (n+1)-entry suffix array at `rate` (1 = keep everything).
   SampledSuffixArray(std::span<const std::uint32_t> sa, unsigned rate)
       : rate_(rate), rows_(sa.size()) {
@@ -114,6 +118,10 @@ class SampledSuffixArray {
 class SampledInverseSuffixArray {
  public:
   SampledInverseSuffixArray() = default;
+
+  /// Samples the inverse of a packed suffix array (FmIndex::suffix_array()).
+  SampledInverseSuffixArray(const IntVector& sa, unsigned rate)
+      : SampledInverseSuffixArray(sa.unpack_u32(), rate) {}
 
   SampledInverseSuffixArray(std::span<const std::uint32_t> sa, unsigned rate)
       : rate_(rate), text_length_(sa.size() - 1) {

@@ -25,9 +25,10 @@
 // search (FmIndex::count) never does:
 //   * one row: once the interval holds a single row, the read can only
 //     occur where SA[row] places it, so the search retires and the wave
-//     finishes it with one comparison against the reference text instead
-//     of its remaining rank steps (the rows' SA entries and text lines are
-//     prefetched ahead, like the rank lines);
+//     finishes it with one comparison against the 2-bit reference text, a
+//     word of 32 bases at a time, instead of its remaining rank steps (the
+//     rows' SA entries and text words are prefetched ahead, like the rank
+//     lines);
 //   * absent seed: a read whose final k-mer is absent from the seed table
 //     cannot occur, so it retires before its first step, where count()
 //     restarts from the full interval.
@@ -57,6 +58,7 @@
 #include <vector>
 
 #include "fmindex/fm_index.hpp"
+#include "fmindex/packed_text.hpp"
 #include "fpga/query_packet.hpp"
 #include "mapper/read_batch.hpp"
 
@@ -90,12 +92,12 @@ namespace detail {
 /// Drop-in alternative to map_batch (software_mapper.hpp): forward +
 /// reverse-complement exact search of every read through the sweep
 /// scheduler, chunked across `threads` workers. Returns the identical hits
-/// (see above). `text` is the 2-bit text `index` was built over; throws
+/// (see above). `text` is the packed text `index` was built over; throws
 /// std::invalid_argument unless its size equals index.size().
 template <typename Occ>
-std::vector<QueryResult> sweep_map_batch(const FmIndex<Occ>& index,
-                                         std::span<const std::uint8_t> text, ReadSpan batch,
-                                         unsigned threads, SoftwareMapReport* report);
+std::vector<QueryResult> sweep_map_batch(const FmIndex<Occ>& index, const PackedText& text,
+                                         ReadSpan batch, unsigned threads,
+                                         SoftwareMapReport* report);
 
 }  // namespace detail
 }  // namespace bwaver

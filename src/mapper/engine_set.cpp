@@ -19,15 +19,13 @@ constexpr unsigned kSampledCheckpointWords = 4;
 /// An FM-index searched by the sweep. `derived` owns the index for engines
 /// whose Occ structure is derived from the loaded BWT; `rrr` leaves it null
 /// and searches the loaded index in place. `text` is the loaded reference's
-/// concatenated codes, which the sweep finishes its one-row searches
-/// against.
+/// packed text, which the sweep finishes its one-row searches against.
 template <typename Occ>
 class OccEngine final : public HostEngine {
  public:
-  OccEngine(const FmIndex<Occ>& index, std::span<const std::uint8_t> text)
-      : index_(index), text_(text) {}
+  OccEngine(const FmIndex<Occ>& index, const PackedText& text) : index_(index), text_(text) {}
 
-  OccEngine(const FmIndex<RrrWaveletOcc>& base, Occ occ, std::span<const std::uint8_t> text)
+  OccEngine(const FmIndex<RrrWaveletOcc>& base, Occ occ, const PackedText& text)
       : derived_(std::make_unique<const DerivedOccMapper<Occ>>(base, std::move(occ))),
         index_(derived_->index()),
         text_(text) {}
@@ -50,26 +48,42 @@ class OccEngine final : public HostEngine {
  private:
   std::unique_ptr<const DerivedOccMapper<Occ>> derived_;
   const FmIndex<Occ>& index_;
-  std::span<const std::uint8_t> text_;
+  const PackedText& text_;
 };
+
+/// The squeezed BWT an engine derives its Occ from: the loaded symbols, or
+/// — for a v6 archive, which stores none — the ones the "epr" section
+/// transposes, decoded once per engine build and dropped after it.
+std::span<const std::uint8_t> engine_bwt(const StoredIndex& stored,
+                                         std::vector<std::uint8_t>& decoded) {
+  const Bwt& bwt = stored.index.bwt();
+  if (bwt.symbols.size() == bwt.text_length) return bwt.symbols;
+  if (stored.epr == nullptr) {
+    throw std::logic_error("index has neither BWT symbols nor an EPR dictionary");
+  }
+  decoded = stored.epr->symbols();
+  return decoded;
+}
 
 std::unique_ptr<const HostEngine> build_engine(MappingEngine engine,
                                                const StoredIndex& stored) {
   const FmIndex<RrrWaveletOcc>& base = stored.index;
-  const std::span<const std::uint8_t> bwt = base.bwt().symbols;
-  const std::span<const std::uint8_t> text = stored.reference.concatenated();
+  const PackedText& text = stored.reference.concatenated();
+  std::vector<std::uint8_t> decoded;
   switch (engine) {
     case MappingEngine::kCpu:
       return std::make_unique<OccEngine<RrrWaveletOcc>>(base, text);
     case MappingEngine::kBowtie2Like:
       return std::make_unique<OccEngine<SampledOcc>>(
-          base, SampledOcc(bwt, kSampledCheckpointWords), text);
+          base, SampledOcc(engine_bwt(stored, decoded), kSampledCheckpointWords), text);
     case MappingEngine::kEpr: {
       // The archive's dictionary is aliased when it indexes this BWT;
       // otherwise (v1..v3 archives, in-memory builds) the BWT is transposed.
-      const bool adopt = stored.epr != nullptr && stored.epr->size() == bwt.size();
-      return std::make_unique<OccEngine<EprOcc>>(
-          base, adopt ? EprOcc::view_of(*stored.epr) : EprOcc(bwt), text);
+      if (stored.epr != nullptr && stored.epr->size() == base.size()) {
+        return std::make_unique<OccEngine<EprOcc>>(base, EprOcc::view_of(*stored.epr), text);
+      }
+      return std::make_unique<OccEngine<EprOcc>>(base, EprOcc(engine_bwt(stored, decoded)),
+                                                 text);
     }
     case MappingEngine::kFpga:
       break;

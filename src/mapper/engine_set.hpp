@@ -5,11 +5,13 @@
 // loaded index (StoredIndex): each engine is built at most once, on first
 // use, and then shared by every mapping call and thread that holds the
 // index. `rrr` searches the loaded RRR index itself; `sampled` and `epr`
-// derive their Occ structure from the loaded BWT and borrow its suffix
+// derive their Occ structure from the BWT and borrow the loaded suffix
 // array, C array and seed table (DerivedOccMapper); `epr` adopts the
-// archive's v4 "epr" section when one was loaded, so it builds nothing.
-// Every engine searches by the sweep (detail::sweep_map_batch), which also
-// reads the loaded reference text to finish one-row searches.
+// archive's "epr" section when one was loaded (always, from v6 on), so it
+// builds nothing, and `sampled` decodes a v6 archive's BWT from that
+// section, which is its only copy. Every engine searches by the sweep
+// (detail::sweep_map_batch), which also reads the loaded 2-bit reference
+// text to finish one-row searches.
 //
 // The modeled FPGA is not in the table: its runtime accumulates device
 // state per batch, so every mapping call programs a fresh one.

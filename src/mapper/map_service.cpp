@@ -100,15 +100,15 @@ std::string sam_header(const ReferenceSet& reference) {
   return format_sam_header(sequences);
 }
 
-void locate_hits(const ReferenceSet& reference, std::span<const std::uint32_t> suffix_array,
+void locate_hits(const ReferenceSet& reference, const IntVector& suffix_array,
                  const ReadBatch& batch, std::size_t first, std::span<const QueryResult> results,
                  std::size_t max_hits_per_read, MappingOutcome& outcome, std::vector<SamHit>& hits,
                  const CancelToken* cancel) {
   // Most reads hit one row, so the SA load of each result is a cache miss
   // of its own; issuing it a few results early overlaps them.
   const auto prefetch = [&](const QueryResult& result) {
-    if (result.fwd_lo < result.fwd_hi) __builtin_prefetch(&suffix_array[result.fwd_lo]);
-    if (result.rev_lo < result.rev_hi) __builtin_prefetch(&suffix_array[result.rev_lo]);
+    if (result.fwd_lo < result.fwd_hi) suffix_array.prefetch(result.fwd_lo);
+    if (result.rev_lo < result.rev_hi) suffix_array.prefetch(result.rev_lo);
   };
   for (std::size_t i = 0; i < std::min(kLocatePrefetch, results.size()); ++i) {
     prefetch(results[i]);
@@ -136,7 +136,10 @@ void locate_hits(const ReferenceSet& reference, std::span<const std::uint32_t> s
       const std::uint32_t hi = reverse ? result.rev_hi : result.fwd_hi;
       const std::uint32_t verified = reverse ? result.rev_verified : result.fwd_verified;
       for (std::uint32_t row = lo; row < hi; ++row) {
-        const auto local = reference.resolve_span(suffix_array[row] - verified, read_length);
+        // resolve_span bounds the position: an entry past the text, or one
+        // below `verified`, wraps to no sequence.
+        const auto position = static_cast<std::uint32_t>(suffix_array.get(row)) - verified;
+        const auto local = reference.resolve_span(position, read_length);
         if (!local) continue;  // straddles a sequence boundary
         ++survivors;
         if (emitted < max_hits_per_read) {

@@ -52,7 +52,7 @@ struct SamHit {
 /// sequence boundary are dropped, at most `max_hits_per_read` are kept per
 /// read, and a read with none — or flagged ambiguous() — gets one unmapped
 /// line. A non-null `cancel` is polled every few thousand rows.
-void locate_hits(const ReferenceSet& reference, std::span<const std::uint32_t> suffix_array,
+void locate_hits(const ReferenceSet& reference, const IntVector& suffix_array,
                  const ReadBatch& batch, std::size_t first, std::span<const QueryResult> results,
                  std::size_t max_hits_per_read, MappingOutcome& outcome, std::vector<SamHit>& hits,
                  const CancelToken* cancel = nullptr);

@@ -24,14 +24,13 @@ std::vector<Candidate> collect_candidates(const FmIndex<RrrWaveletOcc>& index,
                                           const QueryResult& result,
                                           std::uint32_t read_length, std::size_t cap) {
   std::vector<Candidate> candidates;
-  const auto& sa = index.suffix_array();
   for (int strand = 0; strand < 2; ++strand) {
     const bool forward = strand == 0;
     const std::uint32_t lo = forward ? result.fwd_lo : result.rev_lo;
     const std::uint32_t hi = forward ? result.fwd_hi : result.rev_hi;
     const std::uint32_t verified = forward ? result.fwd_verified : result.rev_verified;
     for (std::uint32_t row = lo; row < hi && candidates.size() < cap; ++row) {
-      const std::uint32_t pos = sa[row] - verified;
+      const std::uint32_t pos = index.sa(row) - verified;
       if (reference.span_within_sequence(pos, read_length)) {
         candidates.push_back(Candidate{pos, forward});
       }

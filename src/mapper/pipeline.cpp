@@ -129,7 +129,8 @@ FmIndex<RrrWaveletOcc> build_fm_index(std::span<const std::uint8_t> text,
 
 StoredIndex build_stored_index(ReferenceSet reference, const PipelineConfig& config,
                                PipelineTimings* timings) {
-  FmIndex<RrrWaveletOcc> index = build_fm_index(reference.concatenated(), config, timings);
+  FmIndex<RrrWaveletOcc> index =
+      build_fm_index(reference.concatenated().unpack(), config, timings);
   return StoredIndex{std::move(reference), std::move(index), nullptr, nullptr,
                      LoadMode::kCopy};
 }
@@ -152,8 +153,8 @@ void Pipeline::encode(const std::string& index_path) {
   std::vector<std::uint32_t> sa;
   load_index_file(index_path, reference, bwt, sa);
   WallTimer timer;
-  FmIndex<RrrWaveletOcc> index =
-      build_fm_index(reference.concatenated(), std::move(sa), std::move(bwt), config_);
+  FmIndex<RrrWaveletOcc> index = build_fm_index(reference.concatenated().unpack(),
+                                                std::move(sa), std::move(bwt), config_);
   stored_ = std::make_shared<const StoredIndex>(StoredIndex{
       std::move(reference), std::move(index), nullptr, nullptr, LoadMode::kCopy});
   timings_.encode_seconds = timer.seconds();
@@ -251,7 +252,8 @@ BuildArchiveResult Pipeline::build_archive(
   if (progress) {
     progress("direct build: " + std::to_string(reference.total_length()) + " bases");
   }
-  const FmIndex<RrrWaveletOcc> index = build_fm_index(reference.concatenated(), config);
+  const FmIndex<RrrWaveletOcc> index =
+      build_fm_index(reference.concatenated().unpack(), config);
   BuildProvenance provenance;
   provenance.builder = "direct";
   provenance.memory_budget_bytes = config.build_memory_budget_bytes;

@@ -116,6 +116,13 @@ class ReadSpan {
     return {codes_ + offsets_[i], static_cast<std::size_t>(offsets_[i + 1] - offsets_[i])};
   }
 
+  /// The codes of reads [first, first + count), back to back as the batch
+  /// stores them: read first + k starts at read(first + k).data().
+  std::span<const std::uint8_t> codes(std::size_t first, std::size_t count) const noexcept {
+    return {codes_ + offsets_[first],
+            static_cast<std::size_t>(offsets_[first + count] - offsets_[first])};
+  }
+
  private:
   const std::uint8_t* codes_;
   const std::uint64_t* offsets_;  ///< size_ + 1 absolute offsets into codes_

@@ -92,12 +92,12 @@ class Bowtie2LikeMapper {
 template <typename Occ>
 class DerivedOccMapper {
  public:
-  /// Adopts `occ`, an Occ structure over `base`'s BWT (encoded from
-  /// base.bwt().symbols, or a view of the archive's "epr" section).
+  /// Adopts `occ`, an Occ structure over `base`'s BWT (encoded from its
+  /// symbols, or a view of the archive's "epr" section).
   DerivedOccMapper(const FmIndex<RrrWaveletOcc>& base, Occ occ)
       : index_(Bwt{FlatArray<std::uint8_t>::view_of(base.bwt().symbols),
                    base.bwt().primary, base.bwt().text_length},
-               FlatArray<std::uint32_t>::view_of(base.suffix_array()), std::move(occ),
+               IntVector::view_of(base.suffix_array()), std::move(occ),
                {base.c_array(0), base.c_array(1), base.c_array(2), base.c_array(3)}) {
     index_.set_seed_table(base.shared_seed_table());
   }

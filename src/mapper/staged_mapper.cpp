@@ -71,7 +71,7 @@ std::uint64_t search_read_stage(const FmIndex<RrrWaveletOcc>& index,
       for (int strand = 0; strand < 2; ++strand) {
         const SaInterval& hit = strand == 0 ? fwd_iv : rev_iv;
         for (std::uint32_t row = hit.lo; row < hit.hi; ++row) {
-          result.positions.push_back(index.suffix_array()[row]);
+          result.positions.push_back(index.sa(row));
         }
       }
     }
@@ -111,7 +111,7 @@ std::uint64_t search_read_stage(const FmIndex<RrrWaveletOcc>& index,
       for (const auto& hit : hits) {
         if (hit.mismatches != best) continue;
         for (std::uint32_t row = hit.interval.lo; row < hit.interval.hi; ++row) {
-          strand_positions.push_back(index.suffix_array()[row]);
+          strand_positions.push_back(index.sa(row));
         }
       }
       // The two modes enumerate the (identical) interval set in different

@@ -156,23 +156,71 @@ IndexRegistry::Handle IndexRegistry::acquire(const std::string& name) {
     }
   }
 
-  std::unique_lock lock(mutex_);
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    throw std::out_of_range("IndexRegistry: unknown reference '" + name + "'");
+  // Cold: join the entry's load in flight, or start one.
+  std::shared_ptr<PendingLoad> load;
+  std::string path;
+  {
+    std::unique_lock lock(mutex_);
+    const auto it = entries_.find(name);
+    if (it == entries_.end()) {
+      throw std::out_of_range("IndexRegistry: unknown reference '" + name + "'");
+    }
+    Entry& entry = *it->second;
+    entry.last_used.store(now, std::memory_order_relaxed);
+    if (entry.resident) return entry.resident;
+    if (entry.loading) {
+      const std::shared_future<Handle> result = entry.loading->result;
+      lock.unlock();
+      return result.get();  // rethrows the load's error
+    }
+    load = std::make_shared<PendingLoad>();
+    entry.loading = load;
+    path = entry.archive_path;
   }
-  Entry& entry = *it->second;
-  if (!entry.resident) {
-    auto loaded = std::make_shared<const StoredIndex>(
-        read_index_archive(entry.archive_path, load_mode_));
-    auto& counter =
-        loaded->load_mode == LoadMode::kMmap ? loads_mmap_ : loads_copy_;
-    counter.fetch_add(1, std::memory_order_relaxed);
-    set_resident_locked(entry, std::move(loaded));
+
+  // The read and its CRC pass run with no registry lock held.
+  Handle handle;
+  try {
+    handle = std::make_shared<const StoredIndex>(loader_(path, load_mode_));
+  } catch (...) {
+    // A failed load of an entry that an install replaced meanwhile (its
+    // archive may be gone by now) is answered with the replacement.
+    Handle replacement;
+    {
+      std::unique_lock lock(mutex_);
+      const auto it = entries_.find(name);
+      if (it != entries_.end()) {
+        if (it->second->loading == load) {
+          it->second->loading.reset();
+        } else {
+          replacement = it->second->resident;
+        }
+      }
+    }
+    if (replacement) {
+      load->promise.set_value(replacement);
+      return replacement;
+    }
+    load->promise.set_exception(std::current_exception());
+    throw;
   }
-  entry.last_used.store(now, std::memory_order_relaxed);
-  Handle handle = entry.resident;
-  enforce_budget_locked(name);
+  auto& counter = handle->load_mode == LoadMode::kMmap ? loads_mmap_ : loads_copy_;
+  counter.fetch_add(1, std::memory_order_relaxed);
+
+  {
+    std::unique_lock lock(mutex_);
+    const auto it = entries_.find(name);
+    // An add, rollover, adopt or evict since the load began detached it:
+    // the entry is not this archive's any more, so nothing is published
+    // (this acquirer and its waiters still get the index they asked for).
+    if (it != entries_.end() && it->second->loading == load) {
+      Entry& entry = *it->second;
+      entry.loading.reset();
+      set_resident_locked(entry, handle);
+      enforce_budget_locked(name);
+    }
+  }
+  load->promise.set_value(handle);
   return handle;
 }
 
@@ -279,6 +327,7 @@ void IndexRegistry::commit(const std::string& name, Staged staged) {
     if (!slot) slot = std::make_unique<Entry>();
     Entry& entry = *slot;
     replaced = entry.archive_path;
+    entry.loading.reset();  // a cold load of the replaced archive publishes nothing
     entry.generation = staged.generation;
     entry.archive_path = staged.archive_path;
     entry.archive_bytes = staged.archive_bytes;
@@ -314,9 +363,9 @@ std::uint64_t IndexRegistry::generation(const std::string& name) const {
 bool IndexRegistry::evict(const std::string& name) {
   std::unique_lock lock(mutex_);
   const auto it = entries_.find(name);
-  if (it == entries_.end() || !it->second->resident || it->second->archive_path.empty()) {
-    return false;
-  }
+  if (it == entries_.end()) return false;
+  it->second->loading.reset();  // a cold load in flight publishes nothing
+  if (!it->second->resident || it->second->archive_path.empty()) return false;
   drop_resident_locked(*it->second);
   evictions_explicit_.fetch_add(1, std::memory_order_relaxed);
   return true;

@@ -6,8 +6,13 @@
 // loaded lazily on first acquire() and handed out as refcounted
 // shared_ptr<const StoredIndex> read handles: any number of mapping requests
 // can read one index concurrently (all FmIndex/ReferenceSet queries are
-// const), while evict, load and an install's final flip take the write side
-// of a shared_mutex. When resident indexes exceed the memory budget the
+// const), while evict, an install's final flip and a load's publication take
+// the write side of a shared_mutex. A cold load itself (the archive read
+// and its CRC pass) runs with no registry lock held, once per entry:
+// concurrent acquirers of that entry wait for the one load, and acquirers
+// of every other reference are never held up by it. The loaded index is
+// published only if no add, rollover, adopt or evict touched the entry
+// while it loaded. When resident indexes exceed the memory budget the
 // least-recently-used ones are evicted — eviction only drops the registry's
 // reference, so in-flight readers holding a handle finish undisturbed and
 // the memory is reclaimed when the last handle dies.
@@ -30,6 +35,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -76,9 +83,17 @@ class IndexRegistry {
                          LoadMode load_mode = default_load_mode());
 
   /// Returns a read handle for `name`, loading the archive if the index is
-  /// not resident. Throws std::out_of_range for unknown names and IoError
-  /// for unreadable/corrupt archives.
+  /// not resident (with no registry lock held; concurrent acquirers of the
+  /// same entry share one load). Throws std::out_of_range for unknown names
+  /// and IoError for unreadable/corrupt archives.
   Handle acquire(const std::string& name);
+
+  /// How acquire() reads an archive: read_index_archive unless replaced.
+  using Loader = std::function<StoredIndex(const std::string& path, LoadMode mode)>;
+
+  /// Replaces the loader — the seam through which a test holds a cold load
+  /// open. Call before the registry is shared between threads.
+  void set_loader(Loader loader) { loader_ = std::move(loader); }
 
   /// Registers a freshly built index under `name`, replacing any previous
   /// entry, through the same staged install as rollover(): with a store
@@ -158,6 +173,13 @@ class IndexRegistry {
   std::string archive_path(const std::string& name) const;
 
  private:
+  /// One cold load of an entry, shared by every acquirer that finds it in
+  /// flight.
+  struct PendingLoad {
+    std::promise<Handle> promise;
+    std::shared_future<Handle> result = promise.get_future().share();
+  };
+
   struct Entry {
     std::string archive_path;
     std::uint64_t archive_bytes = 0;
@@ -169,6 +191,9 @@ class IndexRegistry {
     std::uint64_t num_sequences = 0;
     std::uint64_t generation = 1;
     std::atomic<std::uint64_t> last_used{0};
+    /// The cold load in flight, if any. commit() and evict() detach it, so
+    /// a load that finishes after they ran publishes nothing.
+    std::shared_ptr<PendingLoad> loading;
   };
 
   /// What an install commits for one name.
@@ -207,6 +232,9 @@ class IndexRegistry {
   std::string store_dir_;
   std::size_t memory_budget_;
   LoadMode load_mode_ = LoadMode::kCopy;
+  Loader loader_ = [](const std::string& path, LoadMode mode) {
+    return read_index_archive(path, mode);
+  };
   std::atomic<std::uint64_t> loads_mmap_{0};
   std::atomic<std::uint64_t> loads_copy_{0};
   std::atomic<std::uint64_t> evictions_explicit_{0};

@@ -167,11 +167,16 @@ TEST_F(CliTest, IndexStoreBuildInfoAndMap) {
 
   ASSERT_EQ(run("index info --archive " + path("store/refA.bwva")), 0);
   contents = log_contents();
-  EXPECT_NE(contents.find("format version: 5"), std::string::npos) << contents;
+  EXPECT_NE(contents.find("format version: 6"), std::string::npos) << contents;
+  // 40 kbp: suffix-array entries run 0..40,000, 16 bits each.
+  EXPECT_NE(contents.find("text packing: 2 bits/base; suffix array: 16 bits/entry"),
+            std::string::npos)
+      << contents;
+  EXPECT_EQ(contents.find("\nbwt "), std::string::npos) << contents;  // no raw BWT section
   // 40 kbp affords 4^7 <= 20,000 boundaries: 4 * (4^7 + 1) bytes plus the
   // section's 64-byte head.
   EXPECT_NE(contents.find("seed table: k 7, 65604 bytes"), std::string::npos) << contents;
-  for (const char* section : {"meta", "text", "bwt", "occ", "sa", "kmer"}) {
+  for (const char* section : {"meta", "text", "occ", "sa", "kmer", "epr"}) {
     EXPECT_NE(contents.find(section), std::string::npos) << contents;
   }
 

@@ -249,16 +249,22 @@ TEST_F(MultiRefServiceTest, SectionBytesGaugeFollowsResidentReferences) {
       "bwaver_index_section_bytes{ref=\"refB\",section=\"sa\"} ";
   EXPECT_EQ(scrape().find(sa_a), std::string::npos);
 
-  // Adding a reference adds its sections: the SA is 4 bytes per row.
+  // Adding a reference adds its sections at their packed widths: the SA at
+  // suffix_array_width(n) bits per row and the text at 2 bits per base, in
+  // whole 64-bit words. A v6 index holds no raw BWT.
   ASSERT_NE(http_request(service_->port(), "POST", "/reference?name=refA", fasta_a_)
                 .find("200 OK"),
             std::string::npos);
   std::string metrics = scrape();
-  EXPECT_NE(metrics.find(sa_a + std::to_string(4 * (genome_a_.size() + 1)) + "\n"),
-            std::string::npos)
+  const std::size_t n = genome_a_.size();
+  const std::size_t sa_bytes = 8 * (((n + 1) * suffix_array_width(n) + 63) / 64);
+  EXPECT_NE(metrics.find(sa_a + std::to_string(sa_bytes) + "\n"), std::string::npos)
       << metrics;
   EXPECT_NE(metrics.find("bwaver_index_section_bytes{ref=\"refA\",section=\"text\"} " +
-                         std::to_string(genome_a_.size()) + "\n"),
+                         std::to_string(8 * ((n + 31) / 32)) + "\n"),
+            std::string::npos)
+      << metrics;
+  EXPECT_EQ(metrics.find("bwaver_index_section_bytes{ref=\"refA\",section=\"bwt\"}"),
             std::string::npos)
       << metrics;
   EXPECT_EQ(metrics.find(sa_b), std::string::npos);
@@ -268,7 +274,9 @@ TEST_F(MultiRefServiceTest, SectionBytesGaugeFollowsResidentReferences) {
             std::string::npos);
   metrics = scrape();
   EXPECT_NE(metrics.find(sa_a), std::string::npos) << metrics;
-  EXPECT_NE(metrics.find(sa_b + std::to_string(4 * (genome_b_.size() + 1)) + "\n"),
+  const std::size_t n_b = genome_b_.size();
+  EXPECT_NE(metrics.find(sa_b + std::to_string(8 * (((n_b + 1) * suffix_array_width(n_b) + 63) / 64)) +
+                         "\n"),
             std::string::npos)
       << metrics;
 

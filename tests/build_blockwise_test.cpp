@@ -45,7 +45,7 @@ void write_direct(const std::string& path, const ReferenceSet& reference,
 }
 
 void expect_same_bwt(const ReferenceSet& reference, std::size_t block_bases) {
-  const Bwt direct = build_bwt(reference.concatenated());
+  const Bwt direct = build_bwt(reference.concatenated().unpack());
   build::BlockwiseConfig config;
   config.block_bases = block_bases;
   build::BlockwiseBuilder builder(reference, config);
@@ -177,7 +177,7 @@ TEST_F(BlockwiseArchiveTest, ByteIdenticalAtFormatV3) {
   const auto sa = build_suffix_array(reference_.concatenated());
   Bwt bwt = build_bwt(reference_.concatenated(), sa);
   auto seeds = std::make_shared<const KmerSeedTable>(
-      KmerSeedTable::build(reference_.concatenated(), sa, std::nullopt));
+      KmerSeedTable::build(reference_.concatenated().unpack(), sa, std::nullopt));
   FmIndex<RrrWaveletOcc> index(
       std::move(bwt), sa, [](std::span<const std::uint8_t> symbols) {
         return RrrWaveletOcc(symbols, RrrParams{});
@@ -189,6 +189,32 @@ TEST_F(BlockwiseArchiveTest, ByteIdenticalAtFormatV3) {
   config.block_bases = 613;
   config.format_version = 3;
   EXPECT_EQ(blockwise_bytes(config, "v3.bwva"), read_file(path("direct.bwva")));
+}
+
+TEST_F(BlockwiseArchiveTest, WritesV6ByDefaultAndV5OnRequest) {
+  // The default is the packed v6 layout (its suffix array streamed a word
+  // at a time, across spill chunks here); v5 still streams byte text, a
+  // raw BWT and 4-byte suffix-array rows. Each is the direct writer's file.
+  write_direct(path("direct.bwva"), reference_);
+  build::BlockwiseConfig config;
+  config.block_bases = 499;
+  config.sa_chunk_bytes = 1000;  // 250 rows per chunk: no chunk ends on a word
+  EXPECT_EQ(blockwise_bytes(config, "v6.bwva"), read_file(path("direct.bwva")));
+  const ArchiveInfo v6 = read_index_archive_info(path("v6.bwva"));
+  EXPECT_EQ(v6.version, 6u);
+  EXPECT_EQ(v6.sa_width, suffix_array_width(reference_.total_length()));
+
+  const auto sa = build_suffix_array(reference_.concatenated());
+  FmIndex<RrrWaveletOcc> index(build_bwt(reference_.concatenated(), sa), sa,
+                               [](std::span<const std::uint8_t> symbols) {
+                                 return RrrWaveletOcc(symbols, RrrParams{});
+                               });
+  index.set_seed_table(std::make_shared<const KmerSeedTable>(
+      KmerSeedTable::build(reference_.concatenated().unpack(), sa, std::nullopt)));
+  write_index_archive(path("direct_v5.bwva"), reference_, index, /*format_version=*/5);
+  config.format_version = 5;
+  EXPECT_EQ(blockwise_bytes(config, "v5.bwva"), read_file(path("direct_v5.bwva")));
+  EXPECT_EQ(read_index_archive_info(path("v5.bwva")).version, 5u);
 }
 
 TEST_F(BlockwiseArchiveTest, BudgetedPipelineBuildSelectsBlockwiseAndMatches) {

@@ -145,9 +145,7 @@ TEST(KmerTableTest, BoundaryArrayMatchesTheTwoArrayOracleForEveryCode) {
     reference.add("chrA", with_tail(testing::random_symbols(1500, 4, 700 + k), 0, 9));
     reference.add("chrB", testing::random_symbols(2100, 4, 800 + k));
     reference.add("chrC", with_tail(testing::random_symbols(900, 4, 900 + k), 3, 7));
-    const std::span<const std::uint8_t> concatenated = reference.concatenated();
-    texts.emplace_back("multi-sequence",
-                       std::vector<std::uint8_t>(concatenated.begin(), concatenated.end()));
+    texts.emplace_back("multi-sequence", reference.concatenated().unpack());
 
     for (const auto& [name, text] : texts) {
       const auto sa = build_suffix_array(text);
@@ -281,7 +279,7 @@ TEST(KmerTableTest, SaveLoadRoundTripsExactly) {
   // A T-run tail puts short-suffix rows inside the code range.
   const auto text = with_tail(testing::random_symbols(3000, 4, 77), 3, 5);
   const auto index = make_index(text);
-  const KmerSeedTable table = KmerSeedTable::build(text, index.suffix_array(), 7);
+  const KmerSeedTable table = KmerSeedTable::build(text, index.suffix_array().unpack_u32(), 7);
   ASSERT_TRUE(table.enabled());
 
   const auto expect_same = [&](const KmerSeedTable& loaded, const char* layout) {
@@ -298,7 +296,7 @@ TEST(KmerTableTest, SaveLoadRoundTripsExactly) {
   EXPECT_EQ(flat.data().size(), 64 + KmerSeedTable::table_bytes(table.k()));
   for (const bool adopt : {false, true}) {
     ByteReader reader(flat.data());
-    const KmerSeedTable loaded = KmerSeedTable::load_flat(reader, adopt, text);
+    const KmerSeedTable loaded = KmerSeedTable::load_flat(reader, adopt, PackedText(text));
     EXPECT_TRUE(reader.done());
     expect_same(loaded, adopt ? "boundaries (adopt)" : "boundaries (copy)");
     EXPECT_EQ(loaded.heap_size_in_bytes() < loaded.size_in_bytes(), adopt);
@@ -309,7 +307,8 @@ TEST(KmerTableTest, SaveLoadRoundTripsExactly) {
     ByteWriter writer;
     table.save_intervals(writer, flat_intervals);
     ByteReader reader(writer.data());
-    const KmerSeedTable loaded = KmerSeedTable::load_intervals(reader, flat_intervals, text);
+    const KmerSeedTable loaded =
+        KmerSeedTable::load_intervals(reader, flat_intervals, PackedText(text));
     EXPECT_TRUE(reader.done());
     expect_same(loaded, flat_intervals ? "flat intervals" : "stream intervals");
   }
@@ -328,7 +327,7 @@ TEST(KmerTableTest, LoadRejectsInconsistentBoundaries) {
     std::vector<std::uint8_t> bytes = good;
     std::memcpy(bytes.data() + 64 + 4 * index, &value, sizeof value);
     ByteReader reader(bytes);
-    return KmerSeedTable::load_flat(reader, /*adopt=*/false, text);
+    return KmerSeedTable::load_flat(reader, /*adopt=*/false, PackedText(text));
   };
   const auto boundary = [&](std::size_t index) {
     std::uint32_t value = 0;
@@ -352,8 +351,8 @@ TEST(KmerTableTest, LoadRejectsInconsistentBoundaries) {
     std::vector<std::uint8_t> bytes = good;
     std::memcpy(bytes.data(), &bad_k, sizeof bad_k);
     ByteReader reader(bytes);
-    EXPECT_THROW(KmerSeedTable::load_flat(reader, false,
-                                          std::span(text).first(bad_k == 7u ? 6 : 3000)),
+    EXPECT_THROW(KmerSeedTable::load_flat(
+                     reader, false, PackedText(std::span(text).first(bad_k == 7u ? 6 : 3000))),
                  IoError)
         << "k " << bad_k;
   }
@@ -369,7 +368,7 @@ TEST(KmerTableTest, IncrementalBuilderMatchesOneShotBuild) {
     const auto text = testing::random_symbols(2000, 4, 17 + requested_k.value_or(0));
     const auto index = make_index(text);
     const KmerSeedTable direct =
-        KmerSeedTable::build(text, index.suffix_array(), requested_k);
+        KmerSeedTable::build(text, index.suffix_array().unpack_u32(), requested_k);
 
     KmerTableBuilder builder(text, requested_k);
     ASSERT_EQ(builder.enabled(), direct.enabled());
@@ -401,7 +400,8 @@ TEST(KmerTableTest, ZeroKDisablesSeeding) {
   index.build_seed_table(text, 0);
   EXPECT_EQ(index.seed_table(), nullptr);
 
-  const KmerSeedTable empty = KmerSeedTable::build(text, make_index(text).suffix_array(), 0);
+  const KmerSeedTable empty =
+      KmerSeedTable::build(text, make_index(text).suffix_array().unpack_u32(), 0);
   EXPECT_FALSE(empty.enabled());
   EXPECT_EQ(empty.entries(), 0u);
 }

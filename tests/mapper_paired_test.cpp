@@ -17,7 +17,7 @@ class PairedEndTest : public ::testing::Test {
     genome_ = simulate_genome(config);
     reference_.add("chrT", genome_);
     index_ = std::make_unique<FmIndex<RrrWaveletOcc>>(
-        reference_.concatenated(), [](std::span<const std::uint8_t> bwt) {
+        genome_, [](std::span<const std::uint8_t> bwt) {
           return RrrWaveletOcc(bwt, RrrParams{15, 50});
         });
   }
@@ -143,7 +143,7 @@ TEST_F(PairedEndTest, CrossChromosomePairsAreDiscordant) {
   two.add("c1", std::span<const std::uint8_t>(genome_.data(), 40000));
   two.add("c2", std::span<const std::uint8_t>(genome_.data() + 40000, 40000));
   const FmIndex<RrrWaveletOcc> index(
-      two.concatenated(), [](std::span<const std::uint8_t> bwt) {
+      two.concatenated().unpack(), [](std::span<const std::uint8_t> bwt) {
         return RrrWaveletOcc(bwt, RrrParams{15, 50});
       });
   // Mate1 near the end of c1; "mate2" revcomp'd from the start of c2 so the

@@ -146,7 +146,7 @@ class SearchOrderRunner {
     pipeline_.build_from_records(sequences);
   }
 
-  std::span<const std::uint8_t> text() const { return pipeline_.reference().concatenated(); }
+  const PackedText& text() const { return pipeline_.reference().concatenated(); }
 
   /// edge_records over this reference's text and sequence boundaries.
   std::vector<FastqRecord> edge_records() const {
@@ -154,7 +154,7 @@ class SearchOrderRunner {
     for (const auto& sequence : pipeline_.reference().sequences()) {
       starts.push_back(sequence.offset);
     }
-    return bwaver::edge_records(text(), starts, pipeline_.index().seed_table()->k());
+    return bwaver::edge_records(text().unpack(), starts, pipeline_.index().seed_table()->k());
   }
 
   /// `epr_kernel` pins the EPR backend's counting kernel (nullptr: the
@@ -191,8 +191,7 @@ class SearchOrderRunner {
 
  private:
   template <typename Occ>
-  static std::vector<QueryResult> search(const FmIndex<Occ>& index,
-                                         std::span<const std::uint8_t> text,
+  static std::vector<QueryResult> search(const FmIndex<Occ>& index, const PackedText& text,
                                          const ReadBatch& batch, bool sweep,
                                          unsigned threads) {
     return sweep ? detail::sweep_map_batch(index, text, batch, threads, nullptr)
@@ -201,8 +200,8 @@ class SearchOrderRunner {
 
   template <typename Occ>
   static std::vector<QueryResult> search(const FmIndex<RrrWaveletOcc>& base, Occ occ,
-                                         std::span<const std::uint8_t> text,
-                                         const ReadBatch& batch, bool sweep,
+                                         const PackedText& text, const ReadBatch& batch,
+                                         bool sweep,
                                          unsigned threads) {
     const DerivedOccMapper<Occ> derived(base, std::move(occ));
     return search(derived.index(), text, batch, sweep, threads);
@@ -231,7 +230,7 @@ TEST_P(SweepEngineTest, SweepSamIsByteIdenticalToPerRead) {
   const SearchOrderRunner single(test_genome(30000, 17));
   const SearchOrderRunner multi(multi_sequence_reference(61));
   for (const SearchOrderRunner* runner : {&single, &multi}) {
-    const std::vector<std::uint8_t> text(runner->text().begin(), runner->text().end());
+    const std::vector<std::uint8_t> text = runner->text().unpack();
     ReadSimConfig rconfig;
     rconfig.num_reads = 150;
     rconfig.read_length = 50;
@@ -380,12 +379,13 @@ struct StrandHits {
   friend bool operator==(const StrandHits&, const StrandHits&) = default;
 };
 
-std::array<StrandHits, 2> hits_of(const QueryResult& result,
-                                  std::span<const std::uint32_t> sa) {
+std::array<StrandHits, 2> hits_of(const QueryResult& result, const IntVector& sa) {
   const auto strand = [&](std::uint32_t lo, std::uint32_t hi, std::uint32_t verified) {
     StrandHits out;
     out.mapped = lo < hi;
-    for (std::uint32_t row = lo; row < hi; ++row) out.hits.push_back(sa[row] - verified);
+    for (std::uint32_t row = lo; row < hi; ++row) {
+      out.hits.push_back(static_cast<std::uint32_t>(sa.get(row)) - verified);
+    }
     return out;
   };
   return {strand(result.fwd_lo, result.fwd_hi, result.fwd_verified),
@@ -400,7 +400,7 @@ TEST(SweepMapBatchLowLevel, RaggedReadLengthsMatchPerRead) {
       genome, [](std::span<const std::uint8_t> bwt) {
         return RrrWaveletOcc(bwt, RrrParams{15, 50});
       });
-  const std::span<const std::uint32_t> sa = index.suffix_array();
+  const IntVector& sa = index.suffix_array();
 
   Xoshiro256 rng(7);
   ReadBatch batch;
@@ -420,7 +420,7 @@ TEST(SweepMapBatchLowLevel, RaggedReadLengthsMatchPerRead) {
   for (const unsigned threads : {1u, 4u}) {
     const auto per_read = detail::map_batch(index, batch, threads, nullptr);
     SoftwareMapReport report;
-    const auto sweep = detail::sweep_map_batch(index, genome, batch, threads, &report);
+    const auto sweep = detail::sweep_map_batch(index, PackedText(genome), batch, threads, &report);
     ASSERT_EQ(sweep.size(), per_read.size());
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       EXPECT_EQ(sweep[i].id, per_read[i].id) << "read " << i;
@@ -441,7 +441,7 @@ TEST(SweepMapBatchLowLevel, SeededAndUnseededIndexesBothMatchPerRead) {
       return RrrWaveletOcc(bwt, RrrParams{15, 50});
     });
     if (seeded) index.build_seed_table(genome);
-    const std::span<const std::uint32_t> sa = index.suffix_array();
+    const IntVector& sa = index.suffix_array();
 
     ReadSimConfig rconfig;
     rconfig.num_reads = 100;
@@ -451,7 +451,7 @@ TEST(SweepMapBatchLowLevel, SeededAndUnseededIndexesBothMatchPerRead) {
 
     const auto per_read = detail::map_batch(index, batch, 1, nullptr);
     SoftwareMapReport report;
-    const auto sweep = detail::sweep_map_batch(index, genome, batch, 1, &report);
+    const auto sweep = detail::sweep_map_batch(index, PackedText(genome), batch, 1, &report);
     ASSERT_EQ(sweep.size(), per_read.size());
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       EXPECT_EQ(hits_of(sweep[i], sa), hits_of(per_read[i], sa))
@@ -470,10 +470,12 @@ TEST(SweepMapBatchLowLevel, TextOfTheWrongSizeThrows) {
   ReadBatch batch;
   batch.add(std::span<const std::uint8_t>(genome).subspan(100, 30));
   const std::span<const std::uint8_t> text(genome);
-  EXPECT_THROW(detail::sweep_map_batch(index, text.first(text.size() - 1), batch, 1, nullptr),
+  EXPECT_THROW(detail::sweep_map_batch(index, PackedText(text.first(text.size() - 1)), batch, 1,
+                                       nullptr),
                std::invalid_argument);
-  EXPECT_THROW(detail::sweep_map_batch(index, {}, batch, 1, nullptr), std::invalid_argument);
-  EXPECT_EQ(detail::sweep_map_batch(index, text, batch, 1, nullptr).size(), 1u);
+  EXPECT_THROW(detail::sweep_map_batch(index, PackedText(), batch, 1, nullptr),
+               std::invalid_argument);
+  EXPECT_EQ(detail::sweep_map_batch(index, PackedText(text), batch, 1, nullptr).size(), 1u);
 }
 
 }  // namespace

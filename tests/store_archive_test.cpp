@@ -88,9 +88,13 @@ TEST_F(ArchiveTest, RoundTripRebuildsIdenticalStructures) {
   // v3 stores the text flat; v1/v2 recover it from the BWT. Either way it
   // must round-trip exactly.
   EXPECT_EQ(stored.reference.concatenated(), genome_);
-  EXPECT_EQ(stored.index.bwt().symbols, pipeline_->index().bwt().symbols);
+  // v6 stores no raw BWT: its symbols are the EPR dictionary's.
+  EXPECT_TRUE(stored.index.bwt().symbols.empty());
+  ASSERT_NE(stored.epr, nullptr);
+  EXPECT_EQ(stored.epr->symbols(), pipeline_->index().bwt().symbols);
   EXPECT_EQ(stored.index.bwt().primary, pipeline_->index().bwt().primary);
   EXPECT_EQ(stored.index.suffix_array(), pipeline_->index().suffix_array());
+  EXPECT_EQ(stored.index.suffix_array().width(), suffix_array_width(genome_.size()));
 
   const std::span<const std::uint8_t> pattern(genome_.data() + 1000, 30);
   EXPECT_EQ(stored.index.locate(pattern), pipeline_->index().locate(pattern));
@@ -100,14 +104,15 @@ TEST_F(ArchiveTest, InfoListsVersionedCheckedSections) {
   const ArchiveInfo info = read_index_archive_info(archive_path_);
   EXPECT_EQ(info.version, kArchiveVersionLatest);
   EXPECT_EQ(info.file_bytes, std::filesystem::file_size(archive_path_));
-  ASSERT_EQ(info.sections.size(), 7u);
+  ASSERT_EQ(info.sections.size(), 6u);
   EXPECT_EQ(info.sections[0].name, "meta");
   EXPECT_EQ(info.sections[1].name, "text");
-  EXPECT_EQ(info.sections[2].name, "bwt");
-  EXPECT_EQ(info.sections[3].name, "occ");
-  EXPECT_EQ(info.sections[4].name, "sa");
-  EXPECT_EQ(info.sections[5].name, "kmer");
-  EXPECT_EQ(info.sections[6].name, "epr");
+  EXPECT_EQ(info.sections[2].name, "occ");
+  EXPECT_EQ(info.sections[3].name, "sa");
+  EXPECT_EQ(info.sections[4].name, "kmer");
+  EXPECT_EQ(info.sections[5].name, "epr");
+  EXPECT_EQ(info.text_bits, 2u);
+  EXPECT_EQ(info.sa_width, suffix_array_width(genome_.size()));
   // v3 payload offsets are 64-byte aligned, ascending, non-overlapping, and
   // the last payload ends exactly at the file size.
   for (std::size_t i = 0; i < info.sections.size(); ++i) {

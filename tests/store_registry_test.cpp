@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <thread>
 #include <vector>
@@ -205,9 +207,14 @@ TEST_F(RegistryTest, LruEvictionRespectsBudgetAndRecency) {
   StoredIndex b = build_stored("beta", genome_b_);
   StoredIndex c = build_stored("gamma", genome_c_);
   // Budget fits any two of the three but not all three, so adding the third
-  // must evict exactly one: the least recently used.
-  const std::size_t budget =
-      stored_index_bytes(a) + stored_index_bytes(b) + stored_index_bytes(c) - 1;
+  // must evict exactly one: the least recently used. What stays resident is
+  // each archive's read-back (no raw BWT from v6 on), not the built index.
+  const auto served_bytes = [this](const StoredIndex& stored) {
+    const std::string path = (dir_ / "measure.bwva").string();
+    write_index_archive(path, stored.reference, stored.index);
+    return stored_index_bytes(read_index_archive(path));
+  };
+  const std::size_t budget = served_bytes(a) + served_bytes(b) + served_bytes(c) - 1;
 
   IndexRegistry registry(store_, budget);
   registry.add("alpha", std::move(a));
@@ -319,6 +326,172 @@ TEST_F(RegistryTest, AddReplacesExistingEntry) {
   // The replacement is what a fresh registry loads from disk.
   IndexRegistry reloaded(store_);
   EXPECT_EQ(reloaded.acquire("alpha")->reference.concatenated(), genome_b_);
+}
+
+/// A loader a test can hold open: each load reads its archive, then waits
+/// until release() (so the file is open, as in a slow load of a large
+/// archive) before it returns.
+class GatedLoader {
+ public:
+  IndexRegistry::Loader loader() {
+    return [this](const std::string& path, LoadMode mode) {
+      StoredIndex stored = read_index_archive(path, mode);
+      calls_.fetch_add(1);
+      gate_.wait();
+      if (fail_.exchange(false)) throw IoError("gated load failed: " + path);
+      return stored;
+    };
+  }
+  void release() { release_.set_value(); }
+  void fail_next() { fail_ = true; }
+  int calls() const { return calls_.load(); }
+  /// Waits (up to 10 s) until `n` loads have reached the gate.
+  bool wait_for_calls(int n) const {
+    for (int i = 0; i < 10000 && calls_.load() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return calls_.load() >= n;
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> gate_ = release_.get_future().share();
+  std::atomic<int> calls_{0};
+  std::atomic<bool> fail_{false};
+};
+
+class ColdLoadTest : public RegistryTest {
+ protected:
+  void SetUp() override {
+    RegistryTest::SetUp();
+    IndexRegistry seeder(store_);
+    seeder.add("alpha", build_stored("alpha", genome_a_));
+    seeder.add("beta", build_stored("beta", genome_b_));
+  }
+
+  bool resident(IndexRegistry& registry, const std::string& name) {
+    for (const RegistryEntry& entry : registry.list()) {
+      if (entry.name == name) return entry.resident;
+    }
+    return false;
+  }
+};
+
+TEST_F(ColdLoadTest, ColdLoadHoldsNoLockOverOtherReferences) {
+  IndexRegistry registry(store_);
+  const IndexRegistry::Handle alpha = registry.acquire("alpha");  // resident
+  GatedLoader gated;
+  registry.set_loader(gated.loader());
+
+  std::thread cold([&] { EXPECT_EQ(registry.acquire("beta")->reference.concatenated(), genome_b_); });
+  ASSERT_TRUE(gated.wait_for_calls(1));
+  // beta's load is parked at the gate: every other reference is served, and
+  // the registry can be listed and evicted, without waiting for it (a
+  // registry that loads under its lock would park these too, so they run
+  // with a deadline before the gate opens).
+  auto others = std::async(std::launch::async, [&] {
+    EXPECT_EQ(registry.acquire("alpha"), alpha);
+    EXPECT_TRUE(resident(registry, "alpha"));
+    EXPECT_FALSE(resident(registry, "beta"));
+    EXPECT_TRUE(registry.evict("alpha"));
+  });
+  const bool served = others.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  gated.release();
+  cold.join();
+  others.get();
+  EXPECT_TRUE(served) << "other references waited for beta's cold load";
+  EXPECT_TRUE(resident(registry, "beta"));
+  EXPECT_EQ(gated.calls(), 1);
+}
+
+TEST_F(ColdLoadTest, ConcurrentAcquirersShareOneLoad) {
+  IndexRegistry registry(store_);
+  GatedLoader gated;
+  registry.set_loader(gated.loader());
+  std::vector<IndexRegistry::Handle> handles(4);
+  std::vector<std::thread> acquirers;
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    acquirers.emplace_back([&, i] { handles[i] = registry.acquire("beta"); });
+  }
+  ASSERT_TRUE(gated.wait_for_calls(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let the rest queue
+  gated.release();
+  for (auto& thread : acquirers) thread.join();
+  EXPECT_EQ(gated.calls(), 1);
+  for (const auto& handle : handles) EXPECT_EQ(handle, handles[0]);
+  EXPECT_EQ(registry.acquire("beta"), handles[0]);
+  EXPECT_EQ(registry.loads_copy() + registry.loads_mmap(), 1u);
+}
+
+TEST_F(ColdLoadTest, RolloverDuringALoadKeepsTheNewGeneration) {
+  IndexRegistry registry(store_);
+  GatedLoader gated;
+  registry.set_loader(gated.loader());
+  IndexRegistry::Handle loaded;
+  std::thread cold([&] { loaded = registry.acquire("beta"); });
+  ASSERT_TRUE(gated.wait_for_calls(1));
+  // The rollover writes and reads back generation 2 (not through the
+  // loader) and flips while generation 1's load is parked (with a deadline:
+  // a registry that loads under its lock would park the flip too).
+  auto rollover = std::async(std::launch::async, [&] {
+    return registry.rollover("beta", build_stored("beta", genome_c_));
+  });
+  const bool flipped = rollover.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  gated.release();
+  cold.join();
+  const IndexRegistry::Handle rolled = rollover.get();
+  EXPECT_TRUE(flipped) << "the rollover waited for a cold load";
+  // The late load answers its own acquire but is not published.
+  EXPECT_EQ(loaded->reference.concatenated(), genome_b_);
+  EXPECT_EQ(registry.acquire("beta"), rolled);
+  EXPECT_EQ(registry.acquire("beta")->reference.concatenated(), genome_c_);
+  EXPECT_EQ(registry.generation("beta"), 2u);
+}
+
+TEST_F(ColdLoadTest, EvictDuringALoadPublishesNothing) {
+  IndexRegistry registry(store_);
+  GatedLoader gated;
+  registry.set_loader(gated.loader());
+  IndexRegistry::Handle loaded;
+  std::thread cold([&] { loaded = registry.acquire("beta"); });
+  ASSERT_TRUE(gated.wait_for_calls(1));
+  auto evict = std::async(std::launch::async, [&] { return registry.evict("beta"); });
+  const bool evicted = evict.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  gated.release();
+  cold.join();
+  EXPECT_TRUE(evicted) << "the evict waited for a cold load";
+  EXPECT_FALSE(evict.get());  // nothing resident to drop yet
+  EXPECT_EQ(loaded->reference.concatenated(), genome_b_);
+  EXPECT_FALSE(resident(registry, "beta"));
+}
+
+TEST_F(ColdLoadTest, FailedLoadIsSharedThenRetried) {
+  IndexRegistry registry(store_);
+  GatedLoader gated;
+  registry.set_loader(gated.loader());
+  gated.fail_next();
+  std::atomic<int> failures{0};
+  std::vector<std::thread> acquirers;
+  for (int i = 0; i < 3; ++i) {
+    acquirers.emplace_back([&] {
+      try {
+        registry.acquire("beta");
+      } catch (const IoError&) {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  ASSERT_TRUE(gated.wait_for_calls(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gated.release();
+  for (auto& thread : acquirers) thread.join();
+  // One load failed, and every acquirer that shared it saw the error (a
+  // late one may have started a second, successful load instead).
+  EXPECT_GE(failures.load(), 1);
+  EXPECT_FALSE(gated.calls() > 2);
+  // The failure is not remembered: the next acquire loads again.
+  EXPECT_EQ(registry.acquire("beta")->reference.concatenated(), genome_b_);
+  EXPECT_TRUE(resident(registry, "beta"));
 }
 
 TEST_F(RegistryTest, MalformedManifestThrows) {
