@@ -92,7 +92,7 @@ IndexStats compute_index_stats(const FmIndex<RrrWaveletOcc>& index,
   const auto text = inverse_bwt(index.bwt());
   stats.text = compute_sequence_stats(text);
   stats.structure = compute_breakdown(index);
-  stats.suffix_array_bytes = index.suffix_array().size() * sizeof(std::uint32_t);
+  stats.suffix_array_bytes = index.suffix_array().size_in_bytes();
 
   const double total = static_cast<double>(stats.structure.total_bytes());
   stats.bytes_per_base = total / static_cast<double>(std::max<std::uint64_t>(1, index.size()));

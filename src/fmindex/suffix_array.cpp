@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace bwaver {
 
@@ -176,6 +177,16 @@ std::vector<std::uint32_t> build_suffix_array_naive(std::span<const std::uint8_t
                                         shifted.begin() + b, shifted.end());
   });
   return sa;
+}
+
+IntVector pack_stored_suffix_array(std::span<const std::uint32_t> sa, std::size_t n) {
+  const unsigned width = suffix_array_width(n);
+  try {
+    return IntVector::pack(sa, width);
+  } catch (const std::invalid_argument&) {
+    throw IoError("suffix array: an entry does not fit in " + std::to_string(width) +
+                  " bits (a text of " + std::to_string(n) + " bases)");
+  }
 }
 
 }  // namespace bwaver

@@ -71,7 +71,10 @@ TEST(IndexStats, BreakdownSumsToStructureSize) {
             index.occ_size_in_bytes());
   EXPECT_GT(stats.structure.offsets_bytes, 0u);
   EXPECT_GT(stats.structure.classes_bytes, 0u);
-  EXPECT_EQ(stats.suffix_array_bytes, (genome.size() + 1) * 4);
+  // The host-resident suffix array as served: n + 1 entries of
+  // suffix_array_width(n) bits, in whole 64-bit words.
+  EXPECT_EQ(stats.suffix_array_bytes,
+            8 * (((genome.size() + 1) * suffix_array_width(genome.size()) + 63) / 64));
 }
 
 TEST(IndexStats, CompressionReportedAgainstRawBwt) {
