@@ -189,9 +189,14 @@ int cmd_index_build(const ArgParser& args) {
       static_cast<std::size_t>(args.get_int("block-mb", 0)) << 20;
   config.build_provenance = args.has("build-meta");
 
-  const auto records = read_fasta(ref_path);
-  const std::string name = args.get("name", records.front().name);
-  const ReferenceSet reference = reference_from_fasta(records);
+  // The parsed FASTA is dropped once packed: the build holds 2-bit codes.
+  std::string name;
+  ReferenceSet reference;
+  {
+    const auto records = read_fasta(ref_path);
+    name = args.get("name", records.front().name);
+    reference = reference_from_fasta(records);
+  }
 
   // Build straight to a staging file in the store, then adopt(): the index
   // is registered without ever being resident, which is the whole point of
@@ -217,6 +222,8 @@ int cmd_index_build(const ArgParser& args) {
     std::printf("block %zu bases, %zu merge pass(es), estimated peak %zu MB\n",
                 built.block_bases, built.merge_passes,
                 built.estimated_peak_bytes >> 20);
+  } else {
+    std::printf("estimated peak %zu MB\n", built.estimated_peak_bytes >> 20);
   }
   return 0;
 }

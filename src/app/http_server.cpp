@@ -2,8 +2,10 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 namespace bwaver {
 
@@ -82,16 +85,33 @@ std::map<std::string, std::string> parse_query(const std::string& query) {
   return params;
 }
 
-bool send_all(int fd, const void* data, std::size_t size) {
-  const char* p = static_cast<const char*>(data);
-  while (size > 0) {
+/// Sends `head` then `body` with as few sendmsg calls as the socket takes:
+/// a small response leaves in one segment instead of a head segment that
+/// waits for its ACK before the body may follow.
+bool send_all(int fd, std::string_view head, std::string_view body) {
+  iovec parts[2] = {{const_cast<char*>(head.data()), head.size()},
+                    {const_cast<char*>(body.data()), body.size()}};
+  iovec* next = parts;
+  std::size_t count = body.empty() ? 1 : 2;
+  while (count > 0) {
+    msghdr message{};
+    message.msg_iov = next;
+    message.msg_iovlen = count;
     // MSG_NOSIGNAL: a peer that hangs up mid-response (a pooled client
     // retiring the connection, a killed router) must surface as EPIPE here,
     // not as a process-wide SIGPIPE.
-    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    p += n;
-    size -= static_cast<std::size_t>(n);
+    const ssize_t sent = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (sent <= 0) return false;
+    auto left = static_cast<std::size_t>(sent);
+    while (count > 0 && left >= next->iov_len) {
+      left -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + left;
+      next->iov_len -= left;
+    }
   }
   return true;
 }
@@ -121,9 +141,7 @@ void send_response(int fd, const HttpResponse& response,
   } else {
     head += "Connection: close\r\n\r\n";
   }
-  if (send_all(fd, head.data(), head.size()) && !response.body.empty()) {
-    send_all(fd, response.body.data(), response.body.size());
-  }
+  send_all(fd, head, response.body);
 }
 
 /// One poll+recv with a timeout; appends to `buffer`. Returns false on
@@ -354,6 +372,10 @@ void HttpServer::serve_loop() {
       if (!running_.load()) break;
       continue;
     }
+    // Responses leave whole (one sendmsg); Nagle would still hold the tail
+    // of a large one for an ACK the client delays.
+    const int one = 1;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     // Connection-level overload shedding: the kernel backlog absorbs
     // bursts, the pool bounds concurrency, and anything beyond the pending
     // cap is told to come back instead of queueing without limit.

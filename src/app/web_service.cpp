@@ -220,11 +220,15 @@ HttpResponse WebService::handle_reference(const HttpRequest& request) {
   // the host. The install writes and checks the archive with no registry
   // lock held, so mapping requests keep flowing meanwhile.
   std::lock_guard<std::mutex> build_lock(build_mutex_);
-  const IndexRegistry::Handle handle = registry_.add(
-      name, build_stored_index(reference_from_fasta(records), options_.pipeline));
+  const std::size_t sequences = records.size();
+  // The build holds the 2-bit codes, not the parsed FASTA a second time.
+  ReferenceSet reference = reference_from_fasta(records);
+  records = std::vector<FastaRecord>();
+  const IndexRegistry::Handle handle =
+      registry_.add(name, build_stored_index(std::move(reference), options_.pipeline));
 
   std::string out = "reference '" + name + "' indexed (" +
-                    std::to_string(records.size()) + " sequence(s), " +
+                    std::to_string(sequences) + " sequence(s), " +
                     std::to_string(handle->index.size()) + " bp)";
   if (!registry_.store_dir().empty()) {
     out += ", persisted to " + registry_.archive_path(name);
@@ -255,9 +259,10 @@ HttpResponse WebService::handle_rollover(const HttpRequest& request) {
   // current generation); only the final pointer flip inside rollover()
   // takes the write lock.
   std::lock_guard<std::mutex> build_lock(build_mutex_);
+  ReferenceSet reference = reference_from_fasta(records);
+  records = std::vector<FastaRecord>();
   try {
-    registry_.rollover(name,
-                       build_stored_index(reference_from_fasta(records), options_.pipeline));
+    registry_.rollover(name, build_stored_index(std::move(reference), options_.pipeline));
   } catch (const std::exception& e) {
     return HttpResponse::text(500, std::string("rollover failed: ") + e.what() + "\n");
   }

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "build/archive_stream_writer.hpp"
 #include "build/build_plan.hpp"
 #include "fmindex/epr_occ.hpp"
 #include "fmindex/occ_backends.hpp"
@@ -16,6 +15,7 @@
 #include "kernels/vector_occ.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "store/archive_stream_writer.hpp"
 
 namespace bwaver::build {
 
@@ -257,104 +257,71 @@ void BlockwiseBuilder::merge_block(std::span<const std::uint8_t> text, std::size
 }
 
 BlockwiseStats BlockwiseBuilder::build_archive(const std::string& path) {
+  if (config_.format_version < 3) {
+    // The suffix array streams in the flat layout.
+    throw std::invalid_argument("blockwise build: only flat formats (v3+) are written");
+  }
   obs::TraceSpan span("build:blockwise");
   // The merge and the suffix-array walk read the text a code at a time, so
   // it is unpacked once (1 B/base) for the build.
   const std::vector<std::uint8_t> text = reference_.concatenated().unpack();
-  const std::size_t n = text.size();
   const bool packed = config_.format_version >= 6;
 
   const Bwt bwt = build_merged_bwt(text);
 
-  KmerTableBuilder kmer(text, config_.seed_k);
+  // Counted from the text alone, before any section streams out.
+  const KmerSeedTable seeds = [&] {
+    obs::TraceSpan kmer_span("build:kmer");
+    return KmerSeedTable::build(text, config_.seed_k);
+  }();
 
-  std::vector<std::string> names{kSectionMeta, kSectionText};
-  if (!packed) names.emplace_back(kSectionBwt);
-  names.emplace_back(kSectionOcc);
-  names.emplace_back(kSectionSa);
-  if (kmer.enabled()) names.emplace_back(kSectionKmer);
-  if (config_.format_version >= 4) names.emplace_back(kSectionEpr);
-  if (config_.write_provenance) names.emplace_back(kSectionBuild);
-  ArchiveStreamWriter writer(path, config_.format_version, std::move(names));
-
-  {
-    ByteWriter meta;
-    reference_.save_table(meta);
-    meta.u32(bwt.text_length);
-    for (const std::uint32_t c : c_table_of(bwt)) meta.u32(c);
-    if (packed) meta.u32(bwt.primary);
-    writer.begin_section(kSectionMeta);
-    writer.append(meta.data());
-    writer.end_section();
-  }
-
-  writer.begin_section(kSectionText);
-  if (packed) {
-    ByteWriter text_section;
-    reference_.concatenated().save_flat(text_section);
-    writer.append(text_section.data());
-  } else {
-    writer.append_u64(n);
-    writer.pad_section_to(kSectionAlign);
-    writer.append(text);
-  }
-  writer.end_section();
-
+  const std::uint32_t version = config_.format_version;
+  ArchiveStreamWriter writer(
+      path, version,
+      archive_section_names(version, seeds.enabled(), config_.write_provenance));
+  writer.write_section(kSectionMeta, [&](ByteWriter& out) {
+    save_meta_section(out, reference_, bwt.text_length, c_table_of(bwt), bwt.primary, version);
+  });
+  writer.write_section(kSectionText, [&](ByteWriter& out) {
+    save_text_section(out, reference_.concatenated(), version);
+  });
   if (!packed) {
-    writer.begin_section(kSectionBwt);
-    writer.append_u32(bwt.text_length);
-    writer.append_u32(bwt.primary);
-    writer.append_u64(bwt.symbols.size());
-    writer.pad_section_to(kSectionAlign);
-    writer.append(bwt.symbols);
-    writer.end_section();
+    writer.write_section(kSectionBwt,
+                         [&](ByteWriter& out) { save_bwt_section(out, bwt, version); });
   }
 
   {
     obs::TraceSpan occ_span("build:occ");
-    ByteWriter occ_section;
-    RrrWaveletOcc(bwt.symbols, config_.rrr).save_flat(occ_section);
-    writer.begin_section(kSectionOcc);
-    writer.append(occ_section.data());
-    writer.end_section();
+    const RrrWaveletOcc occ(bwt.symbols, config_.rrr);
+    writer.write_section(kSectionOcc, [&](ByteWriter& out) { occ.save_flat(out); });
   }
   report("occ section encoded");
 
   {
     obs::TraceSpan sa_span("build:sa");
-    stream_suffix_array(writer, kmer, text, bwt, path);
+    stream_suffix_array(writer, text, bwt, path);
   }
   report("suffix array recovered and streamed");
 
-  if (kmer.enabled()) {
-    obs::TraceSpan kmer_span("build:kmer");
-    ByteWriter kmer_section;
-    save_kmer_section(kmer_section, kmer.finish(), config_.format_version);
-    writer.begin_section(kSectionKmer);
-    writer.append(kmer_section.data());
-    writer.end_section();
+  if (seeds.enabled()) {
+    writer.write_section(kSectionKmer,
+                         [&](ByteWriter& out) { save_kmer_section(out, seeds, version); });
   }
 
-  if (config_.format_version >= 4) {
+  if (version >= 4) {
     obs::TraceSpan epr_span("build:epr");
-    ByteWriter epr_section;
-    EprOcc(bwt.symbols).save_flat(epr_section);
-    writer.begin_section(kSectionEpr);
-    writer.append(epr_section.data());
-    writer.end_section();
+    const EprOcc epr(bwt.symbols);
+    writer.write_section(kSectionEpr, [&](ByteWriter& out) { epr.save_flat(out); });
   }
 
   if (config_.write_provenance) {
-    ByteWriter build_section;
     BuildProvenance provenance;
     provenance.builder = "blockwise";
     provenance.block_bases = block_bases_;
     provenance.merge_passes = stats_.merge_passes;
     provenance.memory_budget_bytes = config_.memory_budget_bytes;
-    save_build_provenance(build_section, provenance);
-    writer.begin_section(kSectionBuild);
-    writer.append(build_section.data());
-    writer.end_section();
+    writer.write_section(kSectionBuild,
+                         [&](ByteWriter& out) { save_build_provenance(out, provenance); });
   }
 
   {
@@ -381,7 +348,6 @@ BlockwiseStats BlockwiseBuilder::build_archive(const std::string& path) {
 }
 
 void BlockwiseBuilder::stream_suffix_array(ArchiveStreamWriter& writer,
-                                           KmerTableBuilder& kmer,
                                            std::span<const std::uint8_t> text,
                                            const Bwt& bwt, const std::string& path) {
   const std::size_t n = text.size();
@@ -438,9 +404,6 @@ void BlockwiseBuilder::stream_suffix_array(ArchiveStreamWriter& writer,
       row = c_full[c] + occ_full(occ, bwt.primary, c, row);
       sa[row] = static_cast<std::uint32_t>(i);
     }
-    for (std::size_t r = 0; r < rows_total; ++r) {
-      kmer.feed(static_cast<std::uint32_t>(r), sa[r]);
-    }
     append_rows(sa);
     finish_rows();
     return;
@@ -463,9 +426,6 @@ void BlockwiseBuilder::stream_suffix_array(ArchiveStreamWriter& writer,
     const std::size_t count = std::min(chunk_rows, rows_total - base);
     chunk.assign(count, 0);
     spill.load(b, base, chunk);
-    for (std::size_t r = 0; r < count; ++r) {
-      kmer.feed(static_cast<std::uint32_t>(base + r), chunk[r]);
-    }
     append_rows(chunk);
   }
   finish_rows();

@@ -1,9 +1,9 @@
 // Memory-bounded blockwise BWT/FM-index constructor.
 //
 // The direct build path (suffix array of the whole text, then BWT, then the
-// succinct structures, then one whole-archive serialization buffer) peaks
-// around 20 bytes/base — chr21 scale on a laptop, nowhere near the
-// full-genome references the roadmap targets. Following Chen et al., "A
+// succinct structures, streamed to the archive section by section) peaks
+// around 8 bytes/base — chr21 scale on a laptop, short of the full-genome
+// references the roadmap targets. Following Chen et al., "A
 // Memory-Efficient FM-Index Constructor for NGS Applications on FPGAs"
 // (PAPERS.md), this builder keeps the peak near 4 bytes/base plus a
 // configurable per-block term:
@@ -24,9 +24,10 @@
 //      layout (v6 by default: 2-bit text, bit-packed suffix array, no raw
 //      BWT section). The suffix array is never materialized: an LF-walk
 //      over the final BWT emits (row, position) pairs into row-range
-//      buckets on disk, and each bucket is scattered into a bounded chunk,
-//      fed to the incremental KmerTableBuilder, and streamed out in row
-//      order, packed a word at a time.
+//      buckets on disk, and each bucket is scattered into a bounded chunk
+//      and streamed out in row order, packed a word at a time. The k-mer
+//      table is counted from the text (KmerSeedTable::build), as the
+//      direct path counts it.
 //
 // The resulting archive is byte-identical to write_index_archive over the
 // directly built index (same sections, same layout, same header), which is
@@ -46,9 +47,11 @@
 #include "store/index_archive.hpp"
 #include "succinct/rrr_vector.hpp"
 
-namespace bwaver::build {
-
+namespace bwaver {
 class ArchiveStreamWriter;
+}  // namespace bwaver
+
+namespace bwaver::build {
 
 /// Receives human-readable progress lines ("block 3/12 merged ...").
 using ProgressFn = std::function<void(const std::string&)>;
@@ -101,9 +104,8 @@ class BlockwiseBuilder {
   Bwt build_merged_bwt(std::span<const std::uint8_t> text);
   void merge_block(std::span<const std::uint8_t> text, std::size_t lo, std::size_t hi,
                    Bwt& bwt);
-  void stream_suffix_array(ArchiveStreamWriter& writer, KmerTableBuilder& kmer,
-                           std::span<const std::uint8_t> text, const Bwt& bwt,
-                           const std::string& path);
+  void stream_suffix_array(ArchiveStreamWriter& writer, std::span<const std::uint8_t> text,
+                           const Bwt& bwt, const std::string& path);
   void report(const std::string& line) const;
 
   const ReferenceSet& reference_;

@@ -10,10 +10,14 @@ namespace bwaver::build {
 
 namespace {
 
-// Direct path: text + SA (5 bytes/base) + SA-IS work arrays and recursion
-// (~13 bytes/base worst observed) + the serialized sections and the final
-// whole-archive buffer (~2x the ~7 bytes/base archive payload).
-constexpr std::size_t kDirectBytesPerBase = 20;
+// Direct path: SA-IS holds the 4-byte SA, its type bits and the 2-bit text
+// (4.4 B/base); packing maps the 4-byte and w-bit arrays at once (7.1 B/base
+// of address space at w = 25) while handing the 4-byte pages back as they
+// are packed, and the later phases hold ~4.5. Measured `index build` peaks
+// (wait4, process baseline included, the seed table taken out): 5.6 B/base
+// resident on 24 Mbp and chr21-like references, ~8.1 of address space at
+// 24 Mbp. 7 plus the fixed term bounds both.
+constexpr std::size_t kDirectBytesPerBase = 7;
 
 // Blockwise resident state near the last merge: text (1) + old and merged
 // BWT copies (2) + VectorOcc over the old BWT (1/3) + SA-walk chunks.

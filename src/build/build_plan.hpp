@@ -25,9 +25,10 @@ struct BuildPlan {
 // (KmerSeedTable::table_bytes) on top of their per-base terms.
 
 /// Estimated peak working set of the direct in-RAM build of an n-base
-/// reference. Dominated by SA-IS suffix construction (integer work arrays
-/// plus recursion, ~18 bytes/base transiently) and by the whole-archive
-/// serialization buffer the direct writer materializes.
+/// reference: 7 bytes/base, the address space of the suffix array's 4-byte
+/// and packed forms while it is packed (its resident peak is ~4.5: SA-IS
+/// reads the 2-bit text in place, packing hands the 4-byte pages back, and
+/// the archive streams to disk section by section).
 std::size_t direct_build_peak_bytes(std::size_t text_bases, unsigned seed_k);
 
 /// Estimated peak working set of the blockwise build: the text plus two

@@ -71,8 +71,11 @@ struct HttpClientOptions {
   /// Pool kept-alive connections and reuse them (false = one connection
   /// per request, Connection: close).
   bool keep_alive = true;
-  /// Idle pooled connections older than this are closed, not reused.
-  std::chrono::milliseconds pool_idle_timeout{10000};
+  /// Idle pooled connections older than this are closed, not reused. Below
+  /// the server's 5-s keep-alive timeout (HttpServerOptions), with a 1-s
+  /// margin, so a pooled connection is retired before the server drops it
+  /// rather than sent into a closed socket and retried.
+  std::chrono::milliseconds pool_idle_timeout{4000};
   /// Pooled connections kept per host:port beyond in-flight ones.
   std::size_t max_pool_per_host = 8;
   /// Requests sent over one connection before it is retired (client-side

@@ -9,8 +9,8 @@ namespace bwaver {
 
 namespace {
 
-template <typename Text>
-Bwt bwt_from(const Text& text, std::span<const std::uint32_t> sa) {
+template <typename Text, typename SuffixArray>
+Bwt bwt_from(const Text& text, const SuffixArray& sa) {
   const std::size_t n = text.size();
   if (sa.size() != n + 1) {
     throw std::invalid_argument("build_bwt: suffix array size must be text size + 1");
@@ -20,7 +20,7 @@ Bwt bwt_from(const Text& text, std::span<const std::uint32_t> sa) {
   std::vector<std::uint8_t> symbols;
   symbols.reserve(n);
   for (std::size_t row = 0; row <= n; ++row) {
-    const std::uint32_t suffix = sa[row];
+    const auto suffix = static_cast<std::uint32_t>(sa[row]);
     if (suffix == 0) {
       bwt.primary = static_cast<std::uint32_t>(row);  // char before suffix 0 is '$'
     } else {
@@ -38,6 +38,10 @@ Bwt build_bwt(std::span<const std::uint8_t> text, std::span<const std::uint32_t>
 }
 
 Bwt build_bwt(const PackedText& text, std::span<const std::uint32_t> sa) {
+  return bwt_from(text, sa);
+}
+
+Bwt build_bwt(const PackedText& text, const IntVector& sa) {
   return bwt_from(text, sa);
 }
 

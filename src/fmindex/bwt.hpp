@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fmindex/packed_text.hpp"
+#include "succinct/int_vector.hpp"
 #include "util/flat_array.hpp"
 
 namespace bwaver {
@@ -36,6 +37,10 @@ Bwt build_bwt(std::span<const std::uint8_t> text, std::span<const std::uint32_t>
 
 /// The same over a packed text.
 Bwt build_bwt(const PackedText& text, std::span<const std::uint32_t> sa);
+
+/// The same from a packed suffix array (the lean build's order: the 4-byte
+/// array is packed and freed before the BWT is drawn).
+Bwt build_bwt(const PackedText& text, const IntVector& sa);
 
 /// Convenience: SA construction + BWT in one call.
 Bwt build_bwt(std::span<const std::uint8_t> text);

@@ -296,16 +296,16 @@ class FmIndex {
     return seed_table_;
   }
 
-  /// Builds and attaches a seed table for this index from its own text and
-  /// suffix array (k from KmerSeedTable::resolve_k: no request means the
-  /// byte-budget rule, 0 disables).
+  /// Builds and attaches a seed table for this index from its own text (k
+  /// from KmerSeedTable::resolve_k: no request means the byte-budget rule,
+  /// 0 disables).
   void build_seed_table(std::span<const std::uint8_t> text,
                         std::optional<unsigned> requested_k = std::nullopt) {
     if (text.size() != size()) {
       throw std::invalid_argument("FmIndex::build_seed_table: text size mismatch");
     }
-    set_seed_table(std::make_shared<const KmerSeedTable>(
-        KmerSeedTable::build(text, sa_.unpack_u32(), requested_k)));
+    set_seed_table(
+        std::make_shared<const KmerSeedTable>(KmerSeedTable::build(text, requested_k)));
   }
 
   /// Bytes of the succinct structure (Occ backend only — what travels to

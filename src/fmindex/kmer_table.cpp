@@ -73,35 +73,44 @@ KmerSeedTable::KmerSeedTable(unsigned k, std::span<const std::uint8_t> text) : k
   }
 }
 
+template <typename Text>
+KmerSeedTable KmerSeedTable::count_kmers(const Text& text,
+                                         std::optional<unsigned> requested_k) {
+  const std::size_t n = text.size();
+  const unsigned k = resolve_k(requested_k, n);
+  if (k == 0 || n < k) return KmerSeedTable{};
+  std::vector<std::uint8_t> tail(k - 1);
+  for (unsigned i = 0; i + 1 < k; ++i) tail[i] = text[n - (k - 1) + i];
+  KmerSeedTable table(k, tail);
+
+  // B[x] = 1 + (k-mers of code < x) + (short suffixes padded to <= x): the
+  // prefix sum of one row for the sentinel at 0, one per k-mer of code y
+  // at y + 1, and one per short suffix at its padded code.
+  const std::size_t entries = std::size_t{1} << (2 * k);
+  std::vector<std::uint32_t> bounds(entries + 1, 0);
+  const std::uint32_t mask = static_cast<std::uint32_t>(entries - 1);
+  std::uint32_t code = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    code = ((code << 2) | (text[i] & 3)) & mask;
+    if (i + 1 >= k) ++bounds[code + 1];
+  }
+  ++bounds[0];
+  for (const std::uint32_t short_code : table.short_codes_) {
+    if (short_code != kNoCode) ++bounds[short_code];
+  }
+  for (std::size_t x = 1; x <= entries; ++x) bounds[x] += bounds[x - 1];
+  table.bounds_ = std::move(bounds);
+  return table;
+}
+
 KmerSeedTable KmerSeedTable::build(std::span<const std::uint8_t> text,
-                                   std::span<const std::uint32_t> sa,
                                    std::optional<unsigned> requested_k) {
-  if (sa.size() != text.size() + 1) {
-    throw std::invalid_argument("KmerSeedTable::build: SA/text size mismatch");
-  }
-  KmerTableBuilder builder(text, requested_k);
-  const unsigned k = builder.k();
-  if (k == 0) return builder.finish();
+  return count_kmers(text, requested_k);
+}
 
-  // Rolling k-mer codes of every text position, so the SA scan below does
-  // O(1) work per row instead of re-reading k bases.
-  const std::uint32_t mask =
-      k < 16 ? (std::uint32_t{1} << (2 * k)) - 1 : ~std::uint32_t{0};
-  std::vector<std::uint32_t> codes(text.size() - k + 1);
-  std::uint32_t rolling = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    rolling = ((rolling << 2) | (text[i] & 3)) & mask;
-    if (i + 1 >= k) codes[i + 1 - k] = rolling;
-  }
-
-  // Rows whose suffix is shorter than k (including the sentinel row) sit
-  // outside the runs and are skipped; the boundaries account for them.
-  for (std::size_t row = 0; row < sa.size(); ++row) {
-    const std::size_t pos = sa[row];
-    if (pos + k > text.size()) continue;
-    builder.record(static_cast<std::uint32_t>(row), codes[pos]);
-  }
-  return builder.finish();
+KmerSeedTable KmerSeedTable::build(const PackedText& text,
+                                   std::optional<unsigned> requested_k) {
+  return count_kmers(text, requested_k);
 }
 
 void KmerSeedTable::fill_absent(std::vector<std::uint32_t>& bounds, std::size_t rows) const {
@@ -215,21 +224,6 @@ KmerSeedTable KmerSeedTable::load_intervals(ByteReader& reader, bool flat,
       throw IoError("seed table (kmer section): intervals do not tile the suffix array");
     }
   }
-  return table;
-}
-
-KmerTableBuilder::KmerTableBuilder(std::span<const std::uint8_t> text,
-                                   std::optional<unsigned> requested_k)
-    : text_(text), k_(KmerSeedTable::resolve_k(requested_k, text.size())) {
-  if (k_ != 0 && text.size() < k_) k_ = 0;  // too short for a single k-mer
-  if (k_ != 0) bounds_.assign((std::size_t{1} << (2 * k_)) + 1, 0);
-}
-
-KmerSeedTable KmerTableBuilder::finish() {
-  if (k_ == 0) return KmerSeedTable{};
-  KmerSeedTable table(k_, text_);
-  table.fill_absent(bounds_, text_.size() + 1);
-  table.bounds_ = std::move(bounds_);
   return table;
 }
 

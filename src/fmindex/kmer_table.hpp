@@ -19,7 +19,9 @@
 //     lo(x) = B[x],   hi(x) = B[x+1] - (short suffixes whose code is x+1).
 //
 // The short suffixes are the text's last k-1 bases, so their codes come
-// from the text and are not stored. An absent k-mer gets the empty
+// from the text and are not stored. Run x holds exactly the text's k-mers
+// of code x, so B follows from k-mer counts alone: build() reads the text,
+// never the suffix array. An absent k-mer gets the empty
 // interval [B[x], B[x]), which FmIndex::count treats as "fall back to the
 // classic recurrence" — that rule is what makes the seeded search
 // byte-identical to the unseeded one. The sweep scheduler
@@ -71,13 +73,16 @@ class KmerSeedTable {
     return k == 0 ? 0 : ((std::size_t{1} << (2 * k)) + 1) * sizeof(std::uint32_t);
   }
 
-  /// Builds the table over the 2-bit-coded text and its suffix array
-  /// (sa.size() == text.size() + 1, sentinel row included), with k from
-  /// resolve_k(); k == 0 or a text shorter than k yields an empty table
-  /// (k() == 0).
+  /// Builds the table over the 2-bit-coded text, with k from resolve_k();
+  /// k == 0 or a text shorter than k yields an empty table (k() == 0).
+  /// No suffix array is read: the run of code x holds exactly the suffixes
+  /// that start with x, so its first row is 1 (the sentinel) + the text's
+  /// k-mers below x + the short suffixes padded to a code <= x. One
+  /// counting pass over the text and one prefix sum over the boundaries
+  /// build it — in any phase of an index build, the SA freed or not.
   static KmerSeedTable build(std::span<const std::uint8_t> text,
-                             std::span<const std::uint32_t> sa,
                              std::optional<unsigned> requested_k);
+  static KmerSeedTable build(const PackedText& text, std::optional<unsigned> requested_k);
 
   /// Seed length; 0 means the table is absent/disabled.
   unsigned k() const noexcept { return k_; }
@@ -148,7 +153,8 @@ class KmerSeedTable {
   static KmerSeedTable load_intervals(ByteReader& reader, bool flat, const PackedText& text);
 
  private:
-  friend class KmerTableBuilder;
+  template <typename Text>
+  static KmerSeedTable count_kmers(const Text& text, std::optional<unsigned> requested_k);
 
   /// Marks a short-suffix slot as unused; no code equals it (4^15 < 2^32).
   static constexpr std::uint32_t kNoCode = ~std::uint32_t{0};
@@ -179,55 +185,6 @@ class KmerSeedTable {
   unsigned k_ = 0;
   FlatArray<std::uint32_t> bounds_;  // 4^k + 1 run boundaries
   std::array<std::uint32_t, kMaxK - 1> short_codes_{};
-};
-
-/// Incremental row-feed construction of a KmerSeedTable.
-///
-/// The blockwise index constructor recovers suffix-array rows in ascending
-/// row order while streaming them to disk, never holding the whole SA — so
-/// it cannot call KmerSeedTable::build. Feeding every (row, position) pair
-/// in ascending row order records the same run starts straight into the one
-/// boundary array and yields a table identical to build() over the full SA
-/// (build() itself runs through this class); the equivalence is pinned by
-/// fm_kmer_table_test. Each feed re-reads k bases (O(k)) instead of using
-/// build()'s rolling code array, trading a 4 bytes/base side table for
-/// bounded memory.
-class KmerTableBuilder {
- public:
-  /// `requested_k` resolves like build()'s (KmerSeedTable::resolve_k).
-  KmerTableBuilder(std::span<const std::uint8_t> text, std::optional<unsigned> requested_k);
-
-  /// Active after construction iff the resolved k is usable for this text;
-  /// when false, feed() is a no-op and finish() returns a disabled table.
-  bool enabled() const noexcept { return k_ != 0; }
-  unsigned k() const noexcept { return k_; }
-
-  /// Records suffix-array row `row` holding text position `pos`. Rows MUST
-  /// arrive in ascending row order (gaps from short suffixes are fine).
-  void feed(std::uint32_t row, std::uint32_t pos) noexcept {
-    if (k_ == 0 || pos + k_ > text_.size()) return;
-    std::uint32_t code = 0;
-    for (unsigned i = 0; i < k_; ++i) code = (code << 2) | (text_[pos + i] & 3);
-    record(row, code);
-  }
-
-  KmerSeedTable finish();
-
- private:
-  friend class KmerSeedTable;
-
-  /// A full-length row of code `code`: the first row of a run is its start.
-  void record(std::uint32_t row, std::uint32_t code) noexcept {
-    if (code != prev_) {
-      bounds_[code] = row;
-      prev_ = code;
-    }
-  }
-
-  std::span<const std::uint8_t> text_;
-  unsigned k_ = 0;
-  std::uint64_t prev_ = ~std::uint64_t{0};
-  std::vector<std::uint32_t> bounds_;
 };
 
 }  // namespace bwaver

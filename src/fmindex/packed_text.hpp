@@ -90,6 +90,10 @@ class PackedText {
 
   [[gnu::always_inline]] void prefetch(std::size_t i) const noexcept { codes_.prefetch(i); }
 
+  /// The packed words (code i in bits 2(i % 32) of word i / 32), for
+  /// readers that decode in a tight loop (suffix-array construction).
+  std::span<const std::uint64_t> words() const noexcept { return codes_.words(); }
+
   /// Appends codes given one per byte.
   void append(std::span<const std::uint8_t> codes);
 

@@ -3,8 +3,16 @@
 // The paper's pipeline step 1 ("BWT and SA computation") needs the full
 // suffix array of reference-plus-sentinel: the FPGA returns SA intervals and
 // the host resolves them to positions through SA. We build it with SA-IS
-// (Nong, Zhang & Chan) — linear time, linear extra space — plus a naive
-// O(n^2 log n) comparator used as the oracle in tests.
+// (Nong, Zhang & Chan) — linear time — plus a naive O(n^2 log n) comparator
+// used as the oracle in tests.
+//
+// The only large array is the SA itself. The level-0 text is read as it is
+// held (bytes, or 2-bit codes in place) with a virtual sentinel; suffix
+// types are one bit each; the LMS names and
+// the reduced string of every recursion level live in the SA's free space,
+// and a deeper level keeps its buckets in the gap between its SA and its
+// string. Workspace: 4(n + 1) bytes of SA + n/8 of type bits (+ n/16 for
+// the first reduced level, and so on), beside the text.
 //
 // Convention: for a text T of length n the returned array has n+1 entries
 // and orders the suffixes of T$ where '$' is a unique sentinel smaller than
@@ -38,26 +46,25 @@ inline unsigned suffix_array_width(std::size_t n) noexcept {
 IntVector pack_stored_suffix_array(std::span<const std::uint32_t> sa, std::size_t n);
 
 /// SA-IS. `text` holds symbols in [0, alphabet_size); length must fit in
-/// 32-bit indices. Returns the (n+1)-entry suffix array of T$.
+/// 32-bit indices. Returns the (n+1)-entry suffix array of T$, the one O(n)
+/// allocation of the build besides n/8 bytes of type bits.
 std::vector<std::uint32_t> build_suffix_array(std::span<const std::uint8_t> text,
                                               unsigned alphabet_size = 4);
 
-/// SA-IS over a packed text (unpacked to one code per byte for the sort).
-/// A template only so that `build_suffix_array({})` still names the span
-/// overload.
+namespace detail {
+/// SA-IS reading the 2-bit codes where they lie: no byte copy of the text.
+std::vector<std::uint32_t> packed_suffix_array(const PackedText& text);
+}  // namespace detail
+
+/// SA-IS over a packed text, read in place (so the build holds the SA, its
+/// type bits and the 0.25 B/base text, nothing else of size n). A template
+/// only so that `build_suffix_array({})` still names the span overload.
 template <std::same_as<PackedText> Text>
 std::vector<std::uint32_t> build_suffix_array(const Text& text) {
-  return build_suffix_array(std::span<const std::uint8_t>(text.unpack()));
+  return detail::packed_suffix_array(text);
 }
 
 /// Brute-force comparison-sort construction (test oracle; small inputs only).
 std::vector<std::uint32_t> build_suffix_array_naive(std::span<const std::uint8_t> text);
-
-namespace detail {
-/// Core SA-IS over an integer string that already ends with a unique,
-/// minimal sentinel 0. `alphabet` is an exclusive upper bound on symbols.
-void sais(const std::vector<std::uint32_t>& s, std::vector<std::uint32_t>& sa,
-          std::uint32_t alphabet);
-}  // namespace detail
 
 }  // namespace bwaver

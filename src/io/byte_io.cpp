@@ -24,7 +24,15 @@ void ByteWriter::u64(std::uint64_t v) {
 }
 
 void ByteWriter::bytes(std::span<const std::uint8_t> data) {
+  if (sink_ && data.size() >= kDrainBytes) {
+    // A bulk array goes to the sink as it lies, never through the buffer.
+    flush();
+    sink_(data);
+    drained_ += data.size();
+    return;
+  }
   buffer_.insert(buffer_.end(), data.begin(), data.end());
+  drain_if_full();
 }
 
 void ByteWriter::vec_u8(std::span<const std::uint8_t> data) {
@@ -34,30 +42,38 @@ void ByteWriter::vec_u8(std::span<const std::uint8_t> data) {
 
 void ByteWriter::vec_u32(std::span<const std::uint32_t> data) {
   u64(data.size());
-  for (std::uint32_t v : data) u32(v);
+  for (std::uint32_t v : data) {
+    u32(v);
+    drain_if_full();
+  }
 }
 
 void ByteWriter::str(const std::string& s) {
   u64(s.size());
   buffer_.insert(buffer_.end(), s.begin(), s.end());
+  drain_if_full();
 }
 
 void ByteWriter::raw_u32(std::span<const std::uint32_t> data) {
-  const std::size_t old = buffer_.size();
-  buffer_.resize(old + data.size_bytes());
-  std::memcpy(buffer_.data() + old, data.data(), data.size_bytes());
+  bytes({reinterpret_cast<const std::uint8_t*>(data.data()), data.size_bytes()});
 }
 
 void ByteWriter::raw_u64(std::span<const std::uint64_t> data) {
-  const std::size_t old = buffer_.size();
-  buffer_.resize(old + data.size_bytes());
-  std::memcpy(buffer_.data() + old, data.data(), data.size_bytes());
+  bytes({reinterpret_cast<const std::uint8_t*>(data.data()), data.size_bytes()});
 }
 
 void ByteWriter::pad_to(std::size_t alignment) {
   if (alignment == 0) return;
-  const std::size_t rem = buffer_.size() % alignment;
+  const std::size_t rem = size() % alignment;
   if (rem != 0) buffer_.resize(buffer_.size() + (alignment - rem), 0);
+  drain_if_full();
+}
+
+void ByteWriter::flush() {
+  if (!sink_ || buffer_.empty()) return;
+  sink_(buffer_);
+  drained_ += buffer_.size();
+  buffer_.clear();
 }
 
 std::uint8_t ByteReader::u8() {

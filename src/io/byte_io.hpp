@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -18,8 +19,21 @@ class IoError : public std::runtime_error {
 };
 
 /// Appends scalars/vectors to a growing byte buffer (always little-endian).
+/// A writer made with a sink is a stream instead: it hands its bytes to the
+/// sink in order and holds at most about kDrainBytes of them (a bulk array
+/// goes to the sink straight from the caller's memory), so a payload is
+/// written without ever being held whole. size() and pad_to() count every
+/// byte written either way.
 class ByteWriter {
  public:
+  using Sink = std::function<void(std::span<const std::uint8_t>)>;
+
+  /// Buffered bytes at which a streaming writer drains to its sink.
+  static constexpr std::size_t kDrainBytes = std::size_t{1} << 20;
+
+  ByteWriter() = default;
+  explicit ByteWriter(Sink sink) : sink_(std::move(sink)) {}
+
   void u8(std::uint8_t v) { buffer_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -40,16 +54,29 @@ class ByteWriter {
   void raw_u32(std::span<const std::uint32_t> data);
   void raw_u64(std::span<const std::uint64_t> data);
 
-  /// Appends zero bytes until the buffer size is a multiple of `alignment`.
+  /// Appends zero bytes until size() is a multiple of `alignment`.
   void pad_to(std::size_t alignment);
 
-  std::size_t size() const noexcept { return buffer_.size(); }
+  /// Bytes written so far, drained ones included.
+  std::size_t size() const noexcept { return drained_ + buffer_.size(); }
 
+  /// Hands the buffered bytes to the sink (a no-op without one). A
+  /// streaming writer's owner calls it once the payload is complete.
+  void flush();
+
+  /// The buffered bytes: the whole payload of a writer without a sink.
   const std::vector<std::uint8_t>& data() const noexcept { return buffer_; }
   std::vector<std::uint8_t> take() { return std::move(buffer_); }
 
  private:
+  /// Drains a streaming writer's buffer once it holds kDrainBytes.
+  void drain_if_full() {
+    if (sink_ && buffer_.size() >= kDrainBytes) flush();
+  }
+
   std::vector<std::uint8_t> buffer_;
+  Sink sink_;
+  std::size_t drained_ = 0;
 };
 
 /// Reads scalars/vectors back; throws IoError on truncation. When `context`

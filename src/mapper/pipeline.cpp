@@ -97,27 +97,37 @@ ReferenceSet reference_from_fasta(const std::vector<FastaRecord>& records) {
   return reference;
 }
 
-FmIndex<RrrWaveletOcc> build_fm_index(std::span<const std::uint8_t> text,
-                                      const PipelineConfig& config,
+FmIndex<RrrWaveletOcc> build_fm_index(const PackedText& text, const PipelineConfig& config,
                                       PipelineTimings* timings) {
+  // Each phase frees what the next does not read: SA-IS reads the 2-bit
+  // text in place, the 4-byte SA is handed back page by page as it is
+  // packed, and the seed table (counted from the 2-bit text) comes after it
+  // is gone. The peak is SA-IS's 4(n + 1) + n/8 bytes or the later phases'
+  // ~4.5n (packed SA, BWT, RRR construction), beside the seed table.
   WallTimer timer;
-  auto sa = build_suffix_array(text);
-  Bwt bwt = build_bwt(text, sa);
-  if (timings != nullptr) timings->bwt_sa_seconds = timer.seconds();
+  std::vector<std::uint32_t> sa = build_suffix_array(text);
+  const WallTimer pack_timer;
+  IntVector packed_sa = IntVector::pack_consuming(std::move(sa), suffix_array_width(text.size()));
+  const double pack_seconds = pack_timer.seconds();
+  Bwt bwt = build_bwt(text, packed_sa);
+  if (timings != nullptr) timings->bwt_sa_seconds = timer.seconds() - pack_seconds;
+
   timer.reset();
-  FmIndex<RrrWaveletOcc> index = build_fm_index(text, std::move(sa), std::move(bwt), config);
-  if (timings != nullptr) timings->encode_seconds = timer.seconds();
+  auto seeds = std::make_shared<const KmerSeedTable>(KmerSeedTable::build(text, config.seed_k));
+  const std::array<std::uint32_t, 4> c_table = c_table_of(bwt);
+  RrrWaveletOcc occ(bwt.symbols, config.rrr);
+  FmIndex<RrrWaveletOcc> index(std::move(bwt), std::move(packed_sa), std::move(occ), c_table);
+  index.set_seed_table(std::move(seeds));
+  if (timings != nullptr) timings->encode_seconds = pack_seconds + timer.seconds();
   return index;
 }
 
 FmIndex<RrrWaveletOcc> build_fm_index(std::span<const std::uint8_t> text,
                                       std::vector<std::uint32_t> sa, Bwt bwt,
                                       const PipelineConfig& config) {
-  // The seed table needs the SA before it moves into the index; its build
-  // is a single O(n) scan, charged to step 2 like the rest of the succinct
-  // construction.
-  auto seeds =
-      std::make_shared<const KmerSeedTable>(KmerSeedTable::build(text, sa, config.seed_k));
+  // The seed table is one O(n) count over the text, charged to step 2 like
+  // the rest of the succinct construction.
+  auto seeds = std::make_shared<const KmerSeedTable>(KmerSeedTable::build(text, config.seed_k));
   const RrrParams params = config.rrr;
   FmIndex<RrrWaveletOcc> index(
       std::move(bwt), std::move(sa), [params](std::span<const std::uint8_t> symbols) {
@@ -129,8 +139,7 @@ FmIndex<RrrWaveletOcc> build_fm_index(std::span<const std::uint8_t> text,
 
 StoredIndex build_stored_index(ReferenceSet reference, const PipelineConfig& config,
                                PipelineTimings* timings) {
-  FmIndex<RrrWaveletOcc> index =
-      build_fm_index(reference.concatenated().unpack(), config, timings);
+  FmIndex<RrrWaveletOcc> index = build_fm_index(reference.concatenated(), config, timings);
   return StoredIndex{std::move(reference), std::move(index), nullptr, nullptr,
                      LoadMode::kCopy};
 }
@@ -252,8 +261,7 @@ BuildArchiveResult Pipeline::build_archive(
   if (progress) {
     progress("direct build: " + std::to_string(reference.total_length()) + " bases");
   }
-  const FmIndex<RrrWaveletOcc> index =
-      build_fm_index(reference.concatenated().unpack(), config);
+  const FmIndex<RrrWaveletOcc> index = build_fm_index(reference.concatenated(), config);
   BuildProvenance provenance;
   provenance.builder = "direct";
   provenance.memory_budget_bytes = config.build_memory_budget_bytes;

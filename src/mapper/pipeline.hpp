@@ -91,9 +91,13 @@ ReferenceSet reference_from_fasta(const std::vector<FastaRecord>& records);
 /// table at KmerSeedTable::resolve_k(config.seed_k, n) and the RRR Occ with
 /// config.rrr. `index build`, the web service's uploads and rollovers, and
 /// the Pipeline all build through it, so they serve the same structures.
+/// SA-IS reads the 2-bit text in place; the 4-byte SA is handed back page
+/// by page as it is packed, before the BWT is drawn from the packed forms
+/// and the seed table is counted from the 2-bit text. The peak is ~4.5
+/// bytes per base beside the seed table (docs/index_store.md gives the
+/// measured phases).
 /// `timings`, when given, receives the step 1 / step 2 split.
-FmIndex<RrrWaveletOcc> build_fm_index(std::span<const std::uint8_t> text,
-                                      const PipelineConfig& config,
+FmIndex<RrrWaveletOcc> build_fm_index(const PackedText& text, const PipelineConfig& config,
                                       PipelineTimings* timings = nullptr);
 
 /// Step 2 alone, from step 1's `sa` and `bwt` of `text` (the index file

@@ -11,6 +11,7 @@
 #include "fmindex/bwt.hpp"
 #include "io/byte_io.hpp"
 #include "io/checksum.hpp"
+#include "store/archive_stream_writer.hpp"
 
 namespace bwaver {
 
@@ -425,6 +426,56 @@ std::vector<std::uint8_t> render_archive_header(std::uint32_t format_version,
   return writer.take();
 }
 
+std::vector<std::string> archive_section_names(std::uint32_t format_version, bool kmer,
+                                               bool provenance) {
+  const bool flat = format_version >= 3;
+  std::vector<std::string> names{kSectionMeta};
+  if (flat) names.emplace_back(kSectionText);
+  if (format_version < 6) names.emplace_back(kSectionBwt);
+  names.emplace_back(kSectionOcc);
+  names.emplace_back(kSectionSa);
+  if (format_version >= 2 && kmer) names.emplace_back(kSectionKmer);
+  if (format_version >= 4) names.emplace_back(kSectionEpr);
+  if (flat && provenance) names.emplace_back(kSectionBuild);
+  return names;
+}
+
+void save_meta_section(ByteWriter& writer, const ReferenceSet& reference,
+                       std::uint32_t text_length, const std::array<std::uint32_t, 4>& c_table,
+                       std::uint32_t primary, std::uint32_t format_version) {
+  reference.save_table(writer);
+  writer.u32(text_length);
+  for (const std::uint32_t c : c_table) writer.u32(c);
+  if (format_version >= 6) writer.u32(primary);
+}
+
+void save_text_section(ByteWriter& writer, const PackedText& text,
+                       std::uint32_t format_version) {
+  if (format_version >= 6) {
+    text.save_flat(writer);
+    return;
+  }
+  writer.u64(text.size());
+  writer.pad_to(kSectionAlign);
+  // One byte per base, unpacked a slice at a time.
+  constexpr std::size_t kSlice = std::size_t{1} << 20;
+  for (std::size_t first = 0; first < text.size(); first += kSlice) {
+    writer.raw_u8(text.unpack(first, std::min(kSlice, text.size() - first)));
+  }
+}
+
+void save_bwt_section(ByteWriter& writer, const Bwt& bwt, std::uint32_t format_version) {
+  writer.u32(bwt.text_length);
+  writer.u32(bwt.primary);
+  if (format_version >= 3) {
+    writer.u64(bwt.symbols.size());
+    writer.pad_to(kSectionAlign);
+    writer.raw_u8(bwt.symbols);
+  } else {
+    writer.vec_u8(bwt.symbols);
+  }
+}
+
 void save_kmer_section(ByteWriter& writer, const KmerSeedTable& table,
                        std::uint32_t format_version) {
   if (format_version >= 5) {
@@ -459,96 +510,64 @@ void write_index_archive(const std::string& path, const ReferenceSet& reference,
     throw std::invalid_argument(
         "write_index_archive: the index holds no raw BWT (loaded from a v6 archive)");
   }
-
-  ByteWriter meta;
-  reference.save_table(meta);
-  meta.u32(n);
-  for (std::uint8_t c = 0; c < 4; ++c) meta.u32(index.c_array(c));
-  if (packed) meta.u32(bwt.primary);
-
-  ByteWriter text_section;
-  if (packed) {
-    reference.concatenated().save_flat(text_section);
-  } else if (flat) {
-    text_section.u64(reference.total_length());
-    text_section.pad_to(kSectionAlign);
-    text_section.raw_u8(reference.concatenated().unpack());
-  }
-
-  ByteWriter bwt_section;
-  if (!packed) {
-    bwt_section.u32(bwt.text_length);
-    bwt_section.u32(bwt.primary);
-    if (flat) {
-      bwt_section.u64(bwt.symbols.size());
-      bwt_section.pad_to(kSectionAlign);
-      bwt_section.raw_u8(bwt.symbols);
-    } else {
-      bwt_section.vec_u8(bwt.symbols);
-    }
-  }
-
-  ByteWriter occ_section;
-  if (flat) {
-    index.occ_backend().save_flat(occ_section);
-  } else {
-    index.occ_backend().save(occ_section);
-  }
-
-  ByteWriter sa_section;
-  if (packed) {
-    index.suffix_array().save_flat(sa_section);
-  } else if (flat) {
-    sa_section.u64(index.suffix_array().size());
-    sa_section.pad_to(kSectionAlign);
-    sa_section.raw_u32(index.suffix_array().unpack_u32());
-  } else {
-    sa_section.vec_u32(index.suffix_array().unpack_u32());
-  }
-
-  std::vector<std::pair<const char*, const std::vector<std::uint8_t>*>> sections;
-  sections.emplace_back(kSectionMeta, &meta.data());
-  if (flat) sections.emplace_back(kSectionText, &text_section.data());
-  if (!packed) sections.emplace_back(kSectionBwt, &bwt_section.data());
-  sections.emplace_back(kSectionOcc, &occ_section.data());
-  sections.emplace_back(kSectionSa, &sa_section.data());
-
   // v2+: the seed table rides along as its own checksummed section so old
   // archives stay loadable and the table stays skippable.
-  ByteWriter kmer_section;
-  if (format_version >= 2 && index.seed_table() != nullptr) {
-    save_kmer_section(kmer_section, *index.seed_table(), format_version);
-    sections.emplace_back(kSectionKmer, &kmer_section.data());
-  }
+  const KmerSeedTable* seeds = format_version >= 2 ? index.seed_table() : nullptr;
+  const bool with_provenance = flat && provenance != nullptr;
 
+  ArchiveStreamWriter writer(
+      path, format_version,
+      archive_section_names(format_version, seeds != nullptr, with_provenance));
+  writer.write_section(kSectionMeta, [&](ByteWriter& out) {
+    save_meta_section(out, reference, n,
+                      {index.c_array(0), index.c_array(1), index.c_array(2), index.c_array(3)},
+                      bwt.primary, format_version);
+  });
+  if (flat) {
+    writer.write_section(kSectionText, [&](ByteWriter& out) {
+      save_text_section(out, reference.concatenated(), format_version);
+    });
+  }
+  if (!packed) {
+    writer.write_section(kSectionBwt,
+                         [&](ByteWriter& out) { save_bwt_section(out, bwt, format_version); });
+  }
+  writer.write_section(kSectionOcc, [&](ByteWriter& out) {
+    if (flat) {
+      index.occ_backend().save_flat(out);
+    } else {
+      index.occ_backend().save(out);
+    }
+  });
+  writer.write_section(kSectionSa, [&](ByteWriter& out) {
+    const IntVector& sa = index.suffix_array();
+    if (packed) {
+      sa.save_flat(out);
+    } else if (flat) {
+      out.u64(sa.size());
+      out.pad_to(kSectionAlign);
+      out.raw_u32(sa.unpack_u32());
+    } else {
+      out.vec_u32(sa.unpack_u32());
+    }
+  });
+  if (seeds != nullptr) {
+    writer.write_section(kSectionKmer, [&](ByteWriter& out) {
+      save_kmer_section(out, *seeds, format_version);
+    });
+  }
   // v4+: the EPR dictionary, transposed from the BWT at write time so the
   // epr engine serves straight off the archive (required from v6 on: it is
   // the only copy of the BWT's symbols there).
-  ByteWriter epr_section;
   if (format_version >= 4) {
-    EprOcc(bwt.symbols).save_flat(epr_section);
-    sections.emplace_back(kSectionEpr, &epr_section.data());
+    writer.write_section(kSectionEpr,
+                         [&](ByteWriter& out) { EprOcc(bwt.symbols).save_flat(out); });
   }
-
-  ByteWriter build_section;
-  if (flat && provenance != nullptr) {
-    save_build_provenance(build_section, *provenance);
-    sections.emplace_back(kSectionBuild, &build_section.data());
+  if (with_provenance) {
+    writer.write_section(kSectionBuild,
+                         [&](ByteWriter& out) { save_build_provenance(out, *provenance); });
   }
-
-  std::vector<ArchiveSectionPlan> plans;
-  plans.reserve(sections.size());
-  for (const auto& [name, payload] : sections) {
-    plans.push_back({name, payload->size(), crc32_ieee(*payload)});
-  }
-
-  ByteWriter writer;
-  writer.bytes(render_archive_header(format_version, plans));
-  for (const auto& [name, payload] : sections) {
-    if (flat) writer.pad_to(kSectionAlign);
-    writer.bytes(*payload);
-  }
-  write_file_atomic(path, writer.data());
+  writer.finish();
 }
 
 StoredIndex read_index_archive(const std::string& path, LoadMode mode) {

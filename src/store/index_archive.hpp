@@ -87,6 +87,7 @@
 // bad magic, unknown version, or checksum mismatch raises IoError.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -250,11 +251,30 @@ struct ArchiveSectionPlan {
 std::uint64_t archive_payload_start(std::span<const ArchiveSectionPlan> sections);
 
 /// Renders the complete archive header (magic, version, section table with
-/// 64-byte-aligned offsets for flat formats, header CRC). This is the single
-/// header serialization shared by write_index_archive and the blockwise
-/// ArchiveStreamWriter, so the two paths produce byte-identical files.
+/// 64-byte-aligned offsets for flat formats, header CRC) — what
+/// ArchiveStreamWriter back-fills once every payload is written.
 std::vector<std::uint8_t> render_archive_header(std::uint32_t format_version,
                                                 std::span<const ArchiveSectionPlan> sections);
+
+/// The sections an archive of `format_version` carries, in file order:
+/// meta, text (v3+), bwt (v1..v5), occ, sa, then kmer (v2+, with a seed
+/// table), epr (v4+) and build (v3+, with provenance).
+std::vector<std::string> archive_section_names(std::uint32_t format_version, bool kmer,
+                                               bool provenance);
+
+/// Serializes the "meta" section payload: the sequence table, the text
+/// length and the C table, then (v6+) the BWT's primary row.
+void save_meta_section(ByteWriter& writer, const ReferenceSet& reference,
+                       std::uint32_t text_length, const std::array<std::uint32_t, 4>& c_table,
+                       std::uint32_t primary, std::uint32_t format_version);
+
+/// Serializes the "text" section payload (v3+): the 2-bit codes in
+/// IntVector's flat layout from v6, one byte per base before.
+void save_text_section(ByteWriter& writer, const PackedText& text, std::uint32_t format_version);
+
+/// Serializes the "bwt" section payload (v1..v5): text length, primary
+/// row and the squeezed symbols (a flat array from v3).
+void save_bwt_section(ByteWriter& writer, const Bwt& bwt, std::uint32_t format_version);
 
 /// Serializes the "kmer" section payload in the layout of `format_version`
 /// (v5: boundaries; v3/v4: two flat interval arrays; v2: two streams).
@@ -266,8 +286,11 @@ void save_build_provenance(ByteWriter& writer, const BuildProvenance& provenance
 
 /// Serializes a built index to `path` via a temp file + fsync + atomic
 /// rename, so a crash mid-write never leaves a torn archive under the final
-/// name. Takes components by reference: FmIndex is move-only, and the writer
-/// only reads. `format_version` exists for backward-compat tests: writing
+/// name. Each section streams through ArchiveStreamWriter as it is
+/// rendered, so no copy of the archive is held in memory (the "epr"
+/// section's dictionary, ~0.5 B/base, is the one structure built for the
+/// write). Takes components by reference: FmIndex is move-only, and the
+/// writer only reads. `format_version` exists for backward-compat tests: writing
 /// kArchiveVersionMin produces a v1 archive (the index's seed table, if any,
 /// is omitted). A non-null `provenance` appends the optional "build" section
 /// (v3+ only). Throws std::invalid_argument for an index that holds no raw

@@ -11,11 +11,25 @@
 
 #include "io/byte_io.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace bwaver {
 
 namespace {
 
 constexpr const char* kManifestName = "manifest.tsv";
+
+/// Hands the heap pages free()d so far back to the kernel. glibc keeps a
+/// freed block of a few MB in its arena for reuse, so without this a built
+/// index's memory would still be resident while the read-back maps the new
+/// archive; other allocators return such blocks themselves.
+void release_freed_memory() {
+#if defined(__GLIBC__)
+  ::malloc_trim(0);
+#endif
+}
 
 }  // namespace
 
@@ -269,15 +283,21 @@ IndexRegistry::Handle IndexRegistry::install(const std::string& name, StoredInde
   } else {
     // Stage 1, with no registry lock held (traffic keeps flowing): write the
     // new generation beside the current one. The write is temp + rename, so
-    // a failure leaves no file behind.
+    // a failure leaves no file behind. The built index dies with this
+    // scope: the read-back below never coexists with it.
     staged.archive_path = archive_path_for(name, staged.generation);
-    write_index_archive(staged.archive_path, stored.reference, stored.index);
-    // Stage 2: check it by a full read-back in the registry's load mode.
-    // The checked copy *is* the handle served — a corrupt or unreadable
-    // archive throws here, before the entry is touched.
+    {
+      const StoredIndex built = std::move(stored);
+      write_index_archive(staged.archive_path, built.reference, built.index);
+    }
+    release_freed_memory();
+    // Stage 2: check it by a full read-back in the registry's load mode,
+    // through the loader acquire() uses. The checked copy *is* the handle
+    // served — a corrupt or unreadable archive throws here, before the
+    // entry is touched.
     try {
       staged.handle = std::make_shared<const StoredIndex>(
-          read_index_archive(staged.archive_path, load_mode_));
+          loader_(staged.archive_path, load_mode_));
       staged.archive_bytes = std::filesystem::file_size(staged.archive_path);
     } catch (...) {
       std::error_code discard;

@@ -27,7 +27,9 @@
 // archive is written and checked by a full read-back in the registry's load
 // mode while mapping traffic keeps flowing (no registry lock is held), then
 // the entry flips to it under the write lock (a pointer swap) and the
-// archive it replaced is removed. The handle served is the one read back.
+// archive it replaced is removed. The handle served is the one read back;
+// the built index is destroyed once written, so it never coexists with
+// the read-back.
 // In-flight readers holding the previous generation's handle finish
 // undisturbed and drain via refcount. A failed write or read-back leaves the
 // registry as it was. adopt() shares the flip but never loads the index.
@@ -88,17 +90,20 @@ class IndexRegistry {
   /// and IoError for unreadable/corrupt archives.
   Handle acquire(const std::string& name);
 
-  /// How acquire() reads an archive: read_index_archive unless replaced.
+  /// How acquire() and an install's read-back read an archive:
+  /// read_index_archive unless replaced.
   using Loader = std::function<StoredIndex(const std::string& path, LoadMode mode)>;
 
   /// Replaces the loader — the seam through which a test holds a cold load
-  /// open. Call before the registry is shared between threads.
+  /// open or watches a read-back. Call before the registry is shared
+  /// between threads.
   void set_loader(Loader loader) { loader_ = std::move(loader); }
 
   /// Registers a freshly built index under `name`, replacing any previous
   /// entry, through the same staged install as rollover(): with a store
   /// directory the handle returned is the archive's checked read-back (in
-  /// mmap mode it maps the file). Throws std::invalid_argument unless
+  /// mmap mode it maps the file), and `stored` is destroyed once written,
+  /// before that read-back. A memory-only registry serves `stored` itself. Throws std::invalid_argument unless
   /// valid_name(name), and whatever the write or read-back throws — then
   /// no entry is created or changed.
   Handle add(const std::string& name, StoredIndex stored);

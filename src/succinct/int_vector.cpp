@@ -1,6 +1,10 @@
 #include "succinct/int_vector.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
 #include <string>
 
 namespace bwaver {
@@ -26,7 +30,9 @@ IntVector::IntVector(std::size_t n, unsigned width) : size_(n), width_(width) {
   words_.assign((n * width + 63) / 64, 0);
 }
 
-IntVector IntVector::pack(std::span<const std::uint32_t> values, unsigned width) {
+template <typename OnChunk>
+IntVector IntVector::pack_values(std::span<const std::uint32_t> values, unsigned width,
+                                 OnChunk&& packed) {
   if (width == 0 || width > 32) {
     throw std::invalid_argument("IntVector::pack: width must be in [1, 32]");
   }
@@ -39,9 +45,14 @@ IntVector IntVector::pack(std::span<const std::uint32_t> values, unsigned width)
   const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
   std::uint64_t all = 0;  // every value's bits, so one test after the pass
   BitPacker packer(width);
-  for (const std::uint32_t value : values) {
-    all |= value;
-    packer.put(value & mask, emit);
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  for (std::size_t first = 0; first < values.size(); first += kChunk) {
+    const std::size_t last = std::min(values.size(), first + kChunk);
+    for (std::size_t i = first; i < last; ++i) {
+      all |= values[i];
+      packer.put(values[i] & mask, emit);
+    }
+    packed(last);
   }
   packer.finish(emit);
   if ((all & ~mask) != 0) {
@@ -49,6 +60,27 @@ IntVector IntVector::pack(std::span<const std::uint32_t> values, unsigned width)
                                 std::to_string(width) + " bits");
   }
   v.words_ = std::move(words);
+  return v;
+}
+
+IntVector IntVector::pack(std::span<const std::uint32_t> values, unsigned width) {
+  return pack_values(values, width, [](std::size_t) {});
+}
+
+IntVector IntVector::pack_consuming(std::vector<std::uint32_t>&& values, unsigned width) {
+  // Only pages wholly inside the consumed prefix are released; their
+  // contents are never read again, and the vector is freed after the pass.
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(values.data());
+  std::uintptr_t released = (begin + page - 1) / page * page;
+  IntVector v = pack_values(values, width, [&](std::size_t count) {
+    const std::uintptr_t consumed = (begin + count * sizeof(std::uint32_t)) / page * page;
+    if (consumed > released) {
+      ::madvise(reinterpret_cast<void*>(released), consumed - released, MADV_DONTNEED);
+      released = consumed;
+    }
+  });
+  values = std::vector<std::uint32_t>();
   return v;
 }
 

@@ -60,6 +60,13 @@ class IntVector {
   /// a value does not fit (it is checked in the packing pass).
   static IntVector pack(std::span<const std::uint32_t> values, unsigned width);
 
+  /// The same, consuming `values` (left empty; its contents unspecified if
+  /// a value does not fit): every page of them already
+  /// packed is handed back to the kernel as the pass goes, so the two forms
+  /// never coexist in full — packing a 4-byte suffix array costs its w-bit
+  /// form's pages, not both arrays.
+  static IntVector pack_consuming(std::vector<std::uint32_t>&& values, unsigned width);
+
   /// A zero-copy alias of `other`'s words; `other` must outlive the view.
   static IntVector view_of(const IntVector& other);
 
@@ -117,6 +124,11 @@ class IntVector {
   static IntVector load_flat(ByteReader& reader, bool adopt);
 
  private:
+  /// pack()'s pass; `packed(count)` runs after every chunk of values.
+  template <typename OnChunk>
+  static IntVector pack_values(std::span<const std::uint32_t> values, unsigned width,
+                               OnChunk&& packed);
+
   FlatArray<std::uint64_t> words_;
   std::size_t size_ = 0;
   unsigned width_ = 0;

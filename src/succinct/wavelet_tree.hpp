@@ -15,6 +15,7 @@
 // sub-ranges [lo, mid) and [mid, hi).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -47,13 +48,12 @@ class WaveletTree {
     if (alphabet_size < 2 || alphabet_size > 256) {
       throw std::invalid_argument("WaveletTree: alphabet size must be in [2, 256]");
     }
-    std::vector<std::uint8_t> work(symbols.begin(), symbols.end());
-    for (std::uint8_t s : work) {
+    for (std::uint8_t s : symbols) {
       if (s >= alphabet_size) {
         throw std::invalid_argument("WaveletTree: symbol out of alphabet range");
       }
     }
-    root_ = build_node(work, 0, alphabet_size, builder);
+    root_ = build_node(symbols, 0, alphabet_size, builder);
   }
 
   std::size_t size() const noexcept { return size_; }
@@ -193,29 +193,43 @@ class WaveletTree {
     std::uint8_t mid = 0;       // first symbol of child1's alphabet
   };
 
-  static std::unique_ptr<Node> build_node(const std::vector<std::uint8_t>& symbols,
+  /// Builds the node over `symbols` (all in [lo, hi)). Each child's
+  /// symbols are gathered only while that child is built, so a build holds
+  /// one partition per level, never a copy of the input beside both halves.
+  static std::unique_ptr<Node> build_node(std::span<const std::uint8_t> symbols,
                                           unsigned lo, unsigned hi,
                                           const Builder& builder) {
     if (hi - lo <= 1) return nullptr;  // leaf range: no node needed
     const unsigned mid = lo + (hi - lo + 1) / 2;
 
-    BitVector bits;
-    std::vector<std::uint8_t> left;
-    std::vector<std::uint8_t> right;
-    left.reserve(symbols.size());
-    right.reserve(symbols.size());
-    for (std::uint8_t s : symbols) {
-      const bool one = s >= mid;
-      bits.push_back(one);
-      (one ? right : left).push_back(s);
-    }
-
     auto node = std::make_unique<Node>();
     node->lo_value = static_cast<std::uint8_t>(lo);
     node->mid = static_cast<std::uint8_t>(mid);
-    node->bits = builder(bits);
-    node->child0 = build_node(left, lo, mid, builder);
-    node->child1 = build_node(right, mid, hi, builder);
+    {
+      BitVector bits;
+      for (std::uint8_t s : symbols) bits.push_back(s >= mid);
+      node->bits = builder(bits);
+    }
+    const auto child = [&](unsigned child_lo, unsigned child_hi) -> std::unique_ptr<Node> {
+      if (child_hi - child_lo <= 1) return nullptr;
+      const auto inside = [&](std::uint8_t s) -> std::size_t {
+        return static_cast<std::size_t>(s >= child_lo) & static_cast<std::size_t>(s < child_hi);
+      };
+      std::size_t count = 0;
+      for (std::uint8_t s : symbols) count += inside(s);
+      // A branch-free gather (DNA symbols are unpredictable): every symbol
+      // is stored, and only those inside advance, so one slot of slack.
+      std::vector<std::uint8_t> part(count + 1);
+      std::size_t next = 0;
+      for (std::uint8_t s : symbols) {
+        part[next] = s;
+        next += inside(s);
+      }
+      return build_node(std::span<const std::uint8_t>(part).first(count), child_lo, child_hi,
+                        builder);
+    };
+    node->child0 = child(lo, mid);
+    node->child1 = child(mid, hi);
     return node;
   }
 

@@ -351,6 +351,55 @@ TEST(HttpServerKeepAlive, OneConnectionServesSequentialRequests) {
   server.stop();
 }
 
+TEST(HttpServerKeepAlive, SmallResponsesDoNotWaitForADelayedAck) {
+  // A response whose head and body leave as two segments (or whose body
+  // Nagle holds back) waits ~40 ms per request for the client's delayed
+  // ACK of the head: 50 requests would take ~2 s. The client socket keeps
+  // its defaults, as curl's or a load generator's may.
+  HttpServer server;
+  server.route("GET", "/ping", [](const HttpRequest&) { return HttpResponse::text(200, "pong"); });
+  server.start(0);
+
+  const int fd = connect_to(server.port());
+  const std::string request =
+      "GET /ping HTTP/1.1\r\nHost: localhost\r\nContent-Length: 0\r\n\r\n";
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    ASSERT_NE(read_one_response(fd).find("pong"), std::string::npos);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ::close(fd);
+  server.stop();
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << "50 keep-alive requests took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count() << " ms";
+}
+
+TEST(HttpServerKeepAlive, LargeBodiesArriveWhole) {
+  // Bodies far beyond one socket buffer take several sendmsg calls.
+  std::string big(3 << 20, 'x');
+  for (std::size_t i = 0; i < big.size(); i += 4093) big[i] = static_cast<char>('a' + i % 26);
+  HttpServer server;
+  server.route("GET", "/big", [&](const HttpRequest&) { return HttpResponse::text(200, big); });
+  server.start(0);
+
+  const int fd = connect_to(server.port());
+  const std::string request =
+      "GET /big HTTP/1.1\r\nHost: localhost\r\nContent-Length: 0\r\n\r\n";
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    const std::string response = read_one_response(fd);
+    const std::size_t head_end = response.find("\r\n\r\n");
+    ASSERT_NE(head_end, std::string::npos);
+    EXPECT_TRUE(response.compare(head_end + 4, std::string::npos, big) == 0) << "request " << i;
+  }
+  ::close(fd);
+  server.stop();
+}
+
 TEST(HttpServerKeepAlive, ConnectionCloseIsHonored) {
   HttpServer server;
   server.route("GET", "/ping",

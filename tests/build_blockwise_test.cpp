@@ -177,7 +177,7 @@ TEST_F(BlockwiseArchiveTest, ByteIdenticalAtFormatV3) {
   const auto sa = build_suffix_array(reference_.concatenated());
   Bwt bwt = build_bwt(reference_.concatenated(), sa);
   auto seeds = std::make_shared<const KmerSeedTable>(
-      KmerSeedTable::build(reference_.concatenated().unpack(), sa, std::nullopt));
+      KmerSeedTable::build(reference_.concatenated(), std::nullopt));
   FmIndex<RrrWaveletOcc> index(
       std::move(bwt), sa, [](std::span<const std::uint8_t> symbols) {
         return RrrWaveletOcc(symbols, RrrParams{});
@@ -210,7 +210,7 @@ TEST_F(BlockwiseArchiveTest, WritesV6ByDefaultAndV5OnRequest) {
                                  return RrrWaveletOcc(symbols, RrrParams{});
                                });
   index.set_seed_table(std::make_shared<const KmerSeedTable>(
-      KmerSeedTable::build(reference_.concatenated().unpack(), sa, std::nullopt)));
+      KmerSeedTable::build(reference_.concatenated(), std::nullopt)));
   write_index_archive(path("direct_v5.bwva"), reference_, index, /*format_version=*/5);
   config.format_version = 5;
   EXPECT_EQ(blockwise_bytes(config, "v5.bwva"), read_file(path("direct_v5.bwva")));

@@ -33,7 +33,7 @@ TEST(BuildPlanTest, GenerousBudgetStaysDirect) {
 
 TEST(BuildPlanTest, TightBudgetGoesBlockwiseWithinBudget) {
   const std::size_t n = 24 * kMB;
-  const std::size_t budget = 256 * kMB;
+  const std::size_t budget = 200 * kMB;
   const unsigned k = seed_k(n);
   ASSERT_GT(direct_build_peak_bytes(n, k), budget);
   const BuildPlan plan = plan_build(n, budget, 0, k);
@@ -75,6 +75,19 @@ TEST(BuildPlanTest, ImpossibleBudgetThrows) {
   // size can help.
   EXPECT_THROW(derive_block_bases(100 * kMB, 1 * kMB, 12), std::invalid_argument);
   EXPECT_THROW(plan_build(100 * kMB, 1 * kMB, 0, 12), std::invalid_argument);
+}
+
+TEST(BuildPlanTest, DirectModelBoundsTheMeasuredPeaks) {
+  // `index build` peaks measured through wait4: 33.2 MiB on the 4.64 Mbp
+  // E. coli-like reference (k 10), 144.7 MiB on CI's 24 Mbp one (k 11; it
+  // needs ~194 MiB of address space) and 278.9 MiB on the 40.1 Mbp
+  // chr21-like one (k 12). The model must stay above each, or a budget
+  // between the two picks a direct build that overruns it.
+  EXPECT_GT(direct_build_peak_bytes(4'641'652, 10), 33 * kMB + kMB / 4);
+  EXPECT_GT(direct_build_peak_bytes(24'000'000, 11), 194 * kMB);
+  EXPECT_GT(direct_build_peak_bytes(40'088'619, 12), 279 * kMB);
+  // The CI step's 150 MB budget sends the 24 Mbp build blockwise.
+  EXPECT_TRUE(plan_build(24'000'000, 150 * kMB, 0, 11).blockwise);
 }
 
 TEST(BuildPlanTest, EstimatesCountTheSeedTable) {

@@ -83,9 +83,28 @@ TEST(FleetHttpClient, KeepAliveDisabledOpensPerRequest) {
   server.stop();
 }
 
+TEST(FleetHttpClient, PooledConnectionsRetireBeforeTheServerDropsThem) {
+  // The server closes a connection idle for its keep-alive timeout (5 s by
+  // default). A client that pools one longer sends its next request into
+  // the closed socket and has to retry it on a fresh connection.
+  EXPECT_LT(HttpClientOptions{}.pool_idle_timeout, HttpServerOptions{}.keep_alive_timeout);
+
+  HttpServer server;
+  server.route("GET", "/ping", [](const HttpRequest&) { return HttpResponse::text(200, "pong"); });
+  server.start(0);
+  HttpClient client;
+  EXPECT_EQ(client.request("127.0.0.1", server.port(), "GET", "/ping").status, 200);
+  std::this_thread::sleep_for(HttpServerOptions{}.keep_alive_timeout +
+                              std::chrono::milliseconds(300));
+  EXPECT_EQ(client.request("127.0.0.1", server.port(), "GET", "/ping").status, 200);
+  EXPECT_EQ(client.requests_sent(), 2u) << "a request went into a connection the server had closed";
+  EXPECT_EQ(client.connections_opened(), 2u);
+  server.stop();
+}
+
 TEST(FleetHttpClient, RetryAfterAStalePooledConnectionOpensAFreshOne) {
   // The server drops kept-alive connections after 100 ms idle; the client
-  // pools them for 10 s. After a pause, every pooled connection is stale,
+  // pools them for 4 s. After a pause, every pooled connection is stale,
   // so the one retry must not take a second pooled connection.
   HttpServerOptions server_options;
   server_options.keep_alive_timeout = std::chrono::milliseconds(100);

@@ -70,6 +70,59 @@ void expect_matches_oracle(const KmerSeedTable& table, std::span<const std::uint
   }
 }
 
+/// The SA-scan construction the k-mer count replaced: each run's first row,
+/// then every code without a run filled from its successor. Serialized in
+/// the v5 layout, for a byte comparison with KmerSeedTable::save_flat.
+std::vector<std::uint8_t> scanned_table_bytes(std::span<const std::uint8_t> text,
+                                              std::span<const std::uint32_t> sa, unsigned k) {
+  const std::size_t n = text.size();
+  const std::size_t entries = std::size_t{1} << (2 * k);
+  std::vector<std::uint32_t> bounds(entries + 1, 0);
+  std::uint64_t prev = ~std::uint64_t{0};
+  for (std::size_t row = 0; row < sa.size(); ++row) {
+    const std::size_t pos = sa[row];
+    if (pos + k > n) continue;
+    std::uint32_t code = 0;
+    for (unsigned i = 0; i < k; ++i) code = (code << 2) | text[pos + i];
+    if (code != prev) {
+      bounds[code] = static_cast<std::uint32_t>(row);
+      prev = code;
+    }
+  }
+  std::vector<std::uint32_t> short_codes;  // suffixes of length j < k, padded with A
+  for (unsigned j = 1; j < k; ++j) {
+    std::uint32_t code = 0;
+    for (std::size_t i = n - j; i < n; ++i) code = (code << 2) | text[i];
+    short_codes.push_back(code << (2 * (k - j)));
+  }
+  bounds[entries] = static_cast<std::uint32_t>(sa.size());
+  for (std::size_t x = entries; x-- > 0;) {
+    if (bounds[x] != 0) continue;
+    const auto shorts = std::count(short_codes.begin(), short_codes.end(), x + 1);
+    bounds[x] = bounds[x + 1] - static_cast<std::uint32_t>(shorts);
+  }
+  ByteWriter writer;
+  writer.u32(k);
+  writer.u64(bounds.size());
+  writer.pad_to(64);
+  writer.raw_u32(bounds);
+  return writer.take();
+}
+
+/// The counted table of `text`, from its bytes and from its 2-bit form, is
+/// the SA scan's byte for byte.
+void expect_counted_matches_scan(const KmerSeedTable& table, std::span<const std::uint8_t> text,
+                                 std::span<const std::uint32_t> sa,
+                                 std::optional<unsigned> requested_k, const std::string& what) {
+  ASSERT_TRUE(table.enabled()) << what;
+  ByteWriter counted;
+  table.save_flat(counted);
+  EXPECT_EQ(counted.data(), scanned_table_bytes(text, sa, table.k())) << what;
+  ByteWriter packed;
+  KmerSeedTable::build(PackedText(text), requested_k).save_flat(packed);
+  EXPECT_EQ(packed.data(), counted.data()) << what;
+}
+
 std::vector<std::uint8_t> with_tail(std::vector<std::uint8_t> text, std::uint8_t base,
                                     std::size_t run) {
   text.insert(text.end(), run, base);
@@ -149,28 +202,19 @@ TEST(KmerTableTest, BoundaryArrayMatchesTheTwoArrayOracleForEveryCode) {
 
     for (const auto& [name, text] : texts) {
       const auto sa = build_suffix_array(text);
-      const KmerSeedTable table = KmerSeedTable::build(text, sa, k);
+      const KmerSeedTable table = KmerSeedTable::build(text, k);
       const std::string what = name + " k " + std::to_string(k);
       // capped_k shrinks k = 7, 8 on the k-base text to 6.
       ASSERT_EQ(table.k(), KmerSeedTable::capped_k(k, text.size())) << what;
       expect_matches_oracle(table, text, sa, what);
-
-      // The row-fed builder fills the same one array.
-      KmerTableBuilder builder(text, k);
-      for (std::size_t row = 0; row < sa.size(); ++row) {
-        builder.feed(static_cast<std::uint32_t>(row), sa[row]);
-      }
-      ByteWriter direct_bytes, incremental_bytes;
-      table.save_flat(direct_bytes);
-      builder.finish().save_flat(incremental_bytes);
-      EXPECT_EQ(incremental_bytes.data(), direct_bytes.data()) << what;
+      expect_counted_matches_scan(table, text, sa, k, what);
     }
 
     // Shorter than the capped k (at most 6 on a text this short): no table.
     if (k > 1) {
       const auto text = testing::random_symbols(std::min(k, 6u) - 1, 4, 1000 + k);
-      EXPECT_FALSE(KmerSeedTable::build(text, build_suffix_array(text), k).enabled());
-      EXPECT_FALSE(KmerTableBuilder(text, k).enabled());
+      EXPECT_FALSE(KmerSeedTable::build(text, k).enabled());
+      EXPECT_FALSE(KmerSeedTable::build(PackedText(text), k).enabled());
     }
   }
 }
@@ -279,7 +323,7 @@ TEST(KmerTableTest, SaveLoadRoundTripsExactly) {
   // A T-run tail puts short-suffix rows inside the code range.
   const auto text = with_tail(testing::random_symbols(3000, 4, 77), 3, 5);
   const auto index = make_index(text);
-  const KmerSeedTable table = KmerSeedTable::build(text, index.suffix_array().unpack_u32(), 7);
+  const KmerSeedTable table = KmerSeedTable::build(text, 7);
   ASSERT_TRUE(table.enabled());
 
   const auto expect_same = [&](const KmerSeedTable& loaded, const char* layout) {
@@ -316,8 +360,7 @@ TEST(KmerTableTest, SaveLoadRoundTripsExactly) {
 
 TEST(KmerTableTest, LoadRejectsInconsistentBoundaries) {
   const auto text = with_tail(testing::random_symbols(3000, 4, 78), 0, 4);
-  const auto sa = build_suffix_array(text);
-  const KmerSeedTable table = KmerSeedTable::build(text, sa, 6);
+  const KmerSeedTable table = KmerSeedTable::build(text, 6);
   ByteWriter writer;
   table.save_flat(writer);
   const std::vector<std::uint8_t> good = writer.data();
@@ -339,7 +382,7 @@ TEST(KmerTableTest, LoadRejectsInconsistentBoundaries) {
   // the row count, and a first one that swallows the sentinel row.
   EXPECT_THROW(load_with(entries / 2, 0xFFFFFF00u), IoError);
   EXPECT_THROW(load_with(entries / 2, boundary(entries / 2 - 1) - 1), IoError);
-  EXPECT_THROW(load_with(entries, static_cast<std::uint32_t>(sa.size() + 1)), IoError);
+  EXPECT_THROW(load_with(entries, static_cast<std::uint32_t>(text.size() + 2)), IoError);
   EXPECT_THROW(load_with(0, 0), IoError);
   // The text ends in xAAAA (x != A): four short suffixes sort before the
   // run of code 0, so B[0] must leave them room beside the sentinel row.
@@ -358,40 +401,26 @@ TEST(KmerTableTest, LoadRejectsInconsistentBoundaries) {
   }
 }
 
-// The incremental builder the blockwise constructor feeds row by row must
-// produce the exact table the one-shot SA scan builds — serialized bytes
-// and all, since the archive byte-identity guarantee rests on it.
-TEST(KmerTableTest, IncrementalBuilderMatchesOneShotBuild) {
+// The counted table must be exactly the one an ordered SA scan records —
+// serialized bytes and all, since the archive byte-identity guarantee
+// rests on it — at every k the budget rule or a request picks.
+TEST(KmerTableTest, CountedTableMatchesTheSuffixArrayScan) {
   for (const std::optional<unsigned> requested_k :
        {std::optional<unsigned>{3u}, std::optional<unsigned>{5u},
         std::optional<unsigned>{12u}, std::optional<unsigned>{}}) {
     const auto text = testing::random_symbols(2000, 4, 17 + requested_k.value_or(0));
     const auto index = make_index(text);
-    const KmerSeedTable direct =
-        KmerSeedTable::build(text, index.suffix_array().unpack_u32(), requested_k);
-
-    KmerTableBuilder builder(text, requested_k);
-    ASSERT_EQ(builder.enabled(), direct.enabled());
-    const auto sa = index.suffix_array();
-    for (std::size_t row = 0; row < sa.size(); ++row) {
-      builder.feed(static_cast<std::uint32_t>(row), sa[row]);
-    }
-    const KmerSeedTable incremental = builder.finish();
-
-    ByteWriter direct_bytes, incremental_bytes;
-    direct.save_flat(direct_bytes);
-    incremental.save_flat(incremental_bytes);
-    EXPECT_EQ(incremental_bytes.data(), direct_bytes.data())
-        << "k " << requested_k.value_or(0);
+    const KmerSeedTable table = KmerSeedTable::build(text, requested_k);
+    expect_counted_matches_scan(table, text, index.suffix_array().unpack_u32(), requested_k,
+                                "k " + std::to_string(requested_k.value_or(0)));
   }
 }
 
-TEST(KmerTableTest, IncrementalBuilderDisabledOnShortText) {
+TEST(KmerTableTest, ShortTextBuildsNoTable) {
   const auto text = testing::random_symbols(5, 4, 3);
-  KmerTableBuilder builder(text, 8);  // capped k still exceeds the text
-  EXPECT_FALSE(builder.enabled());
-  builder.feed(0, 5);
-  EXPECT_FALSE(builder.finish().enabled());
+  // The capped k still exceeds the text.
+  EXPECT_FALSE(KmerSeedTable::build(text, 8).enabled());
+  EXPECT_FALSE(KmerSeedTable::build(PackedText(text), 8).enabled());
 }
 
 TEST(KmerTableTest, ZeroKDisablesSeeding) {
@@ -400,8 +429,7 @@ TEST(KmerTableTest, ZeroKDisablesSeeding) {
   index.build_seed_table(text, 0);
   EXPECT_EQ(index.seed_table(), nullptr);
 
-  const KmerSeedTable empty =
-      KmerSeedTable::build(text, make_index(text).suffix_array().unpack_u32(), 0);
+  const KmerSeedTable empty = KmerSeedTable::build(text, 0);
   EXPECT_FALSE(empty.enabled());
   EXPECT_EQ(empty.entries(), 0u);
 }

@@ -108,6 +108,24 @@ TEST(IntVectorPack, EqualsElementwiseSetAndUnpacks) {
   EXPECT_EQ(view.heap_size_in_bytes(), 0u);
 }
 
+TEST(IntVectorPack, ConsumingPackEqualsPackAcrossReleasedPages) {
+  // Large enough that whole pages of the 4-byte array are handed back
+  // mid-pass (2^16-entry chunks, 256 KiB each), at several sizes so the
+  // last chunk and the last word are partial.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{65'536},
+                              std::size_t{300'001}}) {
+    std::vector<std::uint32_t> values(n);
+    for (std::size_t i = 0; i < n; ++i) values[i] = static_cast<std::uint32_t>((i * 2654435761u) % 300'007);
+    const unsigned width = suffix_array_width(300'007);
+    const IntVector expected = IntVector::pack(values, width);
+    std::vector<std::uint32_t> consumed = values;
+    EXPECT_EQ(IntVector::pack_consuming(std::move(consumed), width), expected) << "n=" << n;
+    EXPECT_TRUE(consumed.empty());
+  }
+  std::vector<std::uint32_t> wide{1, 1u << 10};
+  EXPECT_THROW(IntVector::pack_consuming(std::move(wide), 10), std::invalid_argument);
+}
+
 TEST(IntVectorPack, RefusesAValueWiderThanTheWidth) {
   // Cutting it to its low bits would store a different value.
   const std::vector<std::uint32_t> values{1, 2, (1u << 10) | 3, 4};

@@ -158,6 +158,42 @@ TEST_F(RegistryTest, AddServesTheArchiveItReadBack) {
   EXPECT_EQ(handle->reference.concatenated(), genome_a_);
 }
 
+TEST_F(RegistryTest, InstallDestroysTheBuiltIndexBeforeItsReadBack) {
+  // The read-back goes through the loader seam; from inside it, the index
+  // an add() or rollover() was handed must already be gone, so the new
+  // generation's mapping never coexists with the built copy.
+  IndexRegistry registry(store_);
+  std::weak_ptr<const KmerSeedTable> built_seeds;
+  int read_backs = 0;
+  registry.set_loader([&](const std::string& path, LoadMode mode) {
+    ++read_backs;
+    EXPECT_TRUE(built_seeds.expired()) << "the built index outlived its write: " << path;
+    return read_index_archive(path, mode);
+  });
+
+  StoredIndex first = build_stored("alpha", genome_a_);
+  built_seeds = first.index.shared_seed_table();
+  ASSERT_FALSE(built_seeds.expired()) << "the build must carry a seed table to watch";
+  registry.add("alpha", std::move(first));
+
+  StoredIndex second = build_stored("alpha", genome_b_);
+  built_seeds = second.index.shared_seed_table();
+  ASSERT_FALSE(built_seeds.expired());
+  registry.rollover("alpha", std::move(second));
+
+  EXPECT_EQ(read_backs, 2);
+  EXPECT_EQ(registry.acquire("alpha")->reference.concatenated(), genome_b_);
+}
+
+TEST_F(RegistryTest, MemoryOnlyInstallServesTheIndexItIsGiven) {
+  IndexRegistry registry("");
+  StoredIndex built = build_stored("alpha", genome_a_);
+  const std::shared_ptr<const KmerSeedTable> seeds = built.index.shared_seed_table();
+  ASSERT_NE(seeds, nullptr);
+  const IndexRegistry::Handle handle = registry.add("alpha", std::move(built));
+  EXPECT_EQ(handle->index.shared_seed_table(), seeds);
+}
+
 TEST_F(RegistryTest, FailedInstallLeavesTheRegistryUnchanged) {
   IndexRegistry registry(store_);
   const auto store_files = [this] {
@@ -330,12 +366,14 @@ TEST_F(RegistryTest, AddReplacesExistingEntry) {
 
 /// A loader a test can hold open: each load reads its archive, then waits
 /// until release() (so the file is open, as in a slow load of a large
-/// archive) before it returns.
+/// archive) before it returns. Loads of the let_through() path (an
+/// install's read-back) pass uncounted and ungated.
 class GatedLoader {
  public:
   IndexRegistry::Loader loader() {
     return [this](const std::string& path, LoadMode mode) {
       StoredIndex stored = read_index_archive(path, mode);
+      if (path == let_through_) return stored;
       calls_.fetch_add(1);
       gate_.wait();
       if (fail_.exchange(false)) throw IoError("gated load failed: " + path);
@@ -344,6 +382,7 @@ class GatedLoader {
   }
   void release() { release_.set_value(); }
   void fail_next() { fail_ = true; }
+  void let_through(std::string path) { let_through_ = std::move(path); }
   int calls() const { return calls_.load(); }
   /// Waits (up to 10 s) until `n` loads have reached the gate.
   bool wait_for_calls(int n) const {
@@ -358,6 +397,7 @@ class GatedLoader {
   std::shared_future<void> gate_ = release_.get_future().share();
   std::atomic<int> calls_{0};
   std::atomic<bool> fail_{false};
+  std::string let_through_;
 };
 
 class ColdLoadTest : public RegistryTest {
@@ -426,13 +466,14 @@ TEST_F(ColdLoadTest, ConcurrentAcquirersShareOneLoad) {
 TEST_F(ColdLoadTest, RolloverDuringALoadKeepsTheNewGeneration) {
   IndexRegistry registry(store_);
   GatedLoader gated;
+  gated.let_through((std::filesystem::path(store_) / "beta.g2.bwva").string());
   registry.set_loader(gated.loader());
   IndexRegistry::Handle loaded;
   std::thread cold([&] { loaded = registry.acquire("beta"); });
   ASSERT_TRUE(gated.wait_for_calls(1));
-  // The rollover writes and reads back generation 2 (not through the
-  // loader) and flips while generation 1's load is parked (with a deadline:
-  // a registry that loads under its lock would park the flip too).
+  // The rollover writes generation 2, reads it back through the loader
+  // (ungated) and flips while generation 1's load is parked (with a
+  // deadline: a registry that loads under its lock would park the flip too).
   auto rollover = std::async(std::launch::async, [&] {
     return registry.rollover("beta", build_stored("beta", genome_c_));
   });
