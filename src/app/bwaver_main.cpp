@@ -189,14 +189,9 @@ int cmd_index_build(const ArgParser& args) {
       static_cast<std::size_t>(args.get_int("block-mb", 0)) << 20;
   config.build_provenance = args.has("build-meta");
 
-  // The parsed FASTA is dropped once packed: the build holds 2-bit codes.
-  std::string name;
-  ReferenceSet reference;
-  {
-    const auto records = read_fasta(ref_path);
-    name = args.get("name", records.front().name);
-    reference = reference_from_fasta(records);
-  }
+  // The FASTA is packed to 2-bit codes as it is read, never held whole.
+  ReferenceSet reference = read_reference(ref_path);
+  const std::string name = args.get("name", reference.sequence(0).name);
 
   // Build straight to a staging file in the store, then adopt(): the index
   // is registered without ever being resident, which is the whole point of

@@ -39,6 +39,7 @@ const char* status_text(int status) {
     case 413: return "Payload Too Large";
     case 429: return "Too Many Requests";
     case 500: return "Internal Server Error";
+    case 501: return "Not Implemented";
     case 502: return "Bad Gateway";
     case 503: return "Service Unavailable";
     case 504: return "Gateway Timeout";
@@ -159,31 +160,8 @@ bool recv_some(int fd, std::string& buffer, std::chrono::milliseconds timeout) {
   return true;
 }
 
-/// Smallest step by which a request body's buffer grows.
+/// Smallest step by which a whole body's string grows (read_body).
 constexpr std::size_t kBodyReadBytes = std::size_t{256} << 10;
-
-/// Receives the rest of a `length`-byte body straight into `body`, which
-/// holds its first bytes on entry. The buffer grows geometrically, by at
-/// least kBodyReadBytes, as bytes arrive — never to the declared length up
-/// front — and each recv fills as much of it as the socket has. Returns
-/// false on timeout, EOF, or error.
-bool recv_body(int fd, std::vector<std::uint8_t>& body, std::size_t length,
-               std::chrono::milliseconds timeout) {
-  std::size_t filled = body.size();
-  while (filled < length) {
-    if (filled == body.size()) {
-      body.resize(std::min(length, filled + std::max(filled, kBodyReadBytes)));
-    }
-    pollfd waiter{};
-    waiter.fd = fd;
-    waiter.events = POLLIN;
-    if (::poll(&waiter, 1, static_cast<int>(timeout.count())) <= 0) return false;
-    const ssize_t n = ::recv(fd, body.data() + filled, body.size() - filled, 0);
-    if (n <= 0) return false;
-    filled += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 /// Splits a path into '/'-separated segments ("" for the root path).
 std::vector<std::string> split_segments(const std::string& path) {
@@ -246,6 +224,57 @@ std::string url_encode(const std::string& value) {
       out.push_back(hex[c >> 4]);
       out.push_back(hex[c & 0xf]);
     }
+  }
+  return out;
+}
+
+std::size_t RequestBody::read(std::uint8_t* out, std::size_t size) {
+  if (failed_) throw IoError("request body: the connection failed");
+  size = std::min(size, remaining_);
+  if (size == 0) return 0;
+  if (!carried_.empty()) {
+    const std::size_t take = std::min(size, carried_.size());
+    std::memcpy(out, carried_.data(), take);
+    carried_.erase(0, take);
+    remaining_ -= take;
+    return take;
+  }
+  pollfd waiter{};
+  waiter.fd = fd_;
+  waiter.events = POLLIN;
+  if (::poll(&waiter, 1, static_cast<int>(timeout_.count())) <= 0) {
+    failed_ = true;
+    throw IoError("request body: no bytes for " + std::to_string(timeout_.count()) + " ms");
+  }
+  const ssize_t n = ::recv(fd_, out, size, 0);
+  if (n <= 0) {
+    failed_ = true;
+    throw IoError("request body ended " + std::to_string(remaining_) + " bytes short");
+  }
+  remaining_ -= static_cast<std::size_t>(n);
+  return static_cast<std::size_t>(n);
+}
+
+bool RequestBody::discard_rest() noexcept {
+  std::uint8_t sink[16384];
+  try {
+    while (remaining_ > 0) read(sink, sizeof(sink));
+  } catch (const std::exception&) {
+    return false;
+  }
+  return !failed_;
+}
+
+std::string HttpRequest::read_body() const {
+  std::string out;
+  if (body == nullptr) return out;
+  std::size_t filled = 0;
+  while (body->remaining() > 0) {
+    if (filled == out.size()) {
+      out.resize(filled + std::min(body->remaining(), std::max(filled, kBodyReadBytes)));
+    }
+    filled += body->read(reinterpret_cast<std::uint8_t*>(out.data()) + filled,
+                         out.size() - filled);
   }
   return out;
 }
@@ -512,7 +541,14 @@ bool HttpServer::serve_one(int client_fd, std::string& buffer, std::size_t serve
     send_response(client_fd, response, grant);
   };
 
-  // Body, capped before a single byte is buffered beyond the cap.
+  // Only Content-Length bodies are read. A transfer coding cannot be skipped
+  // without decoding it, and its bytes would be taken for the next request.
+  if (request.headers.count("transfer-encoding") != 0) {
+    grant.keep = false;
+    respond(HttpResponse::text(501, "unsupported transfer coding; send Content-Length\n"));
+    return false;
+  }
+  // The body's length is capped before a single byte of it is read.
   std::size_t content_length = 0;
   if (auto it = request.headers.find("content-length"); it != request.headers.end()) {
     try {
@@ -530,18 +566,19 @@ bool HttpServer::serve_one(int client_fd, std::string& buffer, std::size_t serve
                                         " bytes\n"));
     return false;
   }
-  // Body bytes that arrived with the headers come first; bytes past the
-  // declared body belong to the next pipelined request and stay in
-  // `buffer`. The rest is received straight into the body, never past its
-  // end, and it grows only with the bytes that arrive: a client cannot make
-  // the server allocate its declared length up front.
-  const std::size_t buffered = std::min(buffer.size() - header_end - 4, content_length);
-  request.body.assign(buffer.begin() + static_cast<std::ptrdiff_t>(header_end + 4),
-                      buffer.begin() + static_cast<std::ptrdiff_t>(header_end + 4 + buffered));
-  buffer.erase(0, header_end + 4 + buffered);
-  if (!recv_body(client_fd, request.body, content_length, options_.keep_alive_timeout)) {
-    return false;
+  request.content_length = content_length;
+  // A client that asked to be told (curl does, for bodies over 1 MiB) waits
+  // for this before it sends the body.
+  if (const auto it = request.headers.find("expect");
+      content_length > 0 && it != request.headers.end() && lower(it->second) == "100-continue") {
+    send_all(client_fd, "HTTP/1.1 100 Continue\r\n\r\n", {});
   }
+  // The handler reads the body as it arrives, starting with the bytes that
+  // came in with the head; bytes past the body stay in `buffer` for the
+  // next pipelined request.
+  buffer.erase(0, header_end + 4);
+  RequestBody body(client_fd, buffer, content_length, options_.keep_alive_timeout);
+  request.body = &body;
 
   // Dispatch.
   HttpResponse response;
@@ -559,8 +596,13 @@ bool HttpServer::serve_one(int client_fd, std::string& buffer, std::size_t serve
       response = HttpResponse::text(500, std::string("error: ") + e.what() + "\n");
     }
   }
+  // A body that stalled or ended short never made a request: no answer.
+  if (body.failed()) return false;
   respond(std::move(response));
-  return grant.keep;
+  // An early answer (a handler's 4xx, or the 404/405 above) leaves the rest
+  // of the body unread. It is read and dropped, so the response is not lost
+  // to a reset and the next request starts where this one ends.
+  return body.discard_rest() && grant.keep;
 }
 
 }  // namespace bwaver

@@ -3,11 +3,13 @@
 // thread feeding a *bounded* connection worker pool (no thread-per-
 // connection fork bombs), a configurable kernel accept backlog and
 // in-process pending cap (overload answers 503 immediately), a maximum
-// request body size (413), Content-Length bodies, keep-alive connection
-// reuse (idle timeout + max-requests-per-connection cap, HTTP/1.1
-// semantics; `Connection: close` honored), and path templates
-// (`/jobs/{id}`) alongside exact routes. stop() joins — never detaches —
-// so shutdown cannot race in-flight handlers.
+// request body size (413), Content-Length bodies that a handler reads as
+// they arrive (RequestBody; `Expect: 100-continue` is answered, a
+// Transfer-Encoding gets 501), keep-alive connection reuse (idle timeout +
+// max-requests-per-connection cap, HTTP/1.1 semantics; `Connection: close`
+// honored), and path templates (`/jobs/{id}`) alongside exact routes.
+// stop() joins — never detaches — so shutdown cannot race in-flight
+// handlers.
 #pragma once
 
 #include <atomic>
@@ -23,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/chunk_reader.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bwaver {
@@ -33,13 +36,57 @@ namespace bwaver {
 /// line. The server's query parser decodes it back to the same bytes.
 std::string url_encode(const std::string& value);
 
+/// A request body as it arrives: the bytes that came in with the head, then
+/// the socket, never read past the declared Content-Length (bytes beyond it
+/// belong to the next pipelined request). The server hands it to the
+/// handler unread, so a handler packs the body as it arrives instead of
+/// holding it whole. A read that outwaits the keep-alive timeout, or finds
+/// the connection closed before the body ends, throws IoError; the server
+/// then closes the connection without answering.
+class RequestBody final : public ByteSource {
+ public:
+  /// `carried` holds the bytes received after the head; those the body
+  /// takes are erased from its front.
+  RequestBody(int fd, std::string& carried, std::size_t length,
+              std::chrono::milliseconds timeout) noexcept
+      : fd_(fd), carried_(carried), remaining_(length), timeout_(timeout) {}
+
+  std::size_t read(std::uint8_t* out, std::size_t size) override;
+  /// Bytes of the body not yet read.
+  std::size_t remaining() const noexcept override { return remaining_; }
+  /// True once a read failed: the body never arrived whole.
+  bool failed() const noexcept { return failed_; }
+
+  /// Reads the rest of the body and drops it; false if it failed.
+  bool discard_rest() noexcept;
+
+ private:
+  int fd_;
+  std::string& carried_;
+  std::size_t remaining_;
+  std::chrono::milliseconds timeout_;
+  bool failed_ = false;
+};
+
 struct HttpRequest {
   std::string method;
   std::string path;                            ///< without the query string
   std::map<std::string, std::string> query;    ///< decoded ?key=value params
   std::map<std::string, std::string> headers;  ///< lower-cased names
   std::map<std::string, std::string> path_params;  ///< `{name}` captures
-  std::vector<std::uint8_t> body;  ///< received in place, never copied
+  /// The declared body length, within the server's cap (checked before any
+  /// body byte is read).
+  std::size_t content_length = 0;
+  /// The body, unread: a handler packs it window by window (a ChunkReader
+  /// over it) or reads it whole (read_body()). What the handler leaves
+  /// unread is discarded after its response. Set by the server for the
+  /// handler's call; null otherwise.
+  RequestBody* body = nullptr;
+
+  /// Reads what is left of the body, all of it, into one string (growing
+  /// with the bytes that arrive, never to the declared length up front).
+  /// Throws IoError as RequestBody::read does.
+  std::string read_body() const;
 
   /// Query parameter lookup with a fallback.
   std::string query_param(const std::string& key, const std::string& fallback = "") const {
@@ -146,8 +193,8 @@ class HttpServer {
   /// Serves one request from `buffer` + the socket. Returns false when the
   /// connection must close (error, EOF, idle timeout, or a close-semantics
   /// request). Consumed bytes are erased from `buffer`; pipelined bytes
-  /// for the next request remain. The body is received straight into the
-  /// request in large reads, and is handed to the handler without a copy.
+  /// for the next request remain. The handler reads the body itself (see
+  /// RequestBody); the server discards what it leaves unread.
   bool serve_one(int client_fd, std::string& buffer, std::size_t served);
   const Handler* find_route(HttpRequest& request, bool& method_known_for_path) const;
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "fleet/map_transport.hpp"
-#include "io/fasta.hpp"
 #include "kernels/registry.hpp"
 #include "mapper/map_service.hpp"
 #include "util/json.hpp"
@@ -198,17 +197,20 @@ HttpResponse WebService::handle_references() const {
 }
 
 HttpResponse WebService::handle_reference(const HttpRequest& request) {
-  if (request.body.empty()) {
+  if (request.content_length == 0) {
     return HttpResponse::text(400, "empty reference upload\n");
   }
-  std::vector<FastaRecord> records;
+  // The FASTA is packed to 2-bit codes as it arrives: the build holds the
+  // packed reference, never the body or a byte per base.
+  ReferenceSet reference;
   try {
-    records = parse_fasta(request.body);
+    ChunkReader reader(*request.body, kRequestChunkBytes);
+    reference = pack_fasta(reader);
   } catch (const std::exception& e) {
     return HttpResponse::text(400, std::string("bad FASTA: ") + e.what() + "\n");
   }
   std::string name = request.query_param("name");
-  if (name.empty()) name = records.front().name;
+  if (name.empty()) name = reference.sequence(0).name;
   // Checked before the build, which is the expensive part: a header with a
   // description ("chr21 Homo sapiens ...") is not a usable name.
   if (!IndexRegistry::valid_name(name)) {
@@ -220,10 +222,7 @@ HttpResponse WebService::handle_reference(const HttpRequest& request) {
   // the host. The install writes and checks the archive with no registry
   // lock held, so mapping requests keep flowing meanwhile.
   std::lock_guard<std::mutex> build_lock(build_mutex_);
-  const std::size_t sequences = records.size();
-  // The build holds the 2-bit codes, not the parsed FASTA a second time.
-  ReferenceSet reference = reference_from_fasta(records);
-  records = std::vector<FastaRecord>();
+  const std::size_t sequences = reference.num_sequences();
   const IndexRegistry::Handle handle =
       registry_.add(name, build_stored_index(std::move(reference), options_.pipeline));
 
@@ -245,12 +244,13 @@ HttpResponse WebService::handle_rollover(const HttpRequest& request) {
     return HttpResponse::text(404, "unknown reference '" + name +
                                        "'; use POST /reference for first registration\n");
   }
-  if (request.body.empty()) {
+  if (request.content_length == 0) {
     return HttpResponse::text(400, "empty reference upload\n");
   }
-  std::vector<FastaRecord> records;
+  ReferenceSet reference;
   try {
-    records = parse_fasta(request.body);
+    ChunkReader reader(*request.body, kRequestChunkBytes);
+    reference = pack_fasta(reader);
   } catch (const std::exception& e) {
     return HttpResponse::text(400, std::string("bad FASTA: ") + e.what() + "\n");
   }
@@ -259,8 +259,6 @@ HttpResponse WebService::handle_rollover(const HttpRequest& request) {
   // current generation); only the final pointer flip inside rollover()
   // takes the write lock.
   std::lock_guard<std::mutex> build_lock(build_mutex_);
-  ReferenceSet reference = reference_from_fasta(records);
-  records = std::vector<FastaRecord>();
   try {
     registry_.rollover(name, build_stored_index(std::move(reference), options_.pipeline));
   } catch (const std::exception& e) {
@@ -300,7 +298,7 @@ HttpResponse WebService::submit_map_job(const HttpRequest& request,
   HttpResponse error;
   const std::string name = resolve_ref_name(request, error);
   if (name.empty()) return error;
-  if (request.body.empty()) {
+  if (request.content_length == 0) {
     return HttpResponse::text(400, "empty read upload\n");
   }
   std::optional<std::chrono::milliseconds> timeout;
@@ -326,12 +324,13 @@ HttpResponse WebService::submit_map_job(const HttpRequest& request,
     config.engine = *engine;
   }
 
-  // Pack the reads on the connection thread (one pass, bounded by the body
-  // cap) so a malformed FASTQ fails fast with 400 instead of becoming a
-  // failed job, and the job holds one batch, not the body.
+  // Pack the reads on the connection thread as the body arrives (one pass,
+  // bounded by the body cap), so a malformed FASTQ fails fast with 400
+  // instead of becoming a failed job. The job holds one batch; a plain body
+  // is never held whole at all.
   std::shared_ptr<const ReadBatch> batch;
   try {
-    batch = parse_request_reads(request.body, config.engine, *metrics_);
+    batch = parse_request_reads(*request.body, config.engine, *metrics_);
   } catch (const std::exception& e) {
     return HttpResponse::text(400, std::string("bad FASTQ: ") + e.what() + "\n");
   }

@@ -54,7 +54,10 @@
 //
 // Mapping work executes on the JobManager's fixed worker pool, never on
 // HTTP connection threads; both /map and /jobs funnel through the same
-// bounded queue, so overload sheds load instead of forking threads.
+// bounded queue, so overload sheds load instead of forking threads. Upload
+// bodies are packed on the connection thread as they arrive — FASTQ into
+// the job's ReadBatch, FASTA into the 2-bit ReferenceSet — so no body is
+// held whole (a gzip body is read whole and inflated once).
 #pragma once
 
 #include <cstdint>

@@ -120,9 +120,8 @@ std::string InProcessTransport::map(const MapRequest& request,
   }
   std::shared_ptr<const ReadBatch> batch;
   try {
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(request.fastq.data());
-    batch = parse_request_reads(std::span<const std::uint8_t>(bytes, request.fastq.size()),
-                                config.engine, *jobs_.stats().metrics);
+    MemorySource fastq(request.fastq);
+    batch = parse_request_reads(fastq, config.engine, *jobs_.stats().metrics);
   } catch (const std::exception& e) {
     throw TransportError(TransportErrorKind::kBadRequest,
                          std::string("bad FASTQ: ") + e.what(), 400);

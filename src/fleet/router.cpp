@@ -472,12 +472,15 @@ HttpResponse RouterService::handle_map(const HttpRequest& request) {
   // The client's engine choice is forwarded verbatim to every shard's
   // backend (which validates it); the router itself is engine-agnostic.
   const std::string engine = request.query_param("engine");
-  if (request.body.empty()) {
+  if (request.content_length == 0) {
     return HttpResponse::text(400, "empty read upload\n");
   }
+  // Sharding re-renders the reads, so the router reads its body whole.
   std::vector<FastqRecord> records;
   try {
-    records = parse_fastq(request.body);
+    const std::string body = request.read_body();
+    records = parse_fastq(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(body.data()), body.size()));
   } catch (const std::exception& e) {
     return HttpResponse::text(400, std::string("bad FASTQ: ") + e.what() + "\n");
   }
@@ -567,10 +570,11 @@ HttpResponse RouterService::handle_rollover(const HttpRequest& request) {
   if (ref.empty()) {
     return HttpResponse::text(400, "select a reference with ?ref=NAME\n");
   }
-  if (request.body.empty()) {
+  if (request.content_length == 0) {
     return HttpResponse::text(400, "empty reference upload\n");
   }
-  const std::string body(request.body.begin(), request.body.end());
+  // Every replica is sent the same bytes, so the router reads them whole.
+  const std::string body = request.read_body();
   const std::string target = "/admin/rollover?ref=" + url_encode(ref);
   const std::vector<std::pair<std::string, std::string>> headers{
       {"X-Request-Id", request.request_id()}};

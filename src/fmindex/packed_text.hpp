@@ -97,6 +97,9 @@ class PackedText {
   /// Appends codes given one per byte.
   void append(std::span<const std::uint8_t> codes);
 
+  /// Makes room for `bases` codes in all.
+  void reserve(std::size_t bases) { codes_.reserve(bases); }
+
   /// The codes of [first, first + count), one per byte.
   std::vector<std::uint8_t> unpack(std::size_t first, std::size_t count) const;
   /// Every code, one per byte (what suffix-array construction sorts).

@@ -5,7 +5,9 @@
 // symbol — which means a match can spuriously straddle a boundary between
 // two sequences; those hits must be filtered when intervals are resolved to
 // positions. ReferenceSet owns the name/offset table, the global->local
-// coordinate mapping, and that filter.
+// coordinate mapping, and that filter. pack_fasta builds one from FASTA text
+// as a ChunkReader hands it out, so an upload or a reference file is never
+// held whole, nor at a byte per base.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +20,8 @@
 #include "io/byte_io.hpp"
 
 namespace bwaver {
+
+class ChunkReader;
 
 class ReferenceSet {
  public:
@@ -78,5 +82,16 @@ class ReferenceSet {
   std::vector<Sequence> sequences_;
   PackedText text_;
 };
+
+/// Packs FASTA(.gz) text into a reference as `reader` hands it out, window
+/// by window, without holding the text or a byte per base: each record
+/// becomes one sequence, its bases 2-bit coded and a base outside ACGTU
+/// replaced by dna_substitute(its position in the record). At any chunk size
+/// this is the set reference_from_fasta(parse_fasta(<the whole text>))
+/// gives, and it throws the IoError (same text) parse_fasta would.
+ReferenceSet pack_fasta(ChunkReader& reader);
+
+/// pack_fasta over a FASTA(.gz) file, read in 4 MiB chunks.
+ReferenceSet read_reference(const std::string& path);
 
 }  // namespace bwaver

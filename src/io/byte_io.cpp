@@ -1,10 +1,5 @@
 #include "io/byte_io.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -209,37 +204,6 @@ void write_file(const std::string& path, std::span<const std::uint8_t> data) {
 void write_file(const std::string& path, const std::string& data) {
   write_file(path, std::span<const std::uint8_t>(
                        reinterpret_cast<const std::uint8_t*>(data.data()), data.size()));
-}
-
-void write_file_atomic(const std::string& path, std::span<const std::uint8_t> data) {
-  const std::string temp = path + ".tmp";
-  const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw IoError("write_file_atomic: cannot open " + temp + ": " + std::strerror(errno));
-  }
-  std::size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      ::unlink(temp.c_str());
-      throw IoError("write_file_atomic: short write to " + temp + ": " + std::strerror(err));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  // fsync before rename: the rename must not become durable before the data,
-  // or a power cut could surface a complete-looking but empty file.
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
-    ::unlink(temp.c_str());
-    throw IoError("write_file_atomic: fsync failed for " + temp + ": " + std::strerror(errno));
-  }
-  if (std::rename(temp.c_str(), path.c_str()) != 0) {
-    const int err = errno;
-    ::unlink(temp.c_str());
-    throw IoError("write_file_atomic: rename to " + path + " failed: " + std::strerror(err));
-  }
 }
 
 }  // namespace bwaver

@@ -134,11 +134,4 @@ std::vector<std::uint8_t> read_file(const std::string& path);
 void write_file(const std::string& path, std::span<const std::uint8_t> data);
 void write_file(const std::string& path, const std::string& data);
 
-/// Crash-safe whole-file write: the data goes to `path + ".tmp"`, is fsynced,
-/// and is renamed over `path` in one atomic step. A reader racing the write —
-/// or opening the file after a mid-write crash — sees either the complete old
-/// content or the complete new content, never a torn mix. The stale ".tmp"
-/// a crash can leave behind is overwritten by the next successful write.
-void write_file_atomic(const std::string& path, std::span<const std::uint8_t> data);
-
 }  // namespace bwaver

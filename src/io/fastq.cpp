@@ -1,8 +1,6 @@
 #include "io/fastq.hpp"
 
-#include <algorithm>
 #include <cstring>
-#include <stdexcept>
 
 #include "io/gzip.hpp"
 
@@ -112,47 +110,6 @@ std::vector<FastqRecord> parse_fastq(std::span<const std::uint8_t> data) {
 std::vector<FastqRecord> read_fastq(const std::string& path) {
   const auto data = read_file(path);
   return parse_fastq(data);
-}
-
-FastqFileReader::FastqFileReader(const std::string& path, std::size_t chunk_bytes)
-    : file_(path, std::ios::binary), chunk_bytes_(chunk_bytes) {
-  if (chunk_bytes_ == 0) {
-    throw std::invalid_argument("FastqFileReader: chunk_bytes must be >= 1");
-  }
-  if (!file_) throw IoError("FastqFileReader: cannot open " + path);
-  unsigned char magic[2] = {0, 0};
-  file_.read(reinterpret_cast<char*>(magic), 2);
-  if (file_.gcount() == 2 && magic[0] == 0x1f && magic[1] == 0x8b) {
-    file_.close();
-    gzip_ = true;
-    buffer_ = gzip_decompress(read_file(path));
-    return;
-  }
-  file_.clear();
-  file_.seekg(0);
-}
-
-bool FastqFileReader::read_more() {
-  if (at_end_) return false;
-  if (gzip_) {
-    end_ = std::min(buffer_.size(), end_ + chunk_bytes_);
-    at_end_ = end_ == buffer_.size();
-    return true;
-  }
-  // Keep the unread tail at the front, then read the next chunk after it.
-  if (head_ != 0) {
-    std::memmove(buffer_.data(), buffer_.data() + head_, end_ - head_);
-    end_ -= head_;
-    head_ = 0;
-  }
-  if (buffer_.size() < end_ + chunk_bytes_) buffer_.resize(end_ + chunk_bytes_);
-  file_.read(reinterpret_cast<char*>(buffer_.data() + end_),
-             static_cast<std::streamsize>(chunk_bytes_));
-  const auto got = static_cast<std::size_t>(file_.gcount());
-  if (file_.bad()) throw IoError("FastqFileReader: read error");
-  end_ += got;
-  at_end_ = got < chunk_bytes_;
-  return true;
 }
 
 std::string format_fastq(std::span<const FastqRecord> records) {

@@ -2,12 +2,12 @@
 //
 // FastqScanner is the one record scanner: parse_fastq copies its records
 // into FastqRecords, and the mapper packs them straight into a ReadBatch
-// (mapper/read_batch.hpp) without that copy. FastqFileReader feeds a file
-// to the scanner chunk by chunk, so `bwaver map` holds one chunk at a time.
+// (mapper/read_batch.hpp) without that copy. A ChunkReader
+// (io/chunk_reader.hpp) feeds a file or a request body to the scanner chunk
+// by chunk, so neither is ever held whole.
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <span>
 #include <string>
 #include <string_view>
@@ -86,49 +86,6 @@ std::vector<FastqRecord> parse_fastq(std::span<const std::uint8_t> data);
 
 /// Reads and parses a FASTQ (or FASTQ.gz) file.
 std::vector<FastqRecord> read_fastq(const std::string& path);
-
-/// Reads a FASTQ file in chunks of `chunk_bytes` for a FastqScanner:
-///
-///   while (reader.read_more()) {
-///     FastqScanner scanner(reader.text(), reader.at_end(), records);
-///     ... take records ...
-///     reader.consume(scanner.consumed());
-///   }
-///
-/// Text a scan leaves unread (a record cut by the chunk end) stays at the
-/// front of the next text(), so memory holds one chunk plus one record. A
-/// gzip file is inflated whole when opened (the codec has no streaming
-/// inflate) and then handed out in the same chunks.
-class FastqFileReader {
- public:
-  /// Throws IoError if the file cannot be opened, std::invalid_argument
-  /// for a zero chunk size.
-  FastqFileReader(const std::string& path, std::size_t chunk_bytes);
-
-  /// Appends up to chunk_bytes more of the file to text(); false once the
-  /// end of the file was already reached.
-  bool read_more();
-
-  /// The text read and not yet consumed.
-  std::string_view text() const noexcept {
-    return {reinterpret_cast<const char*>(buffer_.data()) + head_, end_ - head_};
-  }
-
-  /// True once text() runs to the end of the file.
-  bool at_end() const noexcept { return at_end_; }
-
-  /// Drops the first `bytes` of text().
-  void consume(std::size_t bytes) noexcept { head_ += bytes; }
-
- private:
-  std::ifstream file_;                ///< closed for gzip input
-  std::vector<std::uint8_t> buffer_;  ///< plain: the window; gzip: all text
-  std::size_t chunk_bytes_;
-  std::size_t head_ = 0;
-  std::size_t end_ = 0;
-  bool gzip_ = false;
-  bool at_end_ = false;
-};
 
 std::string format_fastq(std::span<const FastqRecord> records);
 

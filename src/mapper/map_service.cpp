@@ -382,12 +382,12 @@ MappingOutcome map_records_over(const StoredIndex& stored, const PipelineConfig&
   return map_one_batch(run, stored, batch, mapping_seconds, cancel);
 }
 
-std::shared_ptr<const ReadBatch> parse_request_reads(std::span<const std::uint8_t> body,
-                                                     MappingEngine engine,
+std::shared_ptr<const ReadBatch> parse_request_reads(ByteSource& body, MappingEngine engine,
                                                      obs::MetricsRegistry& metrics) {
-  WallTimer timer;
-  auto batch = std::make_shared<const ReadBatch>(ReadBatch::from_fastq_bytes(body));
-  observe_stage(metrics, kernels::engine_spec(engine).name, "parse", timer.milliseconds());
+  ChunkReader reader(body, kRequestChunkBytes);
+  double parse_ms = 0.0;
+  auto batch = std::make_shared<const ReadBatch>(ReadBatch::from_fastq_chunks(reader, &parse_ms));
+  observe_stage(metrics, kernels::engine_spec(engine).name, "parse", parse_ms);
   return batch;
 }
 

@@ -1,12 +1,12 @@
 // The one mapping loop, over a loaded index.
 //
 // A served request is packed into one ReadBatch on the connection thread
-// (parse_request_reads); `bwaver map` packs its FASTQ file chunk by chunk
-// (Pipeline::map_reads). Either way a MappingRun then maps batch after
-// batch: the engine searches runs of the batch in place (ReadSpan),
-// locate_hits resolves each run's SA intervals into a flat hit list, and
-// write_sam_lines writes the hits' lines straight from the batch, the hit
-// and the reference into the SAM buffer.
+// as its body arrives (parse_request_reads); `bwaver map` packs its FASTQ
+// file chunk by chunk (Pipeline::map_reads). Either way a MappingRun then
+// maps batch after batch: the engine searches runs of the batch in place
+// (ReadSpan), locate_hits resolves each run's SA intervals into a flat hit
+// list, and write_sam_lines writes the hits' lines straight from the batch,
+// the hit and the reference into the SAM buffer.
 //
 // Pipeline holds its index through the same shared StoredIndex handle the
 // multi-tenant web service borrows from the IndexRegistry, and both map
@@ -135,11 +135,17 @@ MappingOutcome map_records_over(const StoredIndex& stored, const PipelineConfig&
                                 double* mapping_seconds = nullptr,
                                 const CancelToken* cancel = nullptr);
 
-/// Packs a FASTQ(.gz) request body on the calling (connection) thread, so
-/// a malformed body gets a 400 before anything is queued, and records the
-/// time in `metrics` as stage "parse" of `engine`. Throws IoError.
-std::shared_ptr<const ReadBatch> parse_request_reads(std::span<const std::uint8_t> body,
-                                                     MappingEngine engine,
+/// Bytes of a request body that are scanned at a time: the window a body
+/// is packed from holds about this much text beside the batch.
+inline constexpr std::size_t kRequestChunkBytes = std::size_t{256} << 10;
+
+/// Packs a FASTQ(.gz) request body on the calling (connection) thread,
+/// window by window as it is read from `body`, so a plain body is never
+/// held whole and a malformed one gets a 400 before anything is queued.
+/// Records the time spent scanning and packing (not waiting for bytes) in
+/// `metrics` as stage "parse" of `engine`. Throws IoError, and what `body`
+/// throws.
+std::shared_ptr<const ReadBatch> parse_request_reads(ByteSource& body, MappingEngine engine,
                                                      obs::MetricsRegistry& metrics);
 
 }  // namespace bwaver

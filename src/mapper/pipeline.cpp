@@ -10,6 +10,7 @@
 #include "build/build_plan.hpp"
 #include "fmindex/dna.hpp"
 #include "io/byte_io.hpp"
+#include "io/chunk_reader.hpp"
 #include "io/fasta.hpp"
 #include "io/fastq.hpp"
 #include "mapper/map_service.hpp"
@@ -147,13 +148,12 @@ StoredIndex build_stored_index(ReferenceSet reference, const PipelineConfig& con
 std::string Pipeline::compute_bwt_sa(const std::string& fasta_path,
                                      const std::string& index_path) {
   WallTimer timer;
-  const auto records = read_fasta(fasta_path);
-  const ReferenceSet reference = reference_from_fasta(records);
+  const ReferenceSet reference = read_reference(fasta_path);
   const auto sa = build_suffix_array(reference.concatenated());
   const Bwt bwt = build_bwt(reference.concatenated(), sa);
   save_index_file(index_path, reference, bwt, sa);
   timings_.bwt_sa_seconds = timer.seconds();
-  return records.front().name;
+  return reference.sequence(0).name;
 }
 
 void Pipeline::encode(const std::string& index_path) {
@@ -185,7 +185,8 @@ MappingOutcome Pipeline::map_reads(const std::string& fastq_path,
   }
   if (chunk_bytes == 0) throw std::invalid_argument("Pipeline: chunk_bytes must be >= 1");
 
-  FastqFileReader reader(fastq_path, chunk_bytes);
+  FileSource file(fastq_path);
+  ChunkReader reader(file, chunk_bytes);
   std::ofstream out;
   if (!sam_path.empty()) {
     out.open(sam_path, std::ios::binary | std::ios::trunc);

@@ -1,6 +1,7 @@
 #include "mapper/read_batch.hpp"
 
 #include "fmindex/dna.hpp"
+#include "util/timer.hpp"
 
 namespace bwaver {
 
@@ -47,12 +48,16 @@ ReadBatch ReadBatch::from_fastq(std::span<const FastqRecord> records) {
   return batch;
 }
 
+void ReadBatch::add_scanned(FastqScanner& scanner) {
+  FastqView record;
+  while (scanner.next(record)) add_fastq(record.name, record.sequence);
+}
+
 ReadBatch ReadBatch::from_fastq_text(FastqScanner& scanner) {
   ReadBatch batch;
   // Every base has a quality byte, so half the text bounds the bases.
   batch.codes_.reserve(scanner.remaining() / 2);
-  FastqView record;
-  while (scanner.next(record)) batch.add_fastq(record.name, record.sequence);
+  batch.add_scanned(scanner);
   return batch;
 }
 
@@ -60,6 +65,26 @@ ReadBatch ReadBatch::from_fastq_bytes(std::span<const std::uint8_t> body) {
   std::vector<std::uint8_t> inflated;
   FastqScanner scanner(fastq_text(body, inflated));
   return from_fastq_text(scanner);
+}
+
+ReadBatch ReadBatch::from_fastq_chunks(ChunkReader& reader, double* pack_ms) {
+  ReadBatch batch;
+  double ms = 0.0;
+  std::size_t records = 0;
+  for (bool first = true; reader.read_more(); first = false) {
+    const WallTimer timer;
+    // Every base has a quality byte, so half the text bounds the bases
+    // (gzip's inflated text is known once the first window is read). The
+    // reservation is address space: pages are touched as the reads land.
+    if (first) batch.codes_.reserve(reader.bytes_left() / 2);
+    FastqScanner scanner(reader.text(), reader.at_end(), records);
+    batch.add_scanned(scanner);
+    records = scanner.record_index();
+    reader.consume(scanner.consumed());
+    ms += timer.milliseconds();
+  }
+  if (pack_ms != nullptr) *pack_ms = ms + reader.inflate_ms();
+  return batch;
 }
 
 }  // namespace bwaver

@@ -1,8 +1,8 @@
 // Flat, cache-friendly container for a batch of reads (2-bit codes,
 // variable length, with their names). Avoids per-read heap allocations: a
-// served request's reads are packed straight from the FASTQ body into one
-// batch (from_fastq_text), and the engines search runs of it in place
-// (ReadSpan).
+// served request's reads are packed into one batch window by window as the
+// FASTQ body arrives (from_fastq_chunks), and the engines search runs of it
+// in place (ReadSpan).
 #pragma once
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <string_view>
 #include <vector>
 
+#include "io/chunk_reader.hpp"
 #include "io/fastq.hpp"
 #include "sim/read_sim.hpp"
 
@@ -86,11 +87,21 @@ class ReadBatch {
   /// exactly when that would.
   static ReadBatch from_fastq_text(FastqScanner& scanner);
 
-  /// Packs a FASTQ(.gz) request body: gzip is inflated once, plain text is
-  /// scanned in place.
+  /// Packs a FASTQ(.gz) body held in memory: gzip is inflated once, plain
+  /// text is scanned in place.
   static ReadBatch from_fastq_bytes(std::span<const std::uint8_t> body);
 
+  /// Packs the FASTQ(.gz) text `reader` hands out, window by window, into
+  /// one batch: the batch from_fastq_bytes(<the whole text>) gives, or the
+  /// same IoError, at any chunk size. If `pack_ms` is non-null it receives
+  /// the milliseconds spent inflating, scanning and packing, not those spent
+  /// waiting for the source.
+  static ReadBatch from_fastq_chunks(ChunkReader& reader, double* pack_ms = nullptr);
+
  private:
+  /// add_fastq of every record `scanner` yields.
+  void add_scanned(FastqScanner& scanner);
+
   std::vector<std::uint8_t> codes_;
   std::vector<std::uint64_t> offsets_;
   std::vector<std::uint8_t> ambiguous_;  ///< one flag per read

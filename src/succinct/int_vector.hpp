@@ -89,6 +89,9 @@ class IntVector {
   /// Grows or shrinks to n entries (width() >= 1); new entries read 0.
   void resize(std::size_t n);
 
+  /// Makes room for n entries, so growing up to n moves no word.
+  void reserve(std::size_t n) { words_.reserve((n * width_ + 63) / 64); }
+
   /// The packed words, for readers that decode several entries per word
   /// (PackedText); mutable_words() detaches a borrowed view first.
   std::span<const std::uint64_t> words() const noexcept { return words_; }

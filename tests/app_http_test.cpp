@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -21,6 +22,7 @@
 #include "io/gzip.hpp"
 #include "sim/genome_sim.hpp"
 #include "sim/read_sim.hpp"
+#include "util/rng.hpp"
 
 namespace bwaver {
 namespace {
@@ -80,8 +82,8 @@ TEST(HttpServer, PostBodyIsDelivered) {
   HttpServer server;
   std::string received;
   server.route("POST", "/echo", [&](const HttpRequest& request) {
-    received.assign(request.body.begin(), request.body.end());
-    return HttpResponse::text(200, "got " + std::to_string(request.body.size()));
+    received = request.read_body();
+    return HttpResponse::text(200, "got " + std::to_string(received.size()));
   });
   server.start(0);
   const std::string body(10000, 'x');  // larger than one recv chunk
@@ -470,8 +472,8 @@ TEST(HttpServerKeepAlive, SegmentedBodyRunsStraightIntoAPipelinedRequest) {
   HttpServer server;
   std::vector<std::string> bodies;
   server.route("POST", "/echo", [&](const HttpRequest& request) {
-    bodies.emplace_back(request.body.begin(), request.body.end());
-    return HttpResponse::text(200, "got " + std::to_string(request.body.size()));
+    bodies.push_back(request.read_body());
+    return HttpResponse::text(200, "got " + std::to_string(bodies.back().size()));
   });
   server.start(0);
 
@@ -514,6 +516,170 @@ TEST(HttpServerKeepAlive, SegmentedBodyRunsStraightIntoAPipelinedRequest) {
   ASSERT_EQ(bodies.size(), 2u);
   EXPECT_EQ(bodies[0], body);
   EXPECT_EQ(bodies[1], "xyz");
+  server.stop();
+}
+
+/// Sends all of `data`, in one call or in segments of 1..997 bytes drawn
+/// from `rng`.
+void send_wire(int fd, const std::string& data, Xoshiro256* rng = nullptr) {
+  std::size_t sent = 0;
+  while (sent < data.size()) {
+    const std::size_t take =
+        rng == nullptr ? data.size() - sent
+                       : std::min<std::size_t>(1 + rng->below(997), data.size() - sent);
+    const ssize_t n = ::send(fd, data.data() + sent, take, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+/// Ends our side of the connection and reads everything the server sends
+/// until it closes.
+std::string finish_and_read_all(int fd) {
+  ::shutdown(fd, SHUT_WR);
+  std::string data;
+  char chunk[65536];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    data.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return data;
+}
+
+/// Splits back-to-back Content-Length-framed responses.
+std::vector<std::string> split_responses(const std::string& data) {
+  std::vector<std::string> responses;
+  std::size_t at = 0;
+  while (at < data.size()) {
+    const std::size_t head_end = data.find("\r\n\r\n", at);
+    if (head_end == std::string::npos) break;
+    const std::size_t length_at = data.find("Content-Length: ", at);
+    const std::size_t length =
+        length_at < head_end ? std::strtoul(data.c_str() + length_at + 16, nullptr, 10) : 0;
+    const std::size_t end = std::min(data.size(), head_end + 4 + length);
+    responses.push_back(data.substr(at, end - at));
+    at = end;
+  }
+  return responses;
+}
+
+TEST(HttpServerBody, ExpectContinueIsAnsweredBeforeTheBody) {
+  // curl sends `Expect: 100-continue` with bodies over 1 MiB, then waits up
+  // to a second for the interim response before it sends the body anyway.
+  HttpServer server;
+  server.route("POST", "/echo", [](const HttpRequest& request) {
+    return HttpResponse::text(200, "got " + std::to_string(request.read_body().size()));
+  });
+  server.start(0);
+  const int fd = connect_to(server.port());
+  send_wire(fd,
+            "POST /echo HTTP/1.1\r\nHost: localhost\r\nExpect: 100-continue\r\n"
+            "Content-Length: 5000\r\n\r\n");
+  pollfd waiter{};
+  waiter.fd = fd;
+  waiter.events = POLLIN;
+  ASSERT_EQ(::poll(&waiter, 1, 500), 1) << "no interim response within 500 ms";
+  const std::string interim = "HTTP/1.1 100 Continue\r\n\r\n";
+  std::string got(interim.size(), '\0');
+  ASSERT_EQ(::recv(fd, got.data(), got.size(), MSG_WAITALL), static_cast<ssize_t>(got.size()));
+  EXPECT_EQ(got, interim);
+  send_wire(fd, std::string(5000, 'x'));
+  const std::string response = read_one_response(fd);
+  EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos) << response;
+  EXPECT_NE(response.find("got 5000"), std::string::npos) << response;
+  ::close(fd);
+  server.stop();
+}
+
+TEST(HttpServerBody, OversizedExpectContinueGets413WithoutTheInterimResponse) {
+  HttpServerOptions options;
+  options.max_body_bytes = 512;
+  HttpServer server(options);
+  server.route("POST", "/upload", [](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
+  server.start(0);
+  const int fd = connect_to(server.port());
+  send_wire(fd,
+            "POST /upload HTTP/1.1\r\nHost: localhost\r\nExpect: 100-continue\r\n"
+            "Content-Length: 2048\r\n\r\n");
+  const std::string response = finish_and_read_all(fd);
+  EXPECT_EQ(response.rfind("HTTP/1.1 413", 0), 0u) << response;
+  EXPECT_EQ(response.find("100 Continue"), std::string::npos) << response;
+  server.stop();
+}
+
+TEST(HttpServerBody, ChunkedUploadIs501AndCloses) {
+  // The chunk framing would otherwise be parsed as the next request.
+  HttpServer server;
+  std::atomic<bool> handler_ran{false};
+  server.route("POST", "/echo", [&](const HttpRequest&) {
+    handler_ran = true;
+    return HttpResponse::text(200, "ok");
+  });
+  server.start(0);
+  const int fd = connect_to(server.port());
+  send_wire(fd,
+            "POST /echo HTTP/1.1\r\nHost: localhost\r\nTransfer-Encoding: chunked\r\n\r\n"
+            "5\r\nhello\r\n0\r\n\r\n");
+  const auto responses = split_responses(finish_and_read_all(fd));
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].rfind("HTTP/1.1 501", 0), 0u) << responses[0];
+  EXPECT_NE(responses[0].find("send Content-Length"), std::string::npos) << responses[0];
+  EXPECT_NE(responses[0].find("Connection: close"), std::string::npos) << responses[0];
+  EXPECT_FALSE(handler_ran.load());
+  server.stop();
+}
+
+TEST(HttpServerBody, EarlyAnswerDiscardsTheBodyAndServesTheNextRequest) {
+  // A handler that rejects a request before reading its body: the rest of
+  // the body is read and dropped, the answer arrives, and the pipelined
+  // request behind it is served on the same connection.
+  HttpServer server;
+  server.route("POST", "/reject",
+               [](const HttpRequest&) { return HttpResponse::text(400, "rejected\n"); });
+  server.route("GET", "/ping", [](const HttpRequest&) { return HttpResponse::text(200, "pong"); });
+  server.start(0);
+  const std::string body(300'000, 'x');
+  const int fd = connect_to(server.port());
+  send_wire(fd, "POST /reject HTTP/1.1\r\nHost: localhost\r\nContent-Length: " +
+                    std::to_string(body.size()) + "\r\n\r\n" + body +
+                    "GET /ping HTTP/1.1\r\nHost: localhost\r\n\r\n");
+  const auto responses = split_responses(finish_and_read_all(fd));
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].rfind("HTTP/1.1 400", 0), 0u) << responses[0];
+  EXPECT_NE(responses[0].find("Connection: keep-alive"), std::string::npos) << responses[0];
+  EXPECT_EQ(responses[1].rfind("HTTP/1.1 200", 0), 0u) << responses[1];
+  EXPECT_NE(responses[1].find("pong"), std::string::npos) << responses[1];
+  server.stop();
+}
+
+TEST(HttpServerBody, StalledBodyClosesTheConnectionUnanswered) {
+  HttpServerOptions options;
+  options.keep_alive_timeout = std::chrono::milliseconds(200);
+  HttpServer server(options);
+  std::atomic<bool> read_failed{false};
+  server.route("POST", "/echo", [&](const HttpRequest& request) {
+    try {
+      request.read_body();
+    } catch (const IoError&) {
+      read_failed = true;
+    }
+    return HttpResponse::text(200, "ok");
+  });
+  server.start(0);
+  const int fd = connect_to(server.port());
+  send_wire(fd, "POST /echo HTTP/1.1\r\nHost: localhost\r\nContent-Length: 1000\r\n\r\n" +
+                    std::string(10, 'x'));
+  // No shutdown: the body stalls, and the server gives up on it.
+  std::string data;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    data.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_TRUE(data.empty()) << data;
+  EXPECT_TRUE(read_failed.load());
   server.stop();
 }
 
@@ -680,6 +846,118 @@ TEST_F(WebServiceTest, QnameStopsAtTheFirstSpaceOrTab) {
   const std::string rejected = http_request(service_.port(), "POST", "/map", nameless);
   EXPECT_NE(rejected.find("HTTP/1.1 400"), std::string::npos) << rejected;
   EXPECT_NE(rejected.find("no read name"), std::string::npos) << rejected;
+}
+
+/// `count` reads of 40 bp drawn from `genome`, as FASTQ text.
+std::string simulated_fastq(const std::vector<std::uint8_t>& genome, std::size_t count) {
+  ReadSimConfig config;
+  config.num_reads = count;
+  config.read_length = 40;
+  config.mapping_ratio = 1.0;
+  return format_fastq(reads_to_fastq(simulate_reads(genome, config)));
+}
+
+/// A request with a fixed X-Request-Id, so two sends answer the same bytes.
+std::string post(const std::string& target, const std::string& body) {
+  return "POST " + target + " HTTP/1.1\r\nHost: localhost\r\nX-Request-Id: fixed\r\n" +
+         "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n" + body;
+}
+
+TEST_F(WebServiceTest, SegmentedUploadsAnswerWhatOneSendAnswers) {
+  // A /map and a /reference body sent in seeded segments of 1..997 bytes,
+  // with a pipelined request in the last segment: the same status and bytes
+  // as one unsegmented send, and the follow-up is served on the connection.
+  const std::string follow_up = "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  const auto exchange = [&](std::uint16_t port, const std::string& request, Xoshiro256* rng) {
+    const int fd = connect_to(port);
+    // The last segment carries the request's last bytes and the follow-up.
+    send_wire(fd, request.substr(0, request.size() - 3), rng);
+    send_wire(fd, request.substr(request.size() - 3) + follow_up);
+    const auto responses = split_responses(finish_and_read_all(fd));
+    EXPECT_EQ(responses.size(), 2u);
+    if (responses.size() == 2) {
+      EXPECT_EQ(responses[1].rfind("HTTP/1.1 200", 0), 0u) << responses[1];
+      EXPECT_NE(responses[1].find("ok"), std::string::npos) << responses[1];
+    }
+    return responses.empty() ? std::string() : responses[0];
+  };
+
+  http_request(service_.port(), "POST", "/reference", fasta_text_);
+  const std::string map = post("/map", simulated_fastq(genome_codes_, 400));
+  const std::string whole_map = exchange(service_.port(), map, nullptr);
+  ASSERT_EQ(whole_map.rfind("HTTP/1.1 200", 0), 0u) << whole_map;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Xoshiro256 rng(seed);
+    EXPECT_EQ(exchange(service_.port(), map, &rng), whole_map) << "seed " << seed;
+  }
+
+  // Each /reference send goes to a fresh server, so each answers the same.
+  const std::string upload = post("/reference?name=seg_ref", fasta_text_);
+  const auto upload_once = [&](Xoshiro256* rng) {
+    WebService service;
+    service.start(0);
+    const std::string response = exchange(service.port(), upload, rng);
+    EXPECT_TRUE(service.registry().contains("seg_ref"));
+    service.stop();
+    return response;
+  };
+  const std::string whole_upload = upload_once(nullptr);
+  ASSERT_EQ(whole_upload.rfind("HTTP/1.1 200", 0), 0u) << whole_upload;
+  Xoshiro256 rng(7);
+  EXPECT_EQ(upload_once(&rng), whole_upload);
+}
+
+TEST_F(WebServiceTest, EarlyAnswersToABigBodyArriveAndTheConnectionServesTheNext) {
+  // Each of these is answered before the 20,000-read body is read through;
+  // the rest of the body is drained, and the pipelined request behind it is
+  // served on the same connection.
+  http_request(service_.port(), "POST", "/reference", fasta_text_);
+  const std::string fastq = simulated_fastq(genome_codes_, 20'000);
+  std::string malformed = fastq;  // record 3 has no '+' separator
+  std::size_t at = 0;
+  for (int line = 0; line < 3 * 4 + 2; ++line) at = malformed.find('\n', at) + 1;
+  ASSERT_EQ(malformed[at], '+');
+  malformed[at] = 'x';
+  const struct {
+    std::string target;
+    const std::string& body;
+    std::string status;
+    std::string message;
+  } cases[] = {
+      {"/map", malformed, "400", "FASTQ record 3: missing '+' separator"},
+      {"/map?ref=nope", fastq, "404", "unknown reference 'nope'"},
+      {"/map?engine=vector", fastq, "400", "unknown engine 'vector'"},
+  };
+  for (const auto& c : cases) {
+    const int fd = connect_to(service_.port());
+    send_wire(fd,
+              post(c.target, c.body) + "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n");
+    const auto responses = split_responses(finish_and_read_all(fd));
+    ASSERT_EQ(responses.size(), 2u) << c.target;
+    EXPECT_EQ(responses[0].rfind("HTTP/1.1 " + c.status, 0), 0u) << responses[0];
+    EXPECT_NE(responses[0].find(c.message), std::string::npos) << responses[0];
+    EXPECT_EQ(responses[1].rfind("HTTP/1.1 200", 0), 0u) << responses[1];
+  }
+}
+
+TEST_F(WebServiceTest, BodyEndingShortSubmitsNoJob) {
+  http_request(service_.port(), "POST", "/reference", fasta_text_);
+  const auto submitted = [&] {
+    const std::string stats = http_request(service_.port(), "GET", "/stats");
+    const std::size_t at = stats.find("\"submitted\":");
+    return at == std::string::npos ? std::string("?") : stats.substr(at, stats.find(',', at) - at);
+  };
+  const std::string before = submitted();
+  // Every record arrives whole, but the body ends 1000 bytes short of its
+  // declared length: it is no request, and nothing answers it.
+  const int fd = connect_to(service_.port());
+  send_wire(fd, "POST /map HTTP/1.1\r\nHost: localhost\r\nContent-Length: " +
+                    std::to_string(fastq_text_.size() + 1000) + "\r\n\r\n" + fastq_text_);
+  EXPECT_EQ(finish_and_read_all(fd), "");
+  EXPECT_EQ(submitted(), before);
+  EXPECT_NE(http_request(service_.port(), "POST", "/map", fastq_text_).find("200 OK"),
+            std::string::npos);
+  EXPECT_NE(submitted(), before);
 }
 
 }  // namespace

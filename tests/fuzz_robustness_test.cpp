@@ -5,14 +5,18 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <optional>
 #include <string_view>
-#include <filesystem>
 
+#include "fmindex/dna.hpp"
 #include "fmindex/fm_index.hpp"
 #include "fmindex/occ_backends.hpp"
+#include "fmindex/reference_set.hpp"
 #include "fpga/query_packet.hpp"
 #include "io/byte_io.hpp"
+#include "io/chunk_reader.hpp"
 #include "io/fasta.hpp"
 #include "io/fastq.hpp"
 #include "io/gzip.hpp"
@@ -87,6 +91,60 @@ void expect_builder_matches_parser(const std::vector<std::uint8_t>& body,
   }
 }
 
+/// The window sizes a streamed body is packed in: 0 stands for the whole
+/// body in one window.
+constexpr std::size_t kWindows[] = {1, 2, 3, 7, 64, 4096, 0};
+
+/// What packing gave: a value, or the IoError's message.
+template <typename T>
+struct Packed {
+  std::optional<T> value;
+  std::string error;
+};
+
+template <typename T>
+Packed<T> pack_or_error(const std::function<T()>& pack) {
+  try {
+    return {pack(), ""};
+  } catch (const IoError& e) {
+    return {std::nullopt, e.what()};
+  }
+}
+
+/// `body` packed from a ChunkReader in windows of `window` bytes (0: one).
+template <typename T>
+Packed<T> pack_streamed(const std::vector<std::uint8_t>& body, std::size_t window,
+                        const std::function<T(ChunkReader&)>& pack) {
+  return pack_or_error<T>([&] {
+    MemorySource source(body);
+    ChunkReader reader(source, window == 0 ? std::max<std::size_t>(body.size(), 1) : window);
+    return pack(reader);
+  });
+}
+
+/// The streamed batch builder against the whole-body one: the same names,
+/// codes and ambiguity flags, or the same IoError message, at every window.
+void expect_streamed_batch_matches(const std::vector<std::uint8_t>& body,
+                                   const std::string& context) {
+  const auto whole =
+      pack_or_error<ReadBatch>([&] { return ReadBatch::from_fastq_bytes(body); });
+  for (const std::size_t window : kWindows) {
+    const auto streamed = pack_streamed<ReadBatch>(
+        body, window, [](ChunkReader& reader) { return ReadBatch::from_fastq_chunks(reader); });
+    const std::string where = context + " window " + std::to_string(window);
+    ASSERT_EQ(streamed.error, whole.error) << where;
+    if (!whole.value) continue;
+    const ReadBatch& a = *streamed.value;
+    const ReadBatch& b = *whole.value;
+    ASSERT_EQ(a.size(), b.size()) << where;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a.name(i), b.name(i)) << where << " read " << i;
+      ASSERT_TRUE(std::ranges::equal(a.read(i), b.read(i))) << where << " read " << i;
+      ASSERT_EQ(a.ambiguous(i), b.ambiguous(i)) << where << " read " << i;
+    }
+  }
+}
+
 TEST(Fuzz, ReadBatchBuilderMatchesParseFastq) {
   Xoshiro256 rng(2024);
   for (std::uint64_t trial = 0; trial < 200; ++trial) {
@@ -94,19 +152,120 @@ TEST(Fuzz, ReadBatchBuilderMatchesParseFastq) {
     const std::vector<std::uint8_t> body(text.begin(), text.end());
     const std::string context = "trial " + std::to_string(trial);
     expect_builder_matches_parser(body, context);
+    expect_streamed_batch_matches(body, context);
     // Truncated at every byte: mostly cut records, which both must reject.
     for (std::size_t cut = 0; cut < body.size(); ++cut) {
-      expect_builder_matches_parser(
-          std::vector<std::uint8_t>(body.begin(), body.begin() + static_cast<long>(cut)),
-          context + " cut " + std::to_string(cut));
+      const std::vector<std::uint8_t> head(body.begin(), body.begin() + static_cast<long>(cut));
+      expect_builder_matches_parser(head, context + " cut " + std::to_string(cut));
+      expect_streamed_batch_matches(head, context + " cut " + std::to_string(cut));
     }
     // Gzip-wrapped, whole and truncated.
     const auto gz = gzip_compress(body);
+    const std::vector<std::uint8_t> gz_cut(gz.begin(),
+                                           gz.begin() + static_cast<long>(gz.size() / 2));
     expect_builder_matches_parser(gz, context + " gzip");
-    expect_builder_matches_parser(
+    expect_streamed_batch_matches(gz, context + " gzip");
+    expect_builder_matches_parser(gz_cut, context + " gzip cut");
+    expect_streamed_batch_matches(gz_cut, context + " gzip cut");
+  }
+}
+
+/// A small FASTA body with the shapes real references have: CRLF line
+/// ends, blank lines, spaces and tabs inside sequence lines, lowercase, N
+/// and other IUPAC codes spread over several lines (so substitutions land
+/// at positions that cross line and window ends), header comments and
+/// trailing header whitespace, and now and then data before the first
+/// header, an empty record, or no record at all.
+std::string awkward_fasta_body(Xoshiro256& rng) {
+  static constexpr std::string_view kBases("ACGTACGTacgtUuNnRYKMSWBDHV-*. \t");
+  static constexpr std::string_view kTrail[] = {"", " ", "\t", " \t ", "\r", " \r"};
+  std::string body;
+  switch (rng.below(10)) {
+    case 0: body += "ACGT\n"; break;  // data before the first header
+    case 1: body += "\r\n\n \n"; break;  // a blank line, then a space-only one
+    case 2: body += "\r\r\n"; break;  // a line of nothing but CRs is blank
+    default: break;
+  }
+  const std::size_t records = rng.below(5);
+  for (std::size_t r = 0; r < records; ++r) {
+    const std::string eol = rng.below(3) == 0 ? "\r\n" : "\n";
+    if (rng.below(4) == 0) body += eol;
+    std::string name = "seq" + std::to_string(r);
+    if (rng.below(3) == 0) name += " description text";
+    body += ">" + name + std::string(kTrail[rng.below(std::size(kTrail))]) + eol;
+    const std::size_t lines = rng.below(5);  // 0: an empty record
+    for (std::size_t l = 0; l < lines; ++l) {
+      const std::size_t length = rng.below(40);
+      for (std::size_t i = 0; i < length; ++i) body.push_back(kBases[rng.below(kBases.size())]);
+      body += eol;
+      if (rng.below(6) == 0) body += eol;
+    }
+  }
+  if (rng.below(6) == 0 && !body.empty()) body.pop_back();  // no final line end
+  return body;
+}
+
+/// The streamed FASTA packer against parse_fasta then reference_from_fasta:
+/// the same names, offsets and 2-bit codes, or the same IoError message, at
+/// every window.
+void expect_streamed_reference_matches(const std::vector<std::uint8_t>& body,
+                                       const std::string& context) {
+  const auto whole = pack_or_error<ReferenceSet>(
+      [&] { return reference_from_fasta(parse_fasta(body)); });
+  for (const std::size_t window : kWindows) {
+    const auto streamed = pack_streamed<ReferenceSet>(
+        body, window, [](ChunkReader& reader) { return pack_fasta(reader); });
+    const std::string where = context + " window " + std::to_string(window);
+    ASSERT_EQ(streamed.error, whole.error) << where;
+    if (!whole.value) continue;
+    const ReferenceSet& a = *streamed.value;
+    const ReferenceSet& b = *whole.value;
+    ASSERT_EQ(a.num_sequences(), b.num_sequences()) << where;
+    for (std::size_t i = 0; i < a.num_sequences(); ++i) {
+      ASSERT_EQ(a.sequence(i).name, b.sequence(i).name) << where << " sequence " << i;
+      ASSERT_EQ(a.sequence(i).offset, b.sequence(i).offset) << where << " sequence " << i;
+      ASSERT_EQ(a.sequence(i).length, b.sequence(i).length) << where << " sequence " << i;
+    }
+    ASSERT_TRUE(a.concatenated() == b.concatenated()) << where;
+  }
+}
+
+TEST(Fuzz, FastaPackerMatchesParseFasta) {
+  Xoshiro256 rng(2025);
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    const std::string text = awkward_fasta_body(rng);
+    const std::vector<std::uint8_t> body(text.begin(), text.end());
+    const std::string context = "trial " + std::to_string(trial);
+    expect_streamed_reference_matches(body, context);
+    for (std::size_t cut = 0; cut < body.size(); ++cut) {
+      expect_streamed_reference_matches(
+          std::vector<std::uint8_t>(body.begin(), body.begin() + static_cast<long>(cut)),
+          context + " cut " + std::to_string(cut));
+    }
+    const auto gz = gzip_compress(body);
+    expect_streamed_reference_matches(gz, context + " gzip");
+    expect_streamed_reference_matches(
         std::vector<std::uint8_t>(gz.begin(), gz.begin() + static_cast<long>(gz.size() / 2)),
         context + " gzip cut");
   }
+}
+
+TEST(Fuzz, FastaPackerSubstitutesAcrossLinesAndWindows) {
+  // One record of N runs split over lines of every width: each N's
+  // substitute is seeded by its position in the record, not in its line or
+  // window.
+  std::string sequence;
+  for (int i = 0; i < 3000; ++i) sequence.push_back("ACGTNnRYN"[i % 9]);
+  std::string text = ">n_rich\n";
+  for (std::size_t at = 0, width = 1; at < sequence.size(); at += width, width = width % 97 + 1) {
+    text += sequence.substr(at, width) + (width % 3 == 0 ? "\r\n" : "\n");
+  }
+  const std::vector<std::uint8_t> body(text.begin(), text.end());
+  expect_streamed_reference_matches(body, "n_rich");
+  MemorySource source(body);
+  ChunkReader reader(source, 5);
+  const ReferenceSet packed = pack_fasta(reader);
+  EXPECT_TRUE(packed.concatenated() == dna_encode_string(sequence, /*substitute_invalid=*/true));
 }
 
 TEST(Fuzz, InflateRandomGarbageThrowsOrReturns) {

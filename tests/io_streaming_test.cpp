@@ -1,6 +1,7 @@
-// Chunked FASTQ input: FastqFileReader hands a file out in chunks and
+// Chunked FASTQ input: ChunkReader hands a file out in chunks and
 // FastqScanner leaves a record cut by a chunk end for the next chunk, so
 // `bwaver map` holds one chunk at a time.
+#include "io/chunk_reader.hpp"
 #include "io/fastq.hpp"
 
 #include <gtest/gtest.h>
@@ -39,7 +40,8 @@ class StreamingTest : public ::testing::Test {
   /// Pipeline::map_reads reads them.
   static std::vector<FastqRecord> read_chunked(const std::string& path,
                                                std::size_t chunk_bytes) {
-    FastqFileReader reader(path, chunk_bytes);
+    FileSource file(path);
+    ChunkReader reader(file, chunk_bytes);
     std::vector<FastqRecord> records;
     while (reader.read_more()) {
       FastqScanner scanner(reader.text(), reader.at_end(), records.size());
@@ -96,9 +98,10 @@ TEST_F(StreamingTest, RecordsCarryAcrossChunkBoundaries) {
 }
 
 TEST_F(StreamingTest, MissingFileThrows) {
-  EXPECT_THROW(FastqFileReader((dir_ / "missing.fq").string(), 4096), IoError);
+  EXPECT_THROW(FileSource((dir_ / "missing.fq").string()), IoError);
   const auto path = write("reads.fq", "@a\nA\n+\nI\n");
-  EXPECT_THROW(FastqFileReader(path, 0), std::invalid_argument);
+  FileSource file(path);
+  EXPECT_THROW(ChunkReader(file, 0), std::invalid_argument);
 }
 
 TEST_F(StreamingTest, FastqStreamingMatchesWholeFileParser) {

@@ -1,7 +1,7 @@
-// ArchiveStreamWriter + write_file_atomic tests: byte-exact layout against
-// the in-RAM ByteWriter rendering, section-order enforcement, and the crash
-// contract — an unfinished writer (including a process killed mid-write)
-// never disturbs the previous archive under the final name.
+// ArchiveStreamWriter tests: byte-exact layout against the in-RAM
+// ByteWriter rendering, section-order enforcement, and the crash contract —
+// an unfinished writer (including a process killed mid-write) never disturbs
+// the previous archive under the final name.
 #include "store/archive_stream_writer.hpp"
 
 #include <gtest/gtest.h>
@@ -171,17 +171,6 @@ TEST_F(StreamWriterTest, ProcessKilledMidWritePreservesArchive) {
 
   EXPECT_EQ(read_file(file), before);
   std::filesystem::remove(file + ".tmp");  // at most a stale temp remains
-}
-
-TEST_F(StreamWriterTest, WriteFileAtomicReplacesAndCleansUp) {
-  const std::string file = path("atomic.bin");
-  const auto first = bytes_0_to(10);
-  const auto second = bytes_0_to(2000);
-  write_file_atomic(file, first);
-  EXPECT_EQ(read_file(file), first);
-  write_file_atomic(file, second);
-  EXPECT_EQ(read_file(file), second);
-  EXPECT_FALSE(std::filesystem::exists(file + ".tmp"));
 }
 
 }  // namespace
